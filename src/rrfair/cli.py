@@ -469,9 +469,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
         rule = None
 
     samples = None if args.exhaustive else args.samples
-    records = profile_space_scan(inst, samples=samples, seed=args.seed)
     if args.threads > 1:
         records = _scan_parallel(inst, samples, args.seed, args.threads)
+    else:
+        records = profile_space_scan(inst, samples=samples, seed=args.seed)
 
     count = 0
     min_pne: Factor = UNBOUNDED

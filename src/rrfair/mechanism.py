@@ -101,12 +101,6 @@ class Allocation:
             missing = sorted(set(range(m)) - seen)
             raise ValueError(f"goods {missing} not allocated")
 
-    def owner_of(self, good: int) -> int:
-        for i, bundle in enumerate(self.bundles):
-            if good in bundle:
-                return i
-        raise ValueError(f"good {good} is unallocated")
-
 
 class PickStep(NamedTuple):
     round: int  # zero-based

@@ -1,11 +1,14 @@
 """Set-function valuation oracles over goods, with exact rational values.
 
-Goods are the integers 0..m-1; bundles are sets of goods; every value is a
-`fractions.Fraction`.  Five oracle families are provided (additive,
-budget-additive, unit-demand, OXS via bipartite matching, and explicit
-tables), together with exhaustive class-membership checks: monotonicity,
-additivity, submodularity, cancelability, and subadditivity.  The checks
-enumerate subsets, so they carry hard size guards.
+Goods are the integers 0..m-1; bundles are sets of goods; every value an
+oracle returns is a `fractions.Fraction`.  Five oracle families are provided
+(additive, budget-additive, unit-demand, OXS via bipartite matching, and
+explicit tables), together with exhaustive class-membership checks:
+monotonicity, additivity, submodularity, cancelability, and subadditivity.
+The checks compare an exact integer copy of the value table, scaled by the
+least common denominator of its entries, so their verdicts and witnesses
+are those of the Fraction table.  They enumerate subsets, so they carry hard
+size guards.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .matching import max_weight_matching_value
@@ -333,10 +337,31 @@ def _guard(v: Valuation, bound: int, what: str) -> None:
         raise SizeGuardError(f"{what} enumerates subsets; m = {v.m} exceeds the guard {bound}")
 
 
+def _integer_table(v: Valuation) -> list[int]:
+    """`value_table(v)` multiplied by the least common denominator of its entries.
+
+    Every test the class checks make (comparisons, differences, two-term sums)
+    is invariant under scaling by a positive constant, so the checks give the
+    verdicts and witnesses of the Fraction table, exactly, on plain ints.
+    """
+    vals = value_table(v)
+    lcd = lcm(*{x.denominator for x in vals})
+    return [x.numerator * (lcd // x.denominator) for x in vals]
+
+
+def _set_bits(m: int) -> list[list[int]]:
+    """For each mask over m goods, the single-bit masks of its goods, ascending."""
+    bits: list[list[int]] = [[]]
+    for mask in range(1, 1 << m):
+        low = mask & -mask
+        bits.append([low, *bits[mask ^ low]])
+    return bits
+
+
 def is_monotone(v: Valuation) -> bool:
     """Exhaustive: every single-good marginal is non-negative."""
     _guard(v, MAX_GOODS_NESTED_CHECK, "is_monotone")
-    vals = value_table(v)
+    vals = _integer_table(v)
     for mask in range(1 << v.m):
         for g in range(v.m):
             bit = 1 << g
@@ -348,7 +373,7 @@ def is_monotone(v: Valuation) -> bool:
 def is_additive(v: Valuation) -> bool:
     """Exhaustive: v(S) equals the sum of singleton values over S."""
     _guard(v, MAX_GOODS_NESTED_CHECK, "is_additive")
-    vals = value_table(v)
+    vals = _integer_table(v)
     for mask in range(1, 1 << v.m):
         bit = mask & -mask
         if vals[mask] != vals[bit] + vals[mask ^ bit]:
@@ -369,7 +394,8 @@ def _ascending_submasks(mask: int):
 def is_submodular(v: Valuation) -> ClassCheck:
     """Exhaustive diminishing-returns check: v(g|S) >= v(g|T) for S subset of T, g outside T."""
     _guard(v, MAX_GOODS_NESTED_CHECK, "is_submodular")
-    vals = value_table(v)
+    vals = _integer_table(v)
+    bits = _set_bits(v.m)
     full = (1 << v.m) - 1
     for s_mask in range(1 << v.m):
         complement = full ^ s_mask
@@ -378,36 +404,18 @@ def is_submodular(v: Valuation) -> ClassCheck:
         for extra in _ascending_submasks(complement):
             t_mask = s_mask | extra
             vt = vals[t_mask]
-            for g in _iter_bits(full ^ t_mask):
-                bit = 1 << g
+            for bit in bits[complement ^ extra]:
                 if vals[s_mask | bit] - vs < vals[t_mask | bit] - vt:
+                    g = bit.bit_length() - 1
                     return ClassCheck(False, (mask_to_bundle(s_mask), mask_to_bundle(t_mask), g))
     return ClassCheck(True)
-
-
-def submodular_by_extension_bound(v: Valuation) -> bool:
-    """Alternative submodularity characterization (Nemhauser-Wolsey):
-
-    v(T) <= v(S) + sum over g in T - S of v(g|S), for every pair S, T.
-    Agrees with `is_submodular` on monotone oracles; used to cross-check it.
-    """
-    _guard(v, MAX_GOODS_PAIR_CHECK, "submodular_by_extension_bound")
-    vals = value_table(v)
-    for s_mask in range(1 << v.m):
-        vs = vals[s_mask]
-        for t_mask in range(1 << v.m):
-            bound = vs
-            for g in _iter_bits(t_mask & ~s_mask):
-                bound += vals[s_mask | (1 << g)] - vs
-            if vals[t_mask] > bound:
-                return False
-    return True
 
 
 def is_cancelable(v: Valuation) -> ClassCheck:
     """Exhaustive: v(S+g) > v(T+g) implies v(S) > v(T), for all S, T and outside g."""
     _guard(v, MAX_GOODS_PAIR_CHECK, "is_cancelable")
-    vals = value_table(v)
+    vals = _integer_table(v)
+    bits = _set_bits(v.m)
     full = (1 << v.m) - 1
     for s_mask in range(1 << v.m):
         vs = vals[s_mask]
@@ -415,9 +423,9 @@ def is_cancelable(v: Valuation) -> ClassCheck:
             vt = vals[t_mask]
             if vs > vt:
                 continue  # the implication's conclusion cannot fail
-            for g in _iter_bits(full ^ (s_mask | t_mask)):
-                bit = 1 << g
+            for bit in bits[full ^ (s_mask | t_mask)]:
                 if vals[s_mask | bit] > vals[t_mask | bit]:
+                    g = bit.bit_length() - 1
                     return ClassCheck(False, (mask_to_bundle(s_mask), mask_to_bundle(t_mask), g))
     return ClassCheck(True)
 
@@ -425,7 +433,7 @@ def is_cancelable(v: Valuation) -> ClassCheck:
 def is_subadditive(v: Valuation) -> bool:
     """Exhaustive: v(S | T) <= v(S) + v(T) over all subset pairs."""
     _guard(v, MAX_GOODS_PAIR_CHECK, "is_subadditive")
-    vals = value_table(v)
+    vals = _integer_table(v)
     for s_mask in range(1 << v.m):
         vs = vals[s_mask]
         for t_mask in range(1 << v.m):

@@ -1,8 +1,9 @@
 """Shared test helpers: independent oracles and small random generators.
 
 The oracles here deliberately avoid the library's search/matching code
-paths: matchings are enumerated edge by edge, and best responses maximize
-over all m! explicit ranking deviations.
+paths: matchings are enumerated edge by edge, best responses maximize
+over all m! explicit ranking deviations, and the reference class checks
+compare the oracle's Fraction values directly, with no integer scaling.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import random
 from fractions import Fraction
 
 from rrfair.mechanism import Profile, Ranking, round_robin
-from rrfair.valuations import Instance, Valuation
+from rrfair.valuations import ClassCheck, Instance, Valuation, value_table
 
 
 def brute_force_matching_value(edges: list[tuple[int, object, Fraction]]) -> Fraction:
@@ -73,6 +74,91 @@ def enumerate_reachable_bundles(
     start, step0 = advance(frozenset(range(m)), 0)
     explore(start, frozenset(), step0)
     return out
+
+
+def _goods(mask: int) -> list[int]:
+    return [g for g in range(mask.bit_length()) if mask >> g & 1]
+
+
+def reference_is_monotone(v: Valuation) -> bool:
+    """Slow Fraction check: every single-good marginal is non-negative."""
+    vals = value_table(v)
+    for mask in range(1 << v.m):
+        for g in range(v.m):
+            bit = 1 << g
+            if not mask & bit and vals[mask | bit] < vals[mask]:
+                return False
+    return True
+
+
+def reference_is_additive(v: Valuation) -> bool:
+    """Slow Fraction check: v(S) equals the sum of singleton values over S."""
+    vals = value_table(v)
+    for mask in range(1, 1 << v.m):
+        bit = mask & -mask
+        if vals[mask] != vals[bit] + vals[mask ^ bit]:
+            return False
+    return True
+
+
+def reference_is_submodular(v: Valuation) -> ClassCheck:
+    """Slow Fraction check with the first (S mask, T mask, g) violation as witness."""
+    vals = value_table(v)
+    full = (1 << v.m) - 1
+    for s_mask in range(1 << v.m):
+        for t_mask in range(1 << v.m):
+            if s_mask & t_mask != s_mask:
+                continue
+            for g in _goods(full ^ t_mask):
+                bit = 1 << g
+                if vals[s_mask | bit] - vals[s_mask] < vals[t_mask | bit] - vals[t_mask]:
+                    witness = (frozenset(_goods(s_mask)), frozenset(_goods(t_mask)), g)
+                    return ClassCheck(False, witness)
+    return ClassCheck(True)
+
+
+def reference_is_cancelable(v: Valuation) -> ClassCheck:
+    """Slow Fraction check: v(S+g) > v(T+g) implies v(S) > v(T); first violation as witness."""
+    vals = value_table(v)
+    full = (1 << v.m) - 1
+    for s_mask in range(1 << v.m):
+        for t_mask in range(1 << v.m):
+            if vals[s_mask] > vals[t_mask]:
+                continue
+            for g in _goods(full ^ (s_mask | t_mask)):
+                bit = 1 << g
+                if vals[s_mask | bit] > vals[t_mask | bit]:
+                    witness = (frozenset(_goods(s_mask)), frozenset(_goods(t_mask)), g)
+                    return ClassCheck(False, witness)
+    return ClassCheck(True)
+
+
+def reference_is_subadditive(v: Valuation) -> bool:
+    """Slow Fraction check: v(S | T) <= v(S) + v(T) over all subset pairs."""
+    vals = value_table(v)
+    for s_mask in range(1 << v.m):
+        for t_mask in range(1 << v.m):
+            if vals[s_mask | t_mask] > vals[s_mask] + vals[t_mask]:
+                return False
+    return True
+
+
+def submodular_by_extension_bound(v: Valuation) -> bool:
+    """Alternative submodularity characterization (Nemhauser-Wolsey):
+
+    v(T) <= v(S) + sum over g in T - S of v(g|S), for every pair S, T.
+    Agrees with `is_submodular` on monotone oracles; used to cross-check it.
+    """
+    vals = value_table(v)
+    for s_mask in range(1 << v.m):
+        vs = vals[s_mask]
+        for t_mask in range(1 << v.m):
+            bound = vs
+            for g in _goods(t_mask & ~s_mask):
+                bound += vals[s_mask | (1 << g)] - vs
+            if vals[t_mask] > bound:
+                return False
+    return True
 
 
 def random_ranking(rng: random.Random, m: int) -> Ranking:

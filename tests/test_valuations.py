@@ -7,12 +7,23 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_matching_value, random_monotone_table_values
+from conftest import (
+    brute_force_matching_value,
+    random_monotone_table_values,
+    reference_is_additive,
+    reference_is_cancelable,
+    reference_is_monotone,
+    reference_is_subadditive,
+    reference_is_submodular,
+    submodular_by_extension_bound,
+)
 from rrfair.instances import (
+    FIXTURES,
     GeneratorSpec,
+    build_fixture,
     bluff_tightness_instance,
     generate,
     no_pne_instance,
@@ -31,7 +42,6 @@ from rrfair.valuations import (
     is_monotone,
     is_subadditive,
     is_submodular,
-    submodular_by_extension_bound,
     value_table,
 )
 
@@ -305,3 +315,78 @@ def test_closed_forms_are_normalized_and_monotone(weights, cap):
     for v in (Additive(weights), BudgetAdditive(weights, cap), UnitDemand(weights)):
         assert v.value(frozenset()) == 0
         assert is_monotone(v)
+
+
+# ---------------------------------------------------------------------------
+# integer value tables against the Fraction reference checks
+
+
+def assert_checks_match_reference(v):
+    assert is_monotone(v) == reference_is_monotone(v)
+    assert is_additive(v) == reference_is_additive(v)
+    assert is_submodular(v) == reference_is_submodular(v)
+    assert is_cancelable(v) == reference_is_cancelable(v)
+    assert is_subadditive(v) == reference_is_subadditive(v)
+
+
+# Small numerators over mixed denominators: the scaled tables differ from the
+# Fraction ones, and ties between values are common.
+rationals = st.builds(F, st.integers(min_value=0, max_value=12), st.integers(min_value=2, max_value=12))
+
+
+@st.composite
+def rational_valuations(draw):
+    m = draw(st.integers(min_value=1, max_value=5))
+    kind = draw(st.sampled_from(
+        ["additive", "budget_additive", "unit_demand", "oxs", "table", "monotone_table"]))
+    weights = draw(st.lists(rationals, min_size=m, max_size=m))
+    if kind == "additive":
+        return Additive(weights)
+    if kind == "budget_additive":
+        return BudgetAdditive(weights, draw(rationals))
+    if kind == "unit_demand":
+        return UnitDemand(weights)
+    if kind == "oxs":
+        slots = draw(st.integers(min_value=1, max_value=3))
+        edge = st.tuples(
+            st.integers(min_value=0, max_value=m - 1),
+            st.integers(min_value=0, max_value=slots - 1),
+            rationals,
+        )
+        return OXS(m, draw(st.lists(edge, min_size=1, max_size=2 * m)))
+    values = [F(0)] + draw(st.lists(rationals, min_size=(1 << m) - 1, max_size=(1 << m) - 1))
+    if kind == "monotone_table":
+        for mask in range(1, 1 << m):
+            values[mask] = max([values[mask]] + [values[mask ^ (1 << g)] for g in range(m)
+                                                 if mask >> g & 1])
+    return Table(m, values)
+
+
+@seed(20230131)
+@settings(max_examples=300, deadline=None)
+@given(v=rational_valuations())
+def test_class_checks_match_fraction_reference_on_rational_oracles(v):
+    assert_checks_match_reference(v)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_class_checks_match_fraction_reference_on_fixture_agents(name):
+    for v in build_fixture(name).valuations:
+        assert_checks_match_reference(v)
+
+
+def test_class_checks_match_fraction_reference_with_distinct_prime_denominators():
+    # Worst case for the common denominator: the 63 non-empty subsets of 6
+    # goods get the first 63 primes as denominators, so the table is scaled
+    # by their product (a 123-digit integer).  v(S) = |S| + k/p with
+    # 0 < k < p keeps the table monotone.
+    primes = [p for p in range(2, 320) if all(p % d for d in range(2, int(p ** 0.5) + 1))][:63]
+    rng = random.Random(6)
+    values = [F(0)] + [
+        bin(mask).count("1") + F(rng.randint(1, p - 1), p)
+        for mask, p in zip(range(1, 64), primes)
+    ]
+    assert len({x.denominator for x in values}) == 64
+    table = Table(6, values)
+    assert is_monotone(table)
+    assert_checks_match_reference(table)
