@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -26,9 +25,7 @@ from .equilibria import (
     applicable_bound_rule,
     best_response,
     evaluate_profile,
-    profile_orders,
     profile_space_scan,
-    scan_one_profile,
 )
 from .fairness import UNBOUNDED, Factor
 from .instances import (
@@ -469,18 +466,13 @@ def cmd_scan(args: argparse.Namespace) -> int:
         rule = None
 
     samples = None if args.exhaustive else args.samples
-    if args.threads > 1:
-        records = _scan_parallel(inst, samples, args.seed, args.threads)
-    else:
-        records = profile_space_scan(inst, samples=samples, seed=args.seed)
-
     count = 0
     min_pne: Factor = UNBOUNDED
     max_pne: Factor = Fraction(0)
     min_ef1: Factor = UNBOUNDED
     violations = 0
     lines: list[dict[str, Any]] = []
-    for record in records:
+    for record in profile_space_scan(inst, samples=samples, seed=args.seed):
         count += 1
         pne = record.equilibrium.pne_factor
         ef1 = record.fairness.ef1_factor
@@ -493,10 +485,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
             if not ok:
                 violations += 1
             verdict = "ok" if ok else "VIOLATED"
-        profile_txt = " | ".join(
-            "".join(str(g) for g in r.order) if inst.m <= 10 else str(list(r.order))
-            for r in record.profile.rankings
-        )
         if args.json:
             lines.append(
                 {
@@ -507,6 +495,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
                 }
             )
         else:
+            profile_txt = " | ".join(
+                "".join(str(g) for g in r.order) if inst.m <= 10 else str(list(r.order))
+                for r in record.profile.rankings
+            )
             print(f"profile {profile_txt}  pne {fmt_frac(pne)}  ef1 {fmt_frac(ef1)}"
                   + (f"  bound {verdict}" if rule is not None else ""))
 
@@ -526,14 +518,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
               + (f"bound violations {violations} ({rule.name})"
                  if rule is not None else "no certified bound"))
     return EXIT_OK
-
-
-def _scan_parallel(inst: Instance, samples: int | None, seed: int, threads: int):
-    """Profile scan with a thread pool; output order stays canonical."""
-    padded, _ = pad_to_multiple(inst)
-    orders = profile_orders(inst, samples=samples, seed=seed)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(lambda o: scan_one_profile(inst, padded, o), orders)
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--exhaustive", action="store_true")
     scan.add_argument("--samples", type=int, default=None)
     scan.add_argument("--seed", type=int, default=0)
-    scan.add_argument("--threads", type=int, default=1)
     scan.add_argument("--json", action="store_true")
     scan.set_defaults(func=cmd_scan)
 

@@ -41,6 +41,11 @@ MAX_GOODS_BEST_RESPONSE = 14
 MAX_EXHAUSTIVE_PROFILES = 10**6
 MAX_GOODS_BOUND_CERTIFICATION = 10
 
+# Scan memos: best-response values by (agent, the other agents' orders in
+# agent order), and fairness reports by the bundles over the real goods.
+ResponseMemo = dict[tuple[int, tuple[tuple[int, ...], ...]], Fraction]
+ReportMemo = dict[tuple[frozenset[int], ...], FairnessReport]
+
 
 @dataclass(frozen=True)
 class BestResponse:
@@ -163,25 +168,45 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking]) -> 
     )
 
 
-def pne_factor(inst: Instance, profile: Profile) -> EquilibriumReport:
+def pne_factor(
+    inst: Instance,
+    profile: Profile,
+    *,
+    allocation: Allocation | None = None,
+    responses: ResponseMemo | None = None,
+) -> EquilibriumReport:
     """Equilibrium factor of a reported profile under the true valuations.
 
     Per agent: the value she currently gets against her exact best-response
     value.  A zero best response (possible only for identically worthless
     reachable bundles) imposes no constraint and counts as ratio 1.
+
+    `allocation` is the mechanism's outcome on `profile`, when the caller
+    already has it.  A best-response value depends only on the agent and the
+    other agents' orders, so it is read from `responses` (a `ResponseMemo`)
+    and `best_response` runs only on a miss.  Pass one dict across calls on
+    the same instance to share the values; without one, a fresh dict serves
+    this call alone.
     """
-    alloc, _ = round_robin(inst, profile)
+    if allocation is None:
+        allocation, _ = round_robin(inst, profile)
+    if responses is None:
+        responses = {}
+    orders = tuple(r.order for r in profile.rankings)
     per_agent = []
     factor = Fraction(1)
     for i in range(inst.n):
-        current = inst.valuations[i].value(alloc.bundles[i])
-        br = best_response(inst, i, profile.others(i))
-        if br.value == 0:
+        current = inst.valuations[i].value(allocation.bundles[i])
+        key = (i, orders[:i] + orders[i + 1:])
+        best = responses.get(key)
+        if best is None:
+            best = responses[key] = best_response(inst, i, profile.others(i)).value
+        if best == 0:
             ratio: Factor = UNBOUNDED
         else:
-            ratio = current / br.value
+            ratio = current / best
             factor = min(factor, ratio)
-        per_agent.append(AgentEquilibrium(i, current, br.value, ratio))
+        per_agent.append(AgentEquilibrium(i, current, best, ratio))
     return EquilibriumReport(tuple(per_agent), factor)
 
 
@@ -215,7 +240,8 @@ def evaluate_profile(
     padded, padding = pad_to_multiple(inst)
     padded_profile = profile.extended(padded.m)
     alloc, trace = round_robin(padded, padded_profile)
-    fairness = ef1_factor(inst, strip_padding(alloc, inst.m))
+    real = strip_padding(alloc, inst.m)
+    fairness = ef1_factor(inst, real)
     equilibrium = None
     skipped = None
     if with_equilibrium:
@@ -224,9 +250,9 @@ def evaluate_profile(
                 f"size guard: padded m = {padded.m} exceeds {MAX_GOODS_BEST_RESPONSE}"
             )
         else:
-            equilibrium = pne_factor(padded, padded_profile)
+            equilibrium = pne_factor(padded, padded_profile, allocation=alloc)
     return ProfileEvaluation(
-        allocation=strip_padding(alloc, inst.m),
+        allocation=real,
         trace=trace,
         fairness=fairness,
         equilibrium=equilibrium,
@@ -257,13 +283,28 @@ def profile_orders(
             yield tuple(tuple(rng.sample(range(inst.m), inst.m)) for _ in range(inst.n))
 
 
-def scan_one_profile(inst: Instance, padded: Instance, orders) -> ScanRecord:
-    """Evaluate a single scanned profile (equilibrium plus fairness)."""
+def scan_one_profile(
+    inst: Instance,
+    padded: Instance,
+    orders,
+    responses: ResponseMemo,
+    reports: ReportMemo,
+) -> ScanRecord:
+    """Evaluate a single scanned profile (equilibrium plus fairness).
+
+    The mechanism runs once.  Best-response values come from `responses`
+    (see `pne_factor`) and fairness reports from `reports`, keyed by the
+    allocation's bundles over the real goods; both dicts belong to `padded`
+    and fill up as the scan goes.
+    """
     profile = Profile(tuple(Ranking(order) for order in orders))
     padded_profile = profile.extended(padded.m)
-    equilibrium = pne_factor(padded, padded_profile)
     alloc, _ = round_robin(padded, padded_profile)
-    fairness = ef1_factor(inst, strip_padding(alloc, inst.m))
+    equilibrium = pne_factor(padded, padded_profile, allocation=alloc, responses=responses)
+    real = strip_padding(alloc, inst.m)
+    fairness = reports.get(real.bundles)
+    if fairness is None:
+        fairness = reports[real.bundles] = ef1_factor(inst, real)
     return ScanRecord(profile, equilibrium, fairness)
 
 
@@ -275,10 +316,18 @@ def profile_space_scan(
     Exhaustive mode (samples=None) walks all (m!)^n profiles in
     lexicographic order; sampled mode draws `samples` uniform profiles from
     a seeded generator.  Both are deterministic.
+
+    The scan runs the mechanism once per profile and keeps two memos for its
+    whole length: best-response values by (agent, the other agents' orders)
+    and fairness reports by allocation.  Both are pure functions of their
+    keys, so the records equal those of unshared evaluation; only values are
+    kept, never a search's own memo table.
     """
     padded, _ = pad_to_multiple(inst)
+    responses: ResponseMemo = {}
+    reports: ReportMemo = {}
     for orders in profile_orders(inst, samples=samples, seed=seed):
-        yield scan_one_profile(inst, padded, orders)
+        yield scan_one_profile(inst, padded, orders, responses, reports)
 
 
 @dataclass(frozen=True)

@@ -431,12 +431,16 @@ def is_cancelable(v: Valuation) -> ClassCheck:
 
 
 def is_subadditive(v: Valuation) -> bool:
-    """Exhaustive: v(S | T) <= v(S) + v(T) over all subset pairs."""
+    """Exhaustive: v(S | T) <= v(S) + v(T) over all subset pairs.
+
+    The condition is symmetric in S and T, so each unordered pair is tested
+    once (T from S upward).
+    """
     _guard(v, MAX_GOODS_PAIR_CHECK, "is_subadditive")
     vals = _integer_table(v)
     for s_mask in range(1 << v.m):
         vs = vals[s_mask]
-        for t_mask in range(1 << v.m):
+        for t_mask in range(s_mask, 1 << v.m):
             if vals[s_mask | t_mask] > vs + vals[t_mask]:
                 return False
     return True

@@ -174,11 +174,19 @@ def test_scan_sampled_deterministic(capsys, no_pne_path):
     assert first != different
 
 
-def test_scan_threads_preserve_output(capsys, no_pne_path):
-    _, serial = run_cli(capsys, "scan", no_pne_path, "--samples", "30", "--seed", "3")
-    _, threaded = run_cli(capsys, "scan", no_pne_path, "--samples", "30", "--seed", "3",
-                          "--threads", "4")
-    assert serial == threaded
+def test_scan_rejects_the_removed_threads_option(no_pne_path):
+    result = subprocess.run(
+        [sys.executable, "-m", "rrfair.cli", "scan", no_pne_path, "--samples", "3",
+         "--threads", "4"],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("usage: rrfair")
+    assert "unrecognized arguments: --threads 4" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_scan_argument_validation(capsys, no_pne_path):

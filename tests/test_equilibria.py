@@ -2,23 +2,31 @@
 
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from conftest import brute_force_best_response, random_profile
+from rrfair import equilibria
 from rrfair.equilibria import (
     NoApplicableBoundError,
+    ScanRecord,
     applicable_bound_rule,
     best_response,
     evaluate_profile,
     pne_factor,
+    profile_orders,
     profile_space_scan,
     verify_fairness_bound,
 )
-from rrfair.fairness import UNBOUNDED
+from rrfair.fairness import UNBOUNDED, ef1_factor
 from rrfair.instances import (
+    GENERATOR_CLASSES,
     GeneratorSpec,
     additive_tightness_instance,
     bluff_tightness_instance,
@@ -26,7 +34,7 @@ from rrfair.instances import (
     no_pne_instance,
     oxs_lower_bound_instance,
 )
-from rrfair.mechanism import Profile, Ranking, pad_to_multiple, round_robin
+from rrfair.mechanism import Profile, Ranking, pad_to_multiple, round_robin, strip_padding
 from rrfair.profiles import bluff_profile, truthful_profile, truthful_ranking
 from rrfair.valuations import Additive, Instance, SizeGuardError, Table
 
@@ -209,6 +217,72 @@ def test_sampled_scan_is_deterministic_per_seed():
     other = [r.profile for r in profile_space_scan(inst, samples=20, seed=10)]
     assert first == second
     assert first != other
+
+
+def unshared_scan(inst, *, samples=None, seed=0):
+    """Scan records evaluated one profile at a time, with no memo shared between them."""
+    padded, _ = pad_to_multiple(inst)
+    for orders in profile_orders(inst, samples=samples, seed=seed):
+        profile = Profile(tuple(Ranking(order) for order in orders))
+        padded_profile = profile.extended(padded.m)
+        alloc, _ = round_robin(padded, padded_profile)
+        yield ScanRecord(profile, pne_factor(padded, padded_profile),
+                         ef1_factor(inst, strip_padding(alloc, inst.m)))
+
+
+@st.composite
+def scan_cases(draw):
+    # Per-agent classes from the generator; small weights make ties, zero
+    # values and repeated allocations common.  m need not be a multiple of n.
+    n = draw(st.sampled_from((2, 3)))
+    m = draw(st.integers(min_value=1, max_value=4))
+    valuations = tuple(
+        generate(GeneratorSpec(draw(st.sampled_from(GENERATOR_CLASSES)), 1, m,
+                               draw(st.integers(min_value=0, max_value=10**6)),
+                               weight_range=(0, 3))).valuations[0]
+        for _ in range(n)
+    )
+    inst = Instance(n=n, m=m, valuations=valuations)
+    exhaustive = math.factorial(m) ** n <= 576 and draw(st.booleans())
+    samples = None if exhaustive else draw(st.integers(min_value=1, max_value=40))
+    return inst, samples, draw(st.integers(min_value=0, max_value=1000))
+
+
+@seed(20230131)
+@settings(max_examples=60, deadline=None)
+@given(case=scan_cases())
+def test_scan_memos_match_unshared_evaluation(case):
+    inst, samples, scan_seed = case
+    assert (list(profile_space_scan(inst, samples=samples, seed=scan_seed))
+            == list(unshared_scan(inst, samples=samples, seed=scan_seed)))
+
+
+def test_scan_runs_each_mechanism_search_and_score_once(monkeypatch):
+    calls = Counter()
+
+    def count_calls(name):
+        original = getattr(equilibria, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(equilibria, name, wrapper)
+
+    for name in ("round_robin", "best_response", "ef1_factor"):
+        count_calls(name)
+    inst = no_pne_instance()
+    records = list(profile_space_scan(inst))
+    assert len(records) == 576
+    allocations = {round_robin(inst, record.profile)[0] for record in records}
+    # One mechanism run per profile, one search per (agent, other agent's
+    # ranking), one score per distinct allocation.
+    assert calls == {"round_robin": 576, "best_response": 2 * 24,
+                     "ef1_factor": len(allocations)}
+
+    calls.clear()
+    evaluate_profile(inst, truthful_profile(inst))
+    assert calls["round_robin"] == 1
 
 
 def test_submodular_scan_respects_half_bound_per_profile():
