@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from .equilibria import (
-    MAX_GOODS_BEST_RESPONSE,
     BoundRule,
     NoApplicableBoundError,
     applicable_bound_rule,
@@ -624,10 +623,6 @@ def cmd_best_response(args: argparse.Namespace) -> int:
     agent = args.agent - 1
     profile, source = profile_from_source(inst, args.profile)
     padded, padding = pad_to_multiple(inst)
-    if padded.m > MAX_GOODS_BEST_RESPONSE:
-        print(f"error: size guard: padded m = {padded.m} exceeds {MAX_GOODS_BEST_RESPONSE}",
-              file=sys.stderr)
-        return EXIT_GUARD
     padded_profile = profile.extended(padded.m)
     response = best_response(padded, agent, padded_profile.others(agent))
     alloc, _ = round_robin(padded, padded_profile)

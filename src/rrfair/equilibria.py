@@ -6,6 +6,16 @@ deterministically from their fixed rankings, and any feasible pick sequence
 is realizable by the ranking that lists those picks first.  The search is
 therefore exact over all m! ranking deviations while visiting only the
 reachable outcomes.
+
+The search is branch and bound on exact integers: values are the oracle's
+`scale` times the true values, and a state whose optimistic bound cannot
+beat the best value found so far is not expanded.  Every oracle is
+monotone, so v(B | available) bounds each completion of the bundle B.  For
+oracles subadditive by construction, v(B) plus the k largest singleton
+values still available (k picks to go) is a second bound, and the search
+takes the smaller.  No bound prunes an optimum, so the value, the bundle
+and the lexicographically least optimal pick sequence are those of the
+exhaustive search.
 """
 
 from __future__ import annotations
@@ -53,8 +63,10 @@ class BestResponse:
 
     `ranking` lists the optimal picks first (lexicographically least among
     maximizers) and the remaining goods ascending; replaying the mechanism
-    with it gives `bundle` back.  `explored_states` counts search states
-    actually expanded (memoized revisits excluded).
+    with it gives `bundle` back.  `explored_states` counts the distinct
+    search states whose children were generated.  States cut off by their
+    bound are not counted, and a state opened again, for a tighter answer
+    than its first visit gave, counts once.
     """
 
     ranking: Ranking
@@ -101,6 +113,7 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking]) -> 
 
     m, n = inst.m, inst.n
     v = inst.valuations[agent]
+    scale = v.scale
     order_of = {i: others[i].order for i in others}
     full = (1 << m) - 1
 
@@ -115,56 +128,93 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking]) -> 
             step += 1
         return avail, step
 
-    memo: dict[tuple[int, int], Fraction] = {}
-    expanded = 0
+    ints: dict[int, int] = {}
 
-    def solve(avail: int, bundle: int, step: int) -> Fraction:
-        nonlocal expanded
+    def value(mask: int) -> int:
+        # scale * v(mask), an int; each bundle's Fraction is converted once.
+        x = ints.get(mask)
+        if x is None:
+            f = v.value_mask(mask)
+            x = ints[mask] = f.numerator * (scale // f.denominator)
+        return x
+
+    # Single-bit masks, by decreasing singleton value and then ascending good:
+    # the search tries promising picks first, so the incumbent rises early.
+    by_value = sorted((1 << g for g in range(m)), key=lambda bit: -value(bit))
+
+    subadditive = v.subadditive_by_construction
+
+    def bound(avail: int, bundle: int, step: int) -> int:
+        # An upper bound on every completion of `bundle` with k goods of `avail`.
+        monotone = value(bundle | avail)
+        if not subadditive:
+            return monotone
+        k = (m - step + n - 1) // n
+        total = value(bundle)
+        for bit in by_value:
+            if not k:
+                break
+            if avail & bit:
+                total += value(bit)
+                k -= 1
+        return min(total, monotone)
+
+    exact: dict[tuple[int, int], int] = {}
+    upper: dict[tuple[int, int], int] = {}
+    opened: set[tuple[int, int]] = set()
+
+    def solve(avail: int, bundle: int, step: int, need: int) -> int:
+        # The state's exact value when it exceeds `need`, else an upper bound <= need.
         if step >= m:
-            return v.value_mask(bundle)
+            return value(bundle)
         key = (avail, bundle)
-        hit = memo.get(key)
+        hit = exact.get(key)
         if hit is not None:
             return hit
-        expanded += 1
-        best: Fraction | None = None
-        mask = avail
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            next_avail, next_step = advance(avail ^ bit, step + 1)
-            value = solve(next_avail, bundle | bit, next_step)
-            if best is None or value > best:
-                best = value
-        assert best is not None
-        memo[key] = best
+        ub = upper.get(key)
+        if ub is None:
+            ub = upper[key] = bound(avail, bundle, step)
+        if ub <= need:
+            return ub
+        opened.add(key)
+        best = -1
+        for bit in by_value:
+            if avail & bit:
+                next_avail, next_step = advance(avail ^ bit, step + 1)
+                result = solve(next_avail, bundle | bit, next_step, max(need, best))
+                if result > best:
+                    best = result
+        if best > need:
+            exact[key] = best
+        else:
+            upper[key] = best
         return best
 
     avail0, step0 = advance(full, 0)
-    best_value = solve(avail0, 0, step0)
+    best_value = solve(avail0, 0, step0, -1)  # values are >= 0, so this is exact
 
-    # Reconstruct the lexicographically least optimal pick sequence.
+    # Reconstruct the lexicographically least optimal pick sequence: the first
+    # child, in ascending good order, whose value reaches the target.
     picks: list[int] = []
-    avail, bundle, step = avail0, 0, step0
+    avail, bundle, step, target = avail0, 0, step0, best_value
     while step < m:
-        target = solve(avail, bundle, step)
         mask = avail
         while mask:
             bit = mask & -mask
             mask ^= bit
             next_avail, next_step = advance(avail ^ bit, step + 1)
-            if solve(next_avail, bundle | bit, next_step) == target:
+            if solve(next_avail, bundle | bit, next_step, target - 1) == target:
                 picks.append(bit.bit_length() - 1)
                 avail, bundle, step = next_avail, bundle | bit, next_step
                 break
         else:
-            raise AssertionError("no pick reproduces the memoized optimum")
+            raise AssertionError("no pick reproduces the optimum")
 
     return BestResponse(
         ranking=ranking_from_picks(picks, m),
         bundle=frozenset(picks),
-        value=best_value,
-        explored_states=expanded,
+        value=Fraction(best_value, scale),
+        explored_states=len(opened),
     )
 
 

@@ -40,10 +40,16 @@ class Ranking:
         raise ValueError("no ranked good is available")
 
     def extended(self, m_new: int) -> "Ranking":
-        """Same order with goods m..m_new-1 appended at the end (ascending)."""
-        if m_new < self.m:
+        """Same order with goods m..m_new-1 appended at the end (ascending).
+
+        Returns `self` when there is nothing to append.
+        """
+        m = len(self.order)
+        if m_new < m:
             raise ValueError("cannot shrink a ranking")
-        return Ranking(self.order + tuple(range(self.m, m_new)))
+        if m_new == m:
+            return self
+        return Ranking(self.order + tuple(range(m, m_new)))
 
 
 @dataclass(frozen=True)
@@ -74,6 +80,9 @@ class Profile:
         return Profile(tuple(rankings))
 
     def extended(self, m_new: int) -> "Profile":
+        """Every ranking extended to m_new goods; `self` when there is nothing to append."""
+        if m_new == len(self.rankings[0].order):
+            return self
         return Profile(tuple(r.extended(m_new) for r in self.rankings))
 
     def others(self, agent: int) -> dict[int, Ranking]:

@@ -5,10 +5,14 @@ oracle returns is a `fractions.Fraction`.  Five oracle families are provided
 (additive, budget-additive, unit-demand, OXS via bipartite matching, and
 explicit tables), together with exhaustive class-membership checks:
 monotonicity, additivity, submodularity, cancelability, and subadditivity.
-The checks compare an exact integer copy of the value table, scaled by the
-least common denominator of its entries, so their verdicts and witnesses
-are those of the Fraction table.  They enumerate subsets, so they carry hard
-size guards.
+
+Each oracle fixes a positive integer `scale` at construction, the least
+common denominator of its weights, cap, edge weights or table entries, so
+that `scale * v(S)` is an integer for every bundle S.  Scaling by a positive
+constant keeps every comparison, tie and ratio, so the exact integer paths
+(the class checks, OXS matching, the best-response search) work on those
+integers and give the results of the Fraction values.  The checks enumerate
+subsets, so they carry hard size guards.
 """
 
 from __future__ import annotations
@@ -62,17 +66,28 @@ def _iter_bits(mask: int):
         mask ^= bit
 
 
+def _lcd(values: Iterable[Fraction]) -> int:
+    """Least common denominator of exact rationals (1 when there are none)."""
+    return lcm(*{x.denominator for x in values})
+
+
 class Valuation(ABC):
     """Immutable, normalized (v(empty) = 0), non-decreasing value oracle.
 
     Subclasses implement `_value_mask`; results are memoized per bitmask, so
     repeated queries during searches and exhaustive checks are cheap.
+    `scale` is a positive integer with `scale * v(S)` integral for every S.
+    `subadditive_by_construction` states, per class, that v(S | T) <=
+    v(S) + v(T) holds for every oracle of the class; searches rely on it.
     """
 
-    def __init__(self, m: int) -> None:
+    subadditive_by_construction = False
+
+    def __init__(self, m: int, scale: int) -> None:
         if m < 1:
             raise ValueError("a valuation needs at least one good")
         self.m = m
+        self.scale = scale
         self._cache: dict[int, Fraction] = {0: Fraction(0)}
 
     def value(self, bundle: Iterable[int]) -> Fraction:
@@ -120,9 +135,11 @@ def _check_weights(weights: Sequence[int | str | Fraction]) -> tuple[Fraction, .
 class Additive(Valuation):
     """v(S) = sum of per-good weights."""
 
+    subadditive_by_construction = True
+
     def __init__(self, weights: Sequence[int | str | Fraction]) -> None:
         self.weights = _check_weights(weights)
-        super().__init__(len(self.weights))
+        super().__init__(len(self.weights), _lcd(self.weights))
 
     def _value_mask(self, mask: int) -> Fraction:
         return sum((self.weights[g] for g in _iter_bits(mask)), Fraction(0))
@@ -143,12 +160,14 @@ class Additive(Valuation):
 class BudgetAdditive(Valuation):
     """v(S) = min(cap, sum of weights)."""
 
+    subadditive_by_construction = True
+
     def __init__(self, weights: Sequence[int | str | Fraction], cap: int | str | Fraction) -> None:
         self.weights = _check_weights(weights)
         self.cap = as_fraction(cap)
         if self.cap < 0:
             raise ValueError(f"negative cap {self.cap}")
-        super().__init__(len(self.weights))
+        super().__init__(len(self.weights), _lcd((*self.weights, self.cap)))
 
     def _value_mask(self, mask: int) -> Fraction:
         total = sum((self.weights[g] for g in _iter_bits(mask)), Fraction(0))
@@ -174,9 +193,11 @@ class BudgetAdditive(Valuation):
 class UnitDemand(Valuation):
     """v(S) = best single good in S (0 on the empty set)."""
 
+    subadditive_by_construction = True
+
     def __init__(self, weights: Sequence[int | str | Fraction]) -> None:
         self.weights = _check_weights(weights)
-        super().__init__(len(self.weights))
+        super().__init__(len(self.weights), _lcd(self.weights))
 
     def _value_mask(self, mask: int) -> Fraction:
         return max((self.weights[g] for g in _iter_bits(mask)), default=Fraction(0))
@@ -198,8 +219,12 @@ class OXS(Valuation):
     """v(S) = maximum-weight matching of S's goods to abstract slots.
 
     Edges are (good, slot label, weight) triples; slot labels may be any
-    strings or integers.  OXS functions are monotone submodular.
+    strings or integers.  OXS functions are monotone submodular.  The
+    matching runs on a copy of the edges with slot indices and weights
+    multiplied by `scale`, so on ints.
     """
+
+    subadditive_by_construction = True
 
     def __init__(
         self,
@@ -218,18 +243,19 @@ class OXS(Valuation):
                 labels[label] = len(labels)
             normalized.append((good, label, w))
         self.edges = tuple(normalized)
-        self._slot_index = labels
-        super().__init__(m)
+        self._slots = len(labels)
+        scale = _lcd(w for _, _, w in normalized)
+        self._int_edges = tuple(
+            (good, labels[label], w.numerator * (scale // w.denominator))
+            for good, label, w in normalized
+        )
+        super().__init__(m, scale)
 
     def _value_mask(self, mask: int) -> Fraction:
-        edges = [
-            (good, self._slot_index[label], weight)
-            for good, label, weight in self.edges
-            if mask >> good & 1
-        ]
+        edges = [edge for edge in self._int_edges if mask >> edge[0] & 1]
         if not edges:
             return Fraction(0)
-        return max_weight_matching_value(self.m, len(self._slot_index), edges)
+        return Fraction(max_weight_matching_value(self.m, self._slots, edges), self.scale)
 
     def pad(self, extra: int) -> "OXS":
         return OXS(self.m + extra, self.edges)
@@ -265,7 +291,7 @@ class Table(Valuation):
         for mask, value in enumerate(self.values):
             if value < 0:
                 raise ValueError(f"negative value {value} for subset {sorted(_iter_bits(mask))}")
-        super().__init__(m)
+        super().__init__(m, _lcd(self.values))
 
     def _value_mask(self, mask: int) -> Fraction:
         return self.values[mask]
@@ -338,15 +364,14 @@ def _guard(v: Valuation, bound: int, what: str) -> None:
 
 
 def _integer_table(v: Valuation) -> list[int]:
-    """`value_table(v)` multiplied by the least common denominator of its entries.
+    """`value_table(v)` multiplied by the oracle's `scale`.
 
     Every test the class checks make (comparisons, differences, two-term sums)
     is invariant under scaling by a positive constant, so the checks give the
     verdicts and witnesses of the Fraction table, exactly, on plain ints.
     """
-    vals = value_table(v)
-    lcd = lcm(*{x.denominator for x in vals})
-    return [x.numerator * (lcd // x.denominator) for x in vals]
+    scale = v.scale
+    return [x.numerator * (scale // x.denominator) for x in value_table(v)]
 
 
 def _set_bits(m: int) -> list[list[int]]:

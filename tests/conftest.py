@@ -4,6 +4,9 @@ The oracles here deliberately avoid the library's search/matching code
 paths: matchings are enumerated edge by edge, best responses maximize
 over all m! explicit ranking deviations, and the reference class checks
 compare the oracle's Fraction values directly, with no integer scaling.
+`reference_best_response` is the exhaustive Fraction pick-tree search the
+branch-and-bound search replaced, kept to compare bundles, rankings and
+state counts against.
 """
 
 from __future__ import annotations
@@ -11,9 +14,11 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from typing import Mapping
 
-from rrfair.mechanism import Profile, Ranking, round_robin
-from rrfair.valuations import ClassCheck, Instance, Valuation, value_table
+from rrfair.equilibria import MAX_GOODS_BEST_RESPONSE, BestResponse
+from rrfair.mechanism import Profile, Ranking, ranking_from_picks, round_robin
+from rrfair.valuations import ClassCheck, Instance, SizeGuardError, Valuation, value_table
 
 
 def brute_force_matching_value(edges: list[tuple[int, object, Fraction]]) -> Fraction:
@@ -48,6 +53,94 @@ def brute_force_best_response(
         alloc, _ = round_robin(inst, Profile(tuple(rankings)))
         best = max(best, v.value(alloc.bundles[agent]))
     return best
+
+
+def reference_best_response(inst: Instance, agent: int, others: Mapping[int, Ranking]) -> BestResponse:
+    """Maximize `agent`'s true value over all ranking deviations, exhaustively.
+
+    The memoized Fraction search that `best_response` replaced: it expands
+    every reachable (available, bundle) state exactly once.
+
+    Requires m to be a multiple of n and m within the search guard.  Ties
+    in value resolve toward the lexicographically least pick sequence.
+    """
+    if inst.m % inst.n != 0:
+        raise ValueError(f"m = {inst.m} is not a multiple of n = {inst.n}; pad first")
+    if inst.m > MAX_GOODS_BEST_RESPONSE:
+        raise SizeGuardError(
+            f"best_response explores pick trees; m = {inst.m} exceeds the guard "
+            f"{MAX_GOODS_BEST_RESPONSE}"
+        )
+    if set(others) != set(range(inst.n)) - {agent}:
+        raise ValueError("`others` must cover exactly the agents other than `agent`")
+
+    m, n = inst.m, inst.n
+    v = inst.valuations[agent]
+    order_of = {i: others[i].order for i in others}
+    full = (1 << m) - 1
+
+    def advance(avail: int, step: int) -> tuple[int, int]:
+        # Apply the fixed agents' picks until it is `agent`'s turn (or the end).
+        while step < m and step % n != agent:
+            for g in order_of[step % n]:
+                bit = 1 << g
+                if avail & bit:
+                    avail ^= bit
+                    break
+            step += 1
+        return avail, step
+
+    memo: dict[tuple[int, int], Fraction] = {}
+    expanded = 0
+
+    def solve(avail: int, bundle: int, step: int) -> Fraction:
+        nonlocal expanded
+        if step >= m:
+            return v.value_mask(bundle)
+        key = (avail, bundle)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        expanded += 1
+        best: Fraction | None = None
+        mask = avail
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            next_avail, next_step = advance(avail ^ bit, step + 1)
+            value = solve(next_avail, bundle | bit, next_step)
+            if best is None or value > best:
+                best = value
+        assert best is not None
+        memo[key] = best
+        return best
+
+    avail0, step0 = advance(full, 0)
+    best_value = solve(avail0, 0, step0)
+
+    # Reconstruct the lexicographically least optimal pick sequence.
+    picks: list[int] = []
+    avail, bundle, step = avail0, 0, step0
+    while step < m:
+        target = solve(avail, bundle, step)
+        mask = avail
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            next_avail, next_step = advance(avail ^ bit, step + 1)
+            if solve(next_avail, bundle | bit, next_step) == target:
+                picks.append(bit.bit_length() - 1)
+                avail, bundle, step = next_avail, bundle | bit, next_step
+                break
+        else:
+            raise AssertionError("no pick reproduces the memoized optimum")
+
+    return BestResponse(
+        ranking=ranking_from_picks(picks, m),
+        bundle=frozenset(picks),
+        value=best_value,
+        explored_states=expanded,
+    )
 
 
 def enumerate_reachable_bundles(

@@ -304,6 +304,25 @@ def test_best_response_agent_validation(capsys, thm4_path):
     assert code == 2
 
 
+def test_best_response_size_guard_exits_3_without_traceback(tmp_path):
+    from rrfair.valuations import Additive, Instance
+
+    big = Instance(n=2, m=16, valuations=(Additive(list(range(16))),) * 2)
+    path = tmp_path / "big.json"
+    save(big, path)
+    result = subprocess.run(
+        [sys.executable, "-m", "rrfair.cli", "best-response", str(path), "--agent", "1"],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert "m = 16 exceeds the guard 14" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 # ---------------------------------------------------------------------------
 # console entry point
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_best_response, random_profile
+from conftest import brute_force_best_response, random_profile, reference_best_response
 from rrfair import equilibria
 from rrfair.equilibria import (
     NoApplicableBoundError,
@@ -36,7 +36,16 @@ from rrfair.instances import (
 )
 from rrfair.mechanism import Profile, Ranking, pad_to_multiple, round_robin, strip_padding
 from rrfair.profiles import bluff_profile, truthful_profile, truthful_ranking
-from rrfair.valuations import Additive, Instance, SizeGuardError, Table
+from rrfair.valuations import (
+    OXS,
+    Additive,
+    BudgetAdditive,
+    Instance,
+    SizeGuardError,
+    Table,
+    UnitDemand,
+    is_subadditive,
+)
 
 F = Fraction
 
@@ -123,6 +132,9 @@ def test_best_response_is_deterministic_and_lexicographic():
     second = best_response(padded, 1, profile.others(1))
     assert first.ranking == second.ranking
     assert first.explored_states == second.explored_states
+    # The counter is deterministic; the exhaustive reference expands 15 states.
+    assert first.explored_states == 5
+    assert reference_best_response(padded, 1, profile.others(1)).explored_states == 15
     # {g3,g4,...} and {g4,g3,...} tie in value; the pick sequence starts with g3
     assert first.ranking.order[0] == 2
 
@@ -137,6 +149,78 @@ def test_best_response_guards():
     odd = Instance(n=2, m=3, valuations=(Additive([1, 2, 3]),) * 2)
     with pytest.raises(ValueError, match="multiple"):
         best_response(odd, 0, {1: Ranking((0, 1, 2))})
+
+
+# ---------------------------------------------------------------------------
+# the branch-and-bound search against the exhaustive reference search
+
+
+ORACLE_KINDS = ("additive", "budget_additive", "unit_demand", "oxs", "table", "convex_table")
+
+
+def rational_oracle(rng: random.Random, kind: str, m: int):
+    """A random oracle of `kind` whose values have mixed small denominators."""
+
+    def weight() -> Fraction:
+        return F(rng.randint(0, 12), rng.randint(1, 12))
+
+    if kind == "additive":
+        return Additive([weight() for _ in range(m)])
+    if kind == "budget_additive":
+        return BudgetAdditive([weight() for _ in range(m)], weight() * rng.randint(1, 4))
+    if kind == "unit_demand":
+        return UnitDemand([weight() for _ in range(m)])
+    if kind == "oxs":
+        slots = rng.randint(1, m)
+        return OXS(m, [(rng.randrange(m), rng.randrange(slots), weight())
+                       for _ in range(rng.randint(0, 2 * m))])
+    if kind == "table":
+        # The monotone closure of random entries: v(S) = max over T in S of r(T).
+        values = [F(0)] + [weight() for _ in range((1 << m) - 1)]
+        for mask in range(1, 1 << m):
+            rest = mask
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                values[mask] = max(values[mask], values[mask ^ bit])
+        return Table(m, values)
+    # v(S) = w(S)^2 / d: monotone and superadditive, so not subadditive once
+    # two goods have positive weight.
+    weights = [weight() for _ in range(m)]
+    d = rng.randint(1, 7)
+    return Table(m, [sum((w for g, w in enumerate(weights) if mask >> g & 1), F(0)) ** 2 / d
+                     for mask in range(1 << m)])
+
+
+@seed(20230131)
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    rounds=st.integers(min_value=1, max_value=4),
+    kinds=st.lists(st.sampled_from(ORACLE_KINDS), min_size=3, max_size=3),
+    instance_seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_branch_and_bound_matches_the_exhaustive_reference(n, rounds, kinds, instance_seed):
+    m = n * min(rounds, 9 // n)
+    rng = random.Random(instance_seed)
+    inst = Instance(n, m, tuple(rational_oracle(rng, kinds[i], m) for i in range(n)))
+    profile = random_profile(rng, n, m)
+    for agent in range(n):
+        others = profile.others(agent)
+        response = best_response(inst, agent, others)
+        reference = reference_best_response(inst, agent, others)
+        assert (response.value, response.bundle, response.ranking) == (
+            reference.value, reference.bundle, reference.ranking)
+        assert response.explored_states <= reference.explored_states
+        if m <= 6:
+            assert response.value == brute_force_best_response(inst, agent, others)
+
+
+def test_convex_tables_exercise_the_monotone_bound():
+    rng = random.Random(3)
+    tables = [rational_oracle(rng, "convex_table", 6) for _ in range(10)]
+    assert not any(v.subadditive_by_construction for v in tables)
+    assert sum(not is_subadditive(v) for v in tables) >= 8
 
 
 # ---------------------------------------------------------------------------

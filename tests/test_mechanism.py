@@ -85,6 +85,19 @@ def test_profile_rankings_must_agree_on_m():
         Profile((Ranking((0, 1)), Ranking((0, 1, 2))))
 
 
+def test_extending_to_the_same_size_returns_the_same_objects():
+    ranking = Ranking((2, 0, 1))
+    profile = Profile((ranking, Ranking((0, 1, 2))))
+    assert ranking.extended(3) is ranking
+    assert profile.extended(3) is profile
+    grown = profile.extended(5)
+    assert [r.order for r in grown.rankings] == [(2, 0, 1, 3, 4), (0, 1, 2, 3, 4)]
+    with pytest.raises(ValueError, match="shrink"):
+        ranking.extended(2)
+    with pytest.raises(ValueError, match="shrink"):
+        profile.extended(2)
+
+
 def test_round_robin_rejects_mismatched_inputs():
     inst = no_pne_instance()
     with pytest.raises(ValueError, match="profile has"):

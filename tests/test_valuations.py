@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -228,6 +229,32 @@ def test_oxs_value_equals_brute_force_enumeration():
             assert v.value(members) == brute_force_matching_value(subset_edges)
 
 
+def test_oxs_value_equals_brute_force_with_distinct_prime_denominators():
+    # Every positive weight has its own prime denominator, so the integer
+    # edge copy is scaled by their product, its worst case.  A parallel edge
+    # (same good and slot) and zero weights exercise the collapsing of edges
+    # to their heaviest copy.
+    primes = [p for p in range(2, 200) if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+    rng = random.Random(17)
+
+    def over(p: int) -> Fraction:  # a weight in (0, 3) whose denominator is p
+        return F(p * rng.randint(0, 2) + rng.randint(1, p - 1), p)
+
+    for k in range(10):
+        m = rng.randint(2, 5)
+        slots = rng.randint(1, 3)
+        edges = [(rng.randrange(m), rng.randrange(slots), over(p))
+                 for p in primes[4 * k:4 * k + 3]]
+        edges.append((edges[0][0], edges[0][1], over(primes[4 * k + 3])))
+        edges += [(rng.randrange(m), rng.randrange(slots), F(0)) for _ in range(2)]
+        v = OXS(m, edges)
+        assert v.scale == math.prod(primes[4 * k:4 * k + 4])
+        for mask in range(1 << m):
+            members = {g for g in range(m) if mask >> g & 1}
+            subset_edges = [e for e in edges if e[0] in members]
+            assert v.value(members) == brute_force_matching_value(subset_edges)
+
+
 # ---------------------------------------------------------------------------
 # cancelability
 
@@ -367,6 +394,15 @@ def rational_valuations(draw):
 @given(v=rational_valuations())
 def test_class_checks_match_fraction_reference_on_rational_oracles(v):
     assert_checks_match_reference(v)
+
+
+@seed(20230131)
+@settings(max_examples=200, deadline=None)
+@given(v=rational_valuations())
+def test_declared_subadditivity_holds_on_rational_oracles(v):
+    assert v.subadditive_by_construction == (not isinstance(v, Table))
+    if v.subadditive_by_construction:
+        assert is_subadditive(v)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
