@@ -7,26 +7,31 @@ Exit codes: 0 success, 1 reproduction mismatch, 2 malformed input,
 The document format is zero-based; this layer renders goods as g1..gm and
 agents/rounds one-based, and prints every rational both exactly ("p/q") and
 as a decimal approximation.
+
+Each reporting command builds one report document: `--json` prints it, and
+the text output is rendered from it alone, so both say the same things.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .equilibria import (
     BoundRule,
     NoApplicableBoundError,
+    ProfileEvaluation,
     applicable_bound_rule,
     best_response,
     evaluate_profile,
     profile_space_scan,
 )
-from .fairness import UNBOUNDED, Factor
+from .fairness import UNBOUNDED, Factor, FairnessReport
 from .instances import (
     FIXTURES,
     ConstraintError,
@@ -42,6 +47,7 @@ from .valuations import (
     OXS,
     Additive,
     BudgetAdditive,
+    ClassCheck,
     Instance,
     SizeGuardError,
     Table,
@@ -67,17 +73,18 @@ class InputError(Exception):
 # Rendering
 
 
-def _plural(count: int, noun: str) -> str:
-    return f"{count} {noun}" + ("" if count == 1 else "s")
+def _padding_note(padding: int) -> str:
+    if not padding:
+        return ""
+    return f" (padded with {padding} dummy good{'' if padding == 1 else 's'})"
 
 
-def fmt_frac(x: Factor) -> str:
-    if x == UNBOUNDED:
-        return "unbounded"
-    text = str(x)
-    if isinstance(x, Fraction) and x.denominator != 1:
-        return f"{text} (~{float(x):.6g})"
-    return text
+def emit(doc: dict[str, Any], as_json: bool, render: Callable[[dict[str, Any]], None]) -> None:
+    """Print a command's report document as JSON, or render it as text."""
+    if as_json:
+        print(json.dumps(doc, indent=2))
+    else:
+        render(doc)
 
 
 def json_frac(x: Factor) -> dict[str, Any]:
@@ -86,17 +93,23 @@ def json_frac(x: Factor) -> dict[str, Any]:
     return {"frac": str(x), "dec": float(x)}
 
 
+def fmt_frac(x: dict[str, Any]) -> str:
+    """A `json_frac` entry as text; a non-integer also shows its decimal."""
+    if "/" in x["frac"]:
+        return f"{x['frac']} (~{x['dec']:.6g})"
+    return x["frac"]
+
+
 def fmt_good(g: int) -> str:
     return f"g{g + 1}"
 
 
 def fmt_goods(goods: Iterable[int]) -> str:
-    items = sorted(goods)
-    return "{" + ", ".join(fmt_good(g) for g in items) + "}" if items else "{}"
+    return "{" + ", ".join(fmt_good(g) for g in sorted(goods)) + "}"
 
 
-def fmt_ranking(r: Ranking) -> str:
-    return " > ".join(fmt_good(g) for g in r.order)
+def fmt_ranking(order: Sequence[int]) -> str:
+    return " > ".join(fmt_good(g) for g in order)
 
 
 def valuation_class_name(v: Any) -> str:
@@ -157,20 +170,16 @@ def profile_from_source(inst: Instance, source: str) -> tuple[Profile, str]:
     return parse_profile_file(source, inst.m, inst.n), f"file:{source}"
 
 
-def parse_param_value(raw: str) -> Fraction:
-    try:
-        return Fraction(raw)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"malformed rational {raw!r}: {exc}") from None
-
-
 def parse_params(pairs: Sequence[str]) -> dict[str, Fraction]:
     out: dict[str, Fraction] = {}
     for pair in pairs:
         name, sep, raw = pair.partition("=")
         if not sep:
             raise InputError(f"--param expects NAME=VALUE, got {pair!r}")
-        out[name.strip()] = parse_param_value(raw.strip())
+        try:
+            out[name.strip()] = Fraction(raw.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"malformed rational {raw.strip()!r}: {exc}") from None
     return out
 
 
@@ -182,61 +191,32 @@ def cmd_run(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
     profile, source = profile_from_source(inst, args.profile)
     evaluation = evaluate_profile(inst, profile)
+    bundles = evaluation.allocation.bundles
+    doc = {
+        "instance": {
+            "agents": inst.n,
+            "goods": inst.m,
+            "classes": [valuation_class_name(v) for v in inst.valuations],
+            "description": inst.description,
+        },
+        "profile": {"source": source, "rankings": [list(r.order) for r in profile.rankings]},
+        "padding": evaluation.padding,
+        "allocation": [sorted(b) for b in bundles],
+        "bundle_values": [json_frac(v.value(b)) for v, b in zip(inst.valuations, bundles)],
+        "equilibrium": equilibrium_json(evaluation),
+        "fairness": fairness_json(evaluation.fairness),
+        "bound": bound_json(inst, evaluation),
+    }
+    emit(doc, args.json, print_run_report)
 
-    bound_note: dict[str, Any]
-    try:
-        rule = applicable_bound_rule(inst)
-        if evaluation.equilibrium is None:
-            bound_note = {"rule": rule.name, "verdict": "skipped: no equilibrium report"}
-        else:
-            alpha = evaluation.equilibrium.pne_factor
-            bound = rule(alpha)
-            holds = evaluation.fairness.ef1_factor >= bound
-            bound_note = {
-                "rule": rule.name,
-                "bound": bound,
-                "verdict": "holds" if holds else "VIOLATED",
-            }
-    except NoApplicableBoundError as exc:
-        bound_note = {"rule": None, "verdict": f"not applicable: {exc}"}
-    except SizeGuardError as exc:
-        bound_note = {"rule": None, "verdict": f"skipped: {exc}"}
-
-    if args.json:
-        doc = {
-            "instance": instance_summary(inst),
-            "profile": {"source": source, "rankings": [list(r.order) for r in profile.rankings]},
-            "padding": evaluation.padding,
-            "allocation": [sorted(b) for b in evaluation.allocation.bundles],
-            "equilibrium": equilibrium_json(evaluation),
-            "fairness": fairness_json(evaluation),
-            "bound": {
-                "rule": bound_note.get("rule"),
-                "value": json_frac(bound_note["bound"]) if "bound" in bound_note else None,
-                "verdict": bound_note["verdict"],
-            },
-        }
-        print(json.dumps(doc, indent=2))
-    else:
-        print_run_report(inst, profile, source, evaluation, bound_note)
-
-    if evaluation.equilibrium is None and args.require_equilibrium:
-        print(f"error: equilibrium report required but {evaluation.equilibrium_skipped}",
-              file=sys.stderr)
+    skipped = doc["equilibrium"].get("skipped")
+    if skipped is not None and args.require_equilibrium:
+        print(f"error: equilibrium report required but {skipped}", file=sys.stderr)
         return EXIT_GUARD
     return EXIT_OK
 
 
-def instance_summary(inst: Instance) -> dict[str, Any]:
-    return {
-        "agents": inst.n,
-        "goods": inst.m,
-        "classes": [valuation_class_name(v) for v in inst.valuations],
-        "description": inst.description,
-    }
-
-
-def equilibrium_json(evaluation) -> dict[str, Any] | None:
+def equilibrium_json(evaluation: ProfileEvaluation) -> dict[str, Any]:
     eq = evaluation.equilibrium
     if eq is None:
         return {"skipped": evaluation.equilibrium_skipped}
@@ -254,8 +234,7 @@ def equilibrium_json(evaluation) -> dict[str, Any] | None:
     }
 
 
-def fairness_json(evaluation) -> dict[str, Any]:
-    fair = evaluation.fairness
+def fairness_json(fair: FairnessReport) -> dict[str, Any]:
     return {
         "ef1_factor": json_frac(fair.ef1_factor),
         "ef_factor": json_frac(fair.ef_factor),
@@ -274,80 +253,95 @@ def fairness_json(evaluation) -> dict[str, Any]:
     }
 
 
-def print_run_report(inst, profile, source, evaluation, bound_note) -> None:
-    print(f"instance: {inst.n} agents, {inst.m} goods "
-          f"({', '.join(valuation_class_name(v) for v in inst.valuations)})")
-    if inst.description:
-        print(f"  {inst.description}")
-    print(f"profile: {source}" + (f" (padded with {_plural(evaluation.padding, 'dummy good')})"
-                                  if evaluation.padding else ""))
-    for i, r in enumerate(profile.rankings):
-        print(f"  agent {i + 1}: {fmt_ranking(r)}")
+def bound_json(inst: Instance, evaluation: ProfileEvaluation) -> dict[str, Any]:
+    """The certified bound rule and whether the evaluated profile meets it."""
+    try:
+        rule = applicable_bound_rule(inst)
+    except NoApplicableBoundError as exc:
+        return {"rule": None, "value": None, "verdict": f"not applicable: {exc}"}
+    except SizeGuardError as exc:
+        return {"rule": None, "value": None, "verdict": f"skipped: {exc}"}
+    if evaluation.equilibrium is None:
+        return {"rule": rule.name, "value": None, "verdict": "skipped: no equilibrium report"}
+    bound = rule(evaluation.equilibrium.pne_factor)
+    verdict = "holds" if evaluation.fairness.ef1_factor >= bound else "VIOLATED"
+    return {"rule": rule.name, "value": json_frac(bound), "verdict": verdict}
+
+
+def print_run_report(doc: dict[str, Any]) -> None:
+    inst = doc["instance"]
+    print(f"instance: {inst['agents']} agents, {inst['goods']} goods "
+          f"({', '.join(inst['classes'])})")
+    if inst["description"]:
+        print(f"  {inst['description']}")
+    print(f"profile: {doc['profile']['source']}{_padding_note(doc['padding'])}")
+    for i, order in enumerate(doc["profile"]["rankings"]):
+        print(f"  agent {i + 1}: {fmt_ranking(order)}")
     print("allocation:")
-    for i, bundle in enumerate(evaluation.allocation.bundles):
-        value = inst.valuations[i].value(bundle)
+    for i, (bundle, value) in enumerate(zip(doc["allocation"], doc["bundle_values"])):
         print(f"  agent {i + 1}: {fmt_goods(bundle)}  worth {fmt_frac(value)} to them")
-    eq = evaluation.equilibrium
-    if eq is None:
-        print(f"equilibrium: skipped ({evaluation.equilibrium_skipped})")
+    eq = doc["equilibrium"]
+    if "skipped" in eq:
+        print(f"equilibrium: skipped ({eq['skipped']})")
     else:
-        print(f"equilibrium: pne_factor = {fmt_frac(eq.pne_factor)}")
-        for a in eq.per_agent:
-            print(f"  agent {a.agent + 1}: current {fmt_frac(a.current_value)}, "
-                  f"best response {fmt_frac(a.best_response_value)}, ratio {fmt_frac(a.ratio)}")
-    fair = evaluation.fairness
-    print(f"fairness: ef1_factor = {fmt_frac(fair.ef1_factor)}, "
-          f"ef_factor = {fmt_frac(fair.ef_factor)}")
-    if fair.worst_pair:
-        i, j, g = fair.worst_pair
-        print(f"  binding pair: agent {i + 1} towards agent {j + 1}, removing {fmt_good(g)}")
-    if bound_note.get("rule"):
-        bound = bound_note.get("bound")
-        suffix = f" (bound {fmt_frac(bound)})" if bound is not None else ""
-        print(f"bound: {bound_note['rule']}{suffix}: {bound_note['verdict']}")
-    else:
-        print(f"bound: {bound_note['verdict']}")
+        print(f"equilibrium: pne_factor = {fmt_frac(eq['pne_factor'])}")
+        for a in eq["per_agent"]:
+            print(f"  agent {a['agent']}: current {fmt_frac(a['current_value'])}, "
+                  f"best response {fmt_frac(a['best_response_value'])}, "
+                  f"ratio {fmt_frac(a['ratio'])}")
+    fair = doc["fairness"]
+    print(f"fairness: ef1_factor = {fmt_frac(fair['ef1_factor'])}, "
+          f"ef_factor = {fmt_frac(fair['ef_factor'])}")
+    pair = fair["worst_pair"]
+    if pair:
+        print(f"  binding pair: agent {pair['agent']} towards agent {pair['towards']}, "
+              f"removing {pair['removed_good']}")
+    bound = doc["bound"]
+    value = f" (bound {fmt_frac(bound['value'])})" if bound["value"] is not None else ""
+    rule = f"{bound['rule']}{value}: " if bound["rule"] else ""
+    print(f"bound: {rule}{bound['verdict']}")
 
 
 # ---------------------------------------------------------------------------
 # reproduce
 
 
-FIXTURE_PARAM_NAMES: dict[str, tuple[str, ...]] = {
-    "no-pne": (),
-    "bluff-tightness": ("eps1", "eps2", "eps3"),
-    "additive-tightness": ("delta", "beta"),
-    "oxs-lower-bound": ("eps1", "eps2", "eps3", "eps4", "eps5", "eps6", "beta"),
-}
+def _parameter_defaults(builder: Callable[..., Instance]) -> dict[str, Fraction]:
+    """A builder's parameter defaults by `--param` name; a sequence `eps` gives eps1, eps2, ..."""
+    defaults: dict[str, Fraction] = {}
+    for p in inspect.signature(builder).parameters.values():
+        if isinstance(p.default, tuple):
+            defaults.update((f"{p.name}{k}", Fraction(x)) for k, x in enumerate(p.default, 1))
+        else:
+            defaults[p.name] = Fraction(p.default)
+    return defaults
+
+
+# Every fixture parameter and its default, read from the builders' signatures.
+FIXTURE_DEFAULTS = {name: _parameter_defaults(builder) for name, builder in FIXTURES.items()}
 
 
 def build_named_fixture(name: str, params: dict[str, Fraction]) -> Instance:
-    if name not in FIXTURES:
-        raise InputError(f"unknown fixture {name!r}; known: {sorted(FIXTURES)}")
-    allowed = FIXTURE_PARAM_NAMES[name]
-    unknown = set(params) - set(allowed)
+    """The fixture built with `params` over its defaults (argparse checks `name`)."""
+    defaults = FIXTURE_DEFAULTS[name]
+    unknown = set(params) - set(defaults)
     if unknown:
-        raise InputError(f"fixture {name!r} takes parameters {allowed}, not {sorted(unknown)}")
-    if name == "no-pne":
-        return FIXTURES[name]()
-    if name == "bluff-tightness":
-        defaults = {"eps1": Fraction(1, 100), "eps2": Fraction(2, 100), "eps3": Fraction(3, 100)}
-        defaults.update(params)
-        return FIXTURES[name](defaults["eps1"], defaults["eps2"], defaults["eps3"])
-    if name == "additive-tightness":
-        defaults = {"delta": Fraction(1, 1000), "beta": Fraction(1, 2)}
-        defaults.update(params)
-        return FIXTURES[name](defaults["delta"], defaults["beta"])
-    defaults = {f"eps{k}": Fraction(7 - k, 1000) for k in range(1, 7)}
-    defaults["beta"] = Fraction(3, 5)
-    defaults.update(params)
-    eps = tuple(defaults[f"eps{k}"] for k in range(1, 7))
-    return FIXTURES[name](eps, defaults["beta"])
+        raise InputError(f"fixture {name!r} takes parameters {tuple(defaults)}, "
+                         f"not {sorted(unknown)}")
+    values = {**defaults, **params}
+    try:
+        if name == "oxs-lower-bound":  # its builder takes eps1..eps6 as one sequence
+            eps = tuple(values[f"eps{k}"] for k in range(1, 7))
+            return FIXTURES[name](eps, values["beta"])
+        return FIXTURES[name](**values)
+    except ConstraintError as exc:
+        raise InputError(str(exc)) from None
 
 
 def reproduction_rows(name: str, params: dict[str, Fraction]) -> list[tuple[str, Factor, Factor]]:
     """(quantity, expected, actual) rows; expectations are closed forms in the parameters."""
     inst = build_named_fixture(name, params)
+    values = {**FIXTURE_DEFAULTS[name], **params}
 
     if name == "no-pne":
         best = max(rec.equilibrium.pne_factor for rec in profile_space_scan(inst))
@@ -357,9 +351,7 @@ def reproduction_rows(name: str, params: dict[str, Fraction]) -> list[tuple[str,
         ]
 
     if name == "bluff-tightness":
-        e1 = params.get("eps1", Fraction(1, 100))
-        e2 = params.get("eps2", Fraction(2, 100))
-        e3 = params.get("eps3", Fraction(3, 100))
+        e1, e2, e3 = values["eps1"], values["eps2"], values["eps3"]
         evaluation = evaluate_profile(inst, profile_from_source(inst, "bluff")[0])
         assert evaluation.equilibrium is not None
         return [
@@ -372,8 +364,7 @@ def reproduction_rows(name: str, params: dict[str, Fraction]) -> list[tuple[str,
         ]
 
     if name == "additive-tightness":
-        d = params.get("delta", Fraction(1, 1000))
-        b = params.get("beta", Fraction(1, 2))
+        d, b = values["delta"], values["beta"]
         profile = Profile((truthful_profile(inst).rankings[0], Ranking((4, 3, 0, 1, 2))))
         evaluation = evaluate_profile(inst, profile)
         assert evaluation.equilibrium is not None
@@ -391,8 +382,8 @@ def reproduction_rows(name: str, params: dict[str, Fraction]) -> list[tuple[str,
         ]
 
     assert name == "oxs-lower-bound"
-    eps = [params.get(f"eps{k}", Fraction(7 - k, 1000)) for k in range(1, 7)]
-    b = params.get("beta", Fraction(3, 5))
+    eps = [values[f"eps{k}"] for k in range(1, 7)]
+    b = values["beta"]
     agent4 = Ranking((2, 5, 7, 0, 1, 3, 4, 6, 8))
     profile = Profile(truthful_profile(inst).rankings[:3] + (agent4,))
     evaluation = evaluate_profile(inst, profile)
@@ -414,38 +405,35 @@ def reproduction_rows(name: str, params: dict[str, Fraction]) -> list[tuple[str,
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
     params = parse_params(args.param)
-    try:
-        rows = reproduction_rows(args.fixture, params)
-    except ConstraintError as exc:
-        raise InputError(str(exc)) from None
+    rows = reproduction_rows(args.fixture, params)
+    doc = {
+        "fixture": args.fixture,
+        "parameters": {k: str(v) for k, v in sorted(params.items())},
+        "rows": [
+            {"quantity": q, "expected": json_frac(e), "actual": json_frac(a), "match": e == a}
+            for q, e, a in rows
+        ],
+        "pass": all(e == a for _, e, a in rows),
+    }
+    emit(doc, args.json, print_reproduce_report)
 
-    mismatches = [(q, e, a) for q, e, a in rows if e != a]
-    if args.json:
-        doc = {
-            "fixture": args.fixture,
-            "parameters": {k: str(v) for k, v in sorted(params.items())},
-            "rows": [
-                {"quantity": q, "expected": json_frac(e), "actual": json_frac(a),
-                 "match": e == a}
-                for q, e, a in rows
-            ],
-            "pass": not mismatches,
-        }
-        print(json.dumps(doc, indent=2))
-    else:
-        print(f"reproduce {args.fixture}"
-              + (f" with {', '.join(f'{k}={v}' for k, v in sorted(params.items()))}"
-                 if params else ""))
-        for quantity, expected, actual in rows:
-            status = "ok" if expected == actual else "MISMATCH"
-            print(f"  {quantity}: expected {fmt_frac(expected)}, got {fmt_frac(actual)} [{status}]")
-        print("PASS" if not mismatches else "FAIL")
-    if mismatches:
-        quantity, expected, actual = mismatches[0]
-        print(f"first mismatch: {quantity}: expected {fmt_frac(expected)}, "
-              f"got {fmt_frac(actual)}", file=sys.stderr)
+    if not doc["pass"]:
+        row = next(row for row in doc["rows"] if not row["match"])
+        print(f"first mismatch: {row['quantity']}: expected {fmt_frac(row['expected'])}, "
+              f"got {fmt_frac(row['actual'])}", file=sys.stderr)
         return EXIT_MISMATCH
     return EXIT_OK
+
+
+def print_reproduce_report(doc: dict[str, Any]) -> None:
+    params = doc["parameters"]
+    print(f"reproduce {doc['fixture']}"
+          + (f" with {', '.join(f'{k}={v}' for k, v in params.items())}" if params else ""))
+    for row in doc["rows"]:
+        status = "ok" if row["match"] else "MISMATCH"
+        print(f"  {row['quantity']}: expected {fmt_frac(row['expected'])}, "
+              f"got {fmt_frac(row['actual'])} [{status}]")
+    print("PASS" if doc["pass"] else "FAIL")
 
 
 # ---------------------------------------------------------------------------
@@ -458,116 +446,125 @@ def cmd_scan(args: argparse.Namespace) -> int:
         raise InputError("choose one of --exhaustive / --samples")
     if not args.exhaustive and args.samples is None:
         raise InputError("scan needs --exhaustive or --samples N")
+    if args.samples is not None and args.samples < 1:
+        raise InputError(f"--samples must be at least 1, got {args.samples}")
 
     try:
         rule: BoundRule | None = applicable_bound_rule(inst)
     except (NoApplicableBoundError, SizeGuardError):
         rule = None
 
-    samples = None if args.exhaustive else args.samples
-    count = 0
-    min_pne: Factor = UNBOUNDED
-    max_pne: Factor = Fraction(0)
-    min_ef1: Factor = UNBOUNDED
-    violations = 0
-    lines: list[dict[str, Any]] = []
-    for record in profile_space_scan(inst, samples=samples, seed=args.seed):
-        count += 1
-        pne = record.equilibrium.pne_factor
-        ef1 = record.fairness.ef1_factor
-        min_pne = min(min_pne, pne)
-        max_pne = max(max_pne, pne)
-        min_ef1 = min(min_ef1, ef1)
-        verdict = ""
-        if rule is not None:
-            ok = ef1 >= rule(pne)
-            if not ok:
-                violations += 1
-            verdict = "ok" if ok else "VIOLATED"
-        if args.json:
-            lines.append(
-                {
-                    "profile": [list(r.order) for r in record.profile.rankings],
-                    "pne_factor": json_frac(pne),
-                    "ef1_factor": json_frac(ef1),
-                    "bound_ok": None if rule is None else verdict == "ok",
-                }
-            )
-        else:
-            profile_txt = " | ".join(
-                "".join(str(g) for g in r.order) if inst.m <= 10 else str(list(r.order))
-                for r in record.profile.rankings
-            )
-            print(f"profile {profile_txt}  pne {fmt_frac(pne)}  ef1 {fmt_frac(ef1)}"
-                  + (f"  bound {verdict}" if rule is not None else ""))
+    summary: dict[str, Any] = {}  # filled in when the records run out
 
-    summary = {
-        "profiles": count,
-        "min_pne_factor": json_frac(min_pne),
-        "max_pne_factor": json_frac(max_pne),
-        "min_ef1_factor": json_frac(min_ef1),
-        "bound_rule": rule.name if rule is not None else None,
-        "violations": violations if rule is not None else None,
-    }
+    def records() -> Iterator[dict[str, Any]]:
+        count = 0
+        min_pne: Factor = UNBOUNDED
+        max_pne: Factor = Fraction(0)
+        min_ef1: Factor = UNBOUNDED
+        violations = 0
+        for record in profile_space_scan(inst, samples=args.samples, seed=args.seed):
+            count += 1
+            pne = record.equilibrium.pne_factor
+            ef1 = record.fairness.ef1_factor
+            min_pne = min(min_pne, pne)
+            max_pne = max(max_pne, pne)
+            min_ef1 = min(min_ef1, ef1)
+            bound_ok = None
+            if rule is not None:
+                bound_ok = ef1 >= rule(pne)
+                violations += not bound_ok
+            yield {
+                "profile": [list(r.order) for r in record.profile.rankings],
+                "pne_factor": json_frac(pne),
+                "ef1_factor": json_frac(ef1),
+                "bound_ok": bound_ok,
+            }
+        summary.update(
+            profiles=count,
+            min_pne_factor=json_frac(min_pne),
+            max_pne_factor=json_frac(max_pne),
+            min_ef1_factor=json_frac(min_ef1),
+            bound_rule=rule.name if rule is not None else None,
+            violations=violations if rule is not None else None,
+        )
+
+    # Text streams one line per profile as it is scanned; JSON needs them all first.
+    doc = {"records": records(), "summary": summary}
     if args.json:
-        print(json.dumps({"records": lines, "summary": summary}, indent=2))
-    else:
-        print(f"{count} profiles, pne_factor in [{fmt_frac(min_pne)}, {fmt_frac(max_pne)}], "
-              f"min ef1_factor {fmt_frac(min_ef1)}, "
-              + (f"bound violations {violations} ({rule.name})"
-                 if rule is not None else "no certified bound"))
+        doc["records"] = list(doc["records"])
+    emit(doc, args.json, print_scan_report)
     return EXIT_OK
+
+
+def print_scan_report(doc: dict[str, Any]) -> None:
+    for entry in doc["records"]:
+        profile = " | ".join(
+            "".join(str(g) for g in order) if len(order) <= 10 else str(order)
+            for order in entry["profile"]
+        )
+        verdict = entry["bound_ok"]
+        print(f"profile {profile}  pne {fmt_frac(entry['pne_factor'])}  "
+              f"ef1 {fmt_frac(entry['ef1_factor'])}"
+              + ("" if verdict is None else f"  bound {'ok' if verdict else 'VIOLATED'}"))
+    summary = doc["summary"]
+    print(f"{summary['profiles']} profiles, pne_factor in "
+          f"[{fmt_frac(summary['min_pne_factor'])}, {fmt_frac(summary['max_pne_factor'])}], "
+          f"min ef1_factor {fmt_frac(summary['min_ef1_factor'])}, "
+          + (f"bound violations {summary['violations']} ({summary['bound_rule']})"
+             if summary["bound_rule"] is not None else "no certified bound"))
 
 
 # ---------------------------------------------------------------------------
 # certify
 
 
+# The class checks `certify` reports, in order.  `is_submodular` and
+# `is_cancelable` return a `ClassCheck`, which names a witness when it fails.
+CLASS_CHECKS = {
+    "monotone": is_monotone,
+    "additive": is_additive,
+    "submodular": is_submodular,
+    "cancelable": is_cancelable,
+    "subadditive": is_subadditive,
+}
+
+
 def cmd_certify(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
-    report: list[dict[str, Any]] = []
+    doc: dict[str, list[dict[str, Any]]] = {"agents": []}
     for i, v in enumerate(inst.valuations):
         entry: dict[str, Any] = {"agent": i + 1, "class": valuation_class_name(v)}
-        for check_name, runner in (
-            ("monotone", lambda v=v: (is_monotone(v), None)),
-            ("additive", lambda v=v: (is_additive(v), None)),
-            ("submodular", lambda v=v: _with_witness(is_submodular(v))),
-            ("cancelable", lambda v=v: _with_witness(is_cancelable(v))),
-            ("subadditive", lambda v=v: (is_subadditive(v), None)),
-        ):
+        for check_name, check in CLASS_CHECKS.items():
             try:
-                holds, witness = runner()
-                entry[check_name] = {"holds": holds, "witness": witness}
+                result = check(v)
             except SizeGuardError as exc:
                 entry[check_name] = {"holds": None, "skipped": str(exc)}
-        report.append(entry)
-
-    if args.json:
-        print(json.dumps({"agents": report}, indent=2))
-    else:
-        for entry in report:
-            print(f"agent {entry['agent']} ({entry['class']}):")
-            for check in ("monotone", "additive", "submodular", "cancelable", "subadditive"):
-                result = entry[check]
-                if result["holds"] is None:
-                    print(f"  {check}: skipped ({result['skipped']})")
-                elif result["holds"]:
-                    print(f"  {check}: yes")
-                else:
-                    witness = result.get("witness")
-                    detail = ""
-                    if witness:
-                        detail = (f"  witness S={fmt_goods(witness[0])} "
-                                  f"T={fmt_goods(witness[1])} g={fmt_good(witness[2])}")
-                    print(f"  {check}: no{detail}")
+                continue
+            witness = result.witness if isinstance(result, ClassCheck) else None
+            if witness is not None:
+                witness = [sorted(witness[0]), sorted(witness[1]), witness[2]]
+            entry[check_name] = {"holds": bool(result), "witness": witness}
+        doc["agents"].append(entry)
+    emit(doc, args.json, print_certify_report)
     return EXIT_OK
 
 
-def _with_witness(check) -> tuple[bool, list | None]:
-    if check.holds:
-        return True, None
-    s, t, g = check.witness
-    return False, [sorted(s), sorted(t), g]
+def print_certify_report(doc: dict[str, Any]) -> None:
+    for entry in doc["agents"]:
+        print(f"agent {entry['agent']} ({entry['class']}):")
+        for check in CLASS_CHECKS:
+            result = entry[check]
+            if result["holds"] is None:
+                print(f"  {check}: skipped ({result['skipped']})")
+            elif result["holds"]:
+                print(f"  {check}: yes")
+            else:
+                witness = result.get("witness")
+                detail = ""
+                if witness:
+                    detail = (f"  witness S={fmt_goods(witness[0])} "
+                              f"T={fmt_goods(witness[1])} g={fmt_good(witness[2])}")
+                print(f"  {check}: no{detail}")
 
 
 # ---------------------------------------------------------------------------
@@ -627,32 +624,32 @@ def cmd_best_response(args: argparse.Namespace) -> int:
     response = best_response(padded, agent, padded_profile.others(agent))
     alloc, _ = round_robin(padded, padded_profile)
     current = padded.valuations[agent].value(alloc.bundles[agent])
-    real_bundle = frozenset(g for g in response.bundle if g < inst.m)
     ratio: Factor = UNBOUNDED if response.value == 0 else current / response.value
-
-    if args.json:
-        doc = {
-            "agent": args.agent,
-            "profile_source": source,
-            "current_value": json_frac(current),
-            "best_response": {
-                "value": json_frac(response.value),
-                "bundle": sorted(real_bundle),
-                "ranking": list(response.ranking.order),
-                "explored_states": response.explored_states,
-            },
-            "ratio": json_frac(ratio),
-        }
-        print(json.dumps(doc, indent=2))
-    else:
-        print(f"agent {args.agent} vs {source}"
-              + (f" (padded with {_plural(padding, 'dummy good')})" if padding else ""))
-        print(f"  current value: {fmt_frac(current)}")
-        print(f"  best response: {fmt_frac(response.value)} with {fmt_goods(real_bundle)}")
-        print(f"  ranking: {fmt_ranking(response.ranking)}")
-        print(f"  ratio current/best: {fmt_frac(ratio)}")
-        print(f"  explored states: {response.explored_states}")
+    doc = {
+        "agent": args.agent,
+        "profile_source": source,
+        "padding": padding,
+        "current_value": json_frac(current),
+        "best_response": {
+            "value": json_frac(response.value),
+            "bundle": sorted(g for g in response.bundle if g < inst.m),
+            "ranking": list(response.ranking.order),
+            "explored_states": response.explored_states,
+        },
+        "ratio": json_frac(ratio),
+    }
+    emit(doc, args.json, print_best_response_report)
     return EXIT_OK
+
+
+def print_best_response_report(doc: dict[str, Any]) -> None:
+    response = doc["best_response"]
+    print(f"agent {doc['agent']} vs {doc['profile_source']}{_padding_note(doc['padding'])}")
+    print(f"  current value: {fmt_frac(doc['current_value'])}")
+    print(f"  best response: {fmt_frac(response['value'])} with {fmt_goods(response['bundle'])}")
+    print(f"  ranking: {fmt_ranking(response['ranking'])}")
+    print(f"  ratio current/best: {fmt_frac(doc['ratio'])}")
+    print(f"  explored states: {response['explored_states']}")
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from .mechanism import (
     Allocation,
     Profile,
     Ranking,
-    Trace,
     pad_to_multiple,
     ranking_from_picks,
     round_robin,
@@ -271,16 +270,13 @@ class ProfileEvaluation:
     """One profile pushed through the whole pipeline (padding included)."""
 
     allocation: Allocation  # real goods only
-    trace: Trace
     fairness: FairnessReport
     equilibrium: EquilibriumReport | None
     equilibrium_skipped: str | None
     padding: int
 
 
-def evaluate_profile(
-    inst: Instance, profile: Profile, *, with_equilibrium: bool = True
-) -> ProfileEvaluation:
+def evaluate_profile(inst: Instance, profile: Profile) -> ProfileEvaluation:
     """Pad, run the mechanism, strip dummies, and score the outcome.
 
     `profile` ranks the real goods; dummies are appended at the end of each
@@ -289,21 +285,17 @@ def evaluate_profile(
     """
     padded, padding = pad_to_multiple(inst)
     padded_profile = profile.extended(padded.m)
-    alloc, trace = round_robin(padded, padded_profile)
+    alloc, _ = round_robin(padded, padded_profile)
     real = strip_padding(alloc, inst.m)
     fairness = ef1_factor(inst, real)
     equilibrium = None
     skipped = None
-    if with_equilibrium:
-        if padded.m > MAX_GOODS_BEST_RESPONSE:
-            skipped = (
-                f"size guard: padded m = {padded.m} exceeds {MAX_GOODS_BEST_RESPONSE}"
-            )
-        else:
-            equilibrium = pne_factor(padded, padded_profile, allocation=alloc)
+    if padded.m > MAX_GOODS_BEST_RESPONSE:
+        skipped = f"size guard: padded m = {padded.m} exceeds {MAX_GOODS_BEST_RESPONSE}"
+    else:
+        equilibrium = pne_factor(padded, padded_profile, allocation=alloc)
     return ProfileEvaluation(
         allocation=real,
-        trace=trace,
         fairness=fairness,
         equilibrium=equilibrium,
         equilibrium_skipped=skipped,
@@ -434,30 +426,3 @@ def applicable_bound_rule(inst: Instance) -> BoundRule:
     raise NoApplicableBoundError(
         "instance fits no certified class (additive / submodular / subadditive cancelable)"
     )
-
-
-class BoundCheck(NamedTuple):
-    alpha: Fraction          # the profile's equilibrium factor
-    ef1: Factor              # the allocation's envy factor
-    bound: Fraction          # guaranteed lower bound for ef1 at this alpha
-    holds: bool
-    rule: str
-
-
-def verify_fairness_bound(
-    inst: Instance, profile: Profile, *, rule: BoundRule | None = None
-) -> BoundCheck:
-    """Check ef1_factor >= bound(pne_factor) for one profile.
-
-    The rule is certified from the instance unless supplied (scans certify
-    once and reuse).  `profile` ranks the real goods.
-    """
-    if rule is None:
-        rule = applicable_bound_rule(inst)
-    evaluation = evaluate_profile(inst, profile)
-    if evaluation.equilibrium is None:
-        raise SizeGuardError(evaluation.equilibrium_skipped or "equilibrium report unavailable")
-    alpha = evaluation.equilibrium.pne_factor
-    ef1 = evaluation.fairness.ef1_factor
-    bound = rule(alpha)
-    return BoundCheck(alpha, ef1, bound, ef1 >= bound, rule.name)

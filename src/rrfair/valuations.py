@@ -123,6 +123,16 @@ class Valuation(ABC):
     def pad(self, extra: int) -> "Valuation":
         """Same valuation on m + extra goods; the new goods have zero marginal value."""
 
+    @abstractmethod
+    def _key(self) -> tuple:
+        """The fields that define the oracle; equality and hashing compare them."""
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self._key()))
+
 
 def _check_weights(weights: Sequence[int | str | Fraction]) -> tuple[Fraction, ...]:
     converted = tuple(as_fraction(w) for w in weights)
@@ -147,11 +157,8 @@ class Additive(Valuation):
     def pad(self, extra: int) -> "Additive":
         return Additive(self.weights + (Fraction(0),) * extra)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Additive) and self.weights == other.weights
-
-    def __hash__(self) -> int:
-        return hash(("additive", self.weights))
+    def _key(self) -> tuple:
+        return self.weights
 
     def __repr__(self) -> str:
         return f"Additive({list(map(str, self.weights))})"
@@ -176,15 +183,8 @@ class BudgetAdditive(Valuation):
     def pad(self, extra: int) -> "BudgetAdditive":
         return BudgetAdditive(self.weights + (Fraction(0),) * extra, self.cap)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, BudgetAdditive)
-            and self.weights == other.weights
-            and self.cap == other.cap
-        )
-
-    def __hash__(self) -> int:
-        return hash(("budget_additive", self.weights, self.cap))
+    def _key(self) -> tuple:
+        return self.weights, self.cap
 
     def __repr__(self) -> str:
         return f"BudgetAdditive({list(map(str, self.weights))}, cap={self.cap})"
@@ -205,11 +205,8 @@ class UnitDemand(Valuation):
     def pad(self, extra: int) -> "UnitDemand":
         return UnitDemand(self.weights + (Fraction(0),) * extra)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, UnitDemand) and self.weights == other.weights
-
-    def __hash__(self) -> int:
-        return hash(("unit_demand", self.weights))
+    def _key(self) -> tuple:
+        return self.weights
 
     def __repr__(self) -> str:
         return f"UnitDemand({list(map(str, self.weights))})"
@@ -260,11 +257,8 @@ class OXS(Valuation):
     def pad(self, extra: int) -> "OXS":
         return OXS(self.m + extra, self.edges)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, OXS) and self.m == other.m and self.edges == other.edges
-
-    def __hash__(self) -> int:
-        return hash(("oxs", self.m, self.edges))
+    def _key(self) -> tuple:
+        return self.m, self.edges
 
     def __repr__(self) -> str:
         return f"OXS(m={self.m}, edges={len(self.edges)})"
@@ -301,11 +295,8 @@ class Table(Valuation):
         real = (1 << self.m) - 1
         return Table(m_new, [self.values[mask & real] for mask in range(1 << m_new)])
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Table) and self.m == other.m and self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash(("table", self.m, self.values))
+    def _key(self) -> tuple:
+        return self.m, self.values
 
     def __repr__(self) -> str:
         return f"Table(m={self.m})"

@@ -9,8 +9,21 @@ from fractions import Fraction
 
 import pytest
 
-from rrfair.cli import main
-from rrfair.instances import save, no_pne_instance, bluff_tightness_instance
+from rrfair.cli import (
+    main,
+    print_best_response_report,
+    print_certify_report,
+    print_reproduce_report,
+    print_run_report,
+    print_scan_report,
+)
+from rrfair.instances import (
+    FIXTURES,
+    bluff_tightness_instance,
+    build_fixture,
+    no_pne_instance,
+    save,
+)
 
 F = Fraction
 
@@ -33,6 +46,50 @@ def run_cli(capsys, *argv) -> tuple[int, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+# ---------------------------------------------------------------------------
+# one report document per command
+
+
+@pytest.fixture()
+def fixture_paths(tmp_path):
+    paths = {name: str(tmp_path / f"{name}.json") for name in FIXTURES}
+    for name, path in paths.items():
+        save(build_fixture(name), path)
+    return paths
+
+
+def assert_text_renders_json(capsys, render, *argv):
+    text_code, text = run_cli(capsys, *argv)
+    json_code, out = run_cli(capsys, *argv, "--json")
+    assert text_code == json_code == 0
+    render(json.loads(out))
+    assert capsys.readouterr().out == text
+
+
+def test_text_output_is_rendered_from_the_json_document(capsys, fixture_paths):
+    for name, path in fixture_paths.items():
+        assert_text_renders_json(capsys, print_reproduce_report, "reproduce", name)
+        assert_text_renders_json(capsys, print_certify_report, "certify", path)
+        assert_text_renders_json(capsys, print_scan_report, "scan", path, "--samples", "5")
+        for profile in ("bluff", "truthful"):
+            assert_text_renders_json(capsys, print_run_report, "run", path, "--profile", profile)
+            for agent in range(1, build_fixture(name).n + 1):
+                assert_text_renders_json(capsys, print_best_response_report, "best-response",
+                                         path, "--agent", str(agent), "--profile", profile)
+    assert_text_renders_json(capsys, print_scan_report, "scan", fixture_paths["no-pne"],
+                             "--exhaustive")
+
+
+def test_json_carries_what_the_text_prints(capsys, fixture_paths):
+    path = fixture_paths["additive-tightness"]  # 5 goods for 2 agents: one dummy good
+    _, out = run_cli(capsys, "run", path, "--profile", "bluff", "--json")
+    doc = json.loads(out)
+    assert doc["padding"] == 1
+    assert [v["frac"] for v in doc["bundle_values"]] == ["19/2", "1001/500"]
+    _, out = run_cli(capsys, "best-response", path, "--agent", "1", "--json")
+    assert json.loads(out)["padding"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +208,24 @@ def test_reproduce_rejects_bad_parameters(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["reproduce", "generate --fixture"])
+@pytest.mark.parametrize("fixture, param", [
+    ("additive-tightness", "beta=1/6"),
+    ("oxs-lower-bound", "eps1=2"),
+])
+def test_fixture_constraint_violations_exit_2_without_traceback(command, fixture, param):
+    result = subprocess.run(
+        [sys.executable, "-m", "rrfair.cli", *command.split(), fixture, "--param", param],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: parameter constraint violated: requires ")
+    assert "Traceback" not in result.stderr
+
+
 # ---------------------------------------------------------------------------
 # scan
 
@@ -194,6 +269,11 @@ def test_scan_argument_validation(capsys, no_pne_path):
     assert code == 2
     code, _ = run_cli(capsys, "scan", no_pne_path, "--exhaustive", "--samples", "5")
     assert code == 2
+    for samples in ("0", "-3"):
+        assert main(["scan", no_pne_path, "--samples", samples]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --samples must be at least 1, got {samples}\n"
 
 
 def test_scan_exhaustive_guard(capsys, tmp_path):

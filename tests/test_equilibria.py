@@ -22,7 +22,6 @@ from rrfair.equilibria import (
     pne_factor,
     profile_orders,
     profile_space_scan,
-    verify_fairness_bound,
 )
 from rrfair.fairness import UNBOUNDED, ef1_factor
 from rrfair.instances import (
@@ -397,16 +396,25 @@ def test_bound_rule_error_when_nothing_certifies():
         applicable_bound_rule(inst)
 
 
+def bound_check(inst, profile):
+    """(alpha, bound, ef1, holds) for one profile under the instance's certified rule."""
+    evaluation = evaluate_profile(inst, profile)
+    alpha = evaluation.equilibrium.pne_factor
+    bound = applicable_bound_rule(inst)(alpha)
+    ef1 = evaluation.fairness.ef1_factor
+    return alpha, bound, ef1, ef1 >= bound
+
+
 def test_verify_bound_on_additive_tightness():
     inst = additive_tightness_instance()
     profile = Profile((truthful_ranking(inst.valuations[0]), Ranking((4, 3, 0, 1, 2))))
-    check = verify_fairness_bound(inst, profile)
-    assert check.alpha == F(1, 2)
-    assert check.bound == F(1, 3)
-    assert check.bound == F(1001, 3003)
-    assert check.ef1 == F(1001, 3001)
-    assert check.holds
-    assert check.ef1 < check.bound + F(1, 100)
+    alpha, bound, ef1, holds = bound_check(inst, profile)
+    assert alpha == F(1, 2)
+    assert bound == F(1, 3)
+    assert bound == F(1001, 3003)
+    assert ef1 == F(1001, 3001)
+    assert holds
+    assert ef1 < bound + F(1, 100)
 
 
 def test_verify_bound_on_oxs_lower_bound():
@@ -415,21 +423,20 @@ def test_verify_bound_on_oxs_lower_bound():
         tuple(truthful_ranking(inst.valuations[i]) for i in range(3))
         + (Ranking((2, 5, 7, 0, 1, 3, 4, 6, 8)),)
     )
-    check = verify_fairness_bound(inst, profile)
-    alpha = F(503, 603)
-    assert check.alpha == alpha
-    assert check.bound == alpha / 3
-    assert check.ef1 == F(1006, 2397)
-    assert check.holds
-    assert check.ef1 < alpha / 2 + F(1, 100)  # the alpha/2 level is not met for epsilons this small
+    alpha, bound, ef1, holds = bound_check(inst, profile)
+    assert alpha == F(503, 603)
+    assert bound == alpha / 3
+    assert ef1 == F(1006, 2397)
+    assert holds
+    assert ef1 < alpha / 2 + F(1, 100)  # the alpha/2 level is not met for epsilons this small
 
 
 def test_exact_equilibrium_of_two_additive_agents_gives_full_ef1():
     inst = generate(GeneratorSpec(valuation_class="additive", n=2, m=4, seed=3))
-    check = verify_fairness_bound(inst, truthful_profile(inst))
-    assert check.alpha == 1
-    assert check.bound == 1
-    assert check.holds
+    alpha, bound, _, holds = bound_check(inst, truthful_profile(inst))
+    assert alpha == 1
+    assert bound == 1
+    assert holds
 
 
 # ---------------------------------------------------------------------------

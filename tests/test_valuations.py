@@ -112,6 +112,27 @@ def test_marginals():
             assert additive.marginal(1, bundle) == 7
 
 
+def test_equality_is_per_class_and_equal_oracles_hash_equal():
+    assert Additive([1, 2]) != UnitDemand([1, 2])
+    assert UnitDemand([1, 2]) != Additive([1, 2])
+    assert Additive([1, 2]) != Additive([2, 1])
+    assert BudgetAdditive([1, 2], 2) != BudgetAdditive([1, 2], 3)
+    assert OXS(3, [(0, "a", 1)]) != OXS(2, [(0, "a", 1)])
+    assert Table(1, [0, 1]) != Table(1, [0, 2])
+    for make in (
+        lambda: Additive([1, "1/2"]),
+        lambda: BudgetAdditive([1, 2], "3/2"),
+        lambda: UnitDemand([F(2, 4), 1]),
+        lambda: OXS(3, [(0, "a", 1), (2, "b", "1/3")]),
+        lambda: Table(2, [0, 1, 2, 2]),
+    ):
+        first, second = make(), make()
+        assert first is not second
+        assert first == second
+        assert hash(first) == hash(second)
+        assert len({first, second}) == 1
+
+
 def test_out_of_range_goods_are_rejected():
     v = Additive([1, 2])
     with pytest.raises(ValueError):
