@@ -43,6 +43,7 @@ from .instances import (
 )
 from .mechanism import Profile, Ranking, pad_to_multiple, round_robin
 from .profiles import bluff_profile, truthful_profile
+from .scan_json import write_scan_json
 from .valuations import (
     OXS,
     Additive,
@@ -455,51 +456,56 @@ def cmd_scan(args: argparse.Namespace) -> int:
         rule = None
 
     summary: dict[str, Any] = {}  # filled in when the records run out
+    # By each distinct pne_factor: its json_frac block and the bound rule(pne)
+    # (None without a rule).  By each distinct ef1_factor: its block.  The
+    # summary's extremes are taken over these keys.
+    pnes: dict[Factor, tuple[dict[str, Any], Factor | None]] = {}
+    ef1s: dict[Factor, dict[str, Any]] = {}
 
     def records() -> Iterator[dict[str, Any]]:
         count = 0
-        min_pne: Factor = UNBOUNDED
-        max_pne: Factor = Fraction(0)
-        min_ef1: Factor = UNBOUNDED
         violations = 0
         for record in profile_space_scan(inst, samples=args.samples, seed=args.seed):
             count += 1
             pne = record.equilibrium.pne_factor
             ef1 = record.fairness.ef1_factor
-            min_pne = min(min_pne, pne)
-            max_pne = max(max_pne, pne)
-            min_ef1 = min(min_ef1, ef1)
-            bound_ok = None
-            if rule is not None:
-                bound_ok = ef1 >= rule(pne)
-                violations += not bound_ok
+            seen = pnes.get(pne)
+            if seen is None:
+                seen = pnes[pne] = (json_frac(pne), None if rule is None else rule(pne))
+            pne_block, bound = seen
+            ef1_block = ef1s.get(ef1)
+            if ef1_block is None:
+                ef1_block = ef1s[ef1] = json_frac(ef1)
+            bound_ok = None if bound is None else ef1 >= bound
+            violations += bound_ok is False
             yield {
-                "profile": [list(r.order) for r in record.profile.rankings],
-                "pne_factor": json_frac(pne),
-                "ef1_factor": json_frac(ef1),
+                "profile": [r.order for r in record.profile.rankings],
+                "pne_factor": pne_block,
+                "ef1_factor": ef1_block,
                 "bound_ok": bound_ok,
             }
         summary.update(
             profiles=count,
-            min_pne_factor=json_frac(min_pne),
-            max_pne_factor=json_frac(max_pne),
-            min_ef1_factor=json_frac(min_ef1),
+            min_pne_factor=json_frac(min(pnes, default=UNBOUNDED)),
+            max_pne_factor=json_frac(max(pnes, default=Fraction(0))),
+            min_ef1_factor=json_frac(min(ef1s, default=UNBOUNDED)),
             bound_rule=rule.name if rule is not None else None,
             violations=violations if rule is not None else None,
         )
 
-    # Text streams one line per profile as it is scanned; JSON needs them all first.
+    # Both outputs pull one record at a time, so no list of records is built.
     doc = {"records": records(), "summary": summary}
     if args.json:
-        doc["records"] = list(doc["records"])
-    emit(doc, args.json, print_scan_report)
+        write_scan_json(doc)
+    else:
+        print_scan_report(doc)
     return EXIT_OK
 
 
 def print_scan_report(doc: dict[str, Any]) -> None:
     for entry in doc["records"]:
         profile = " | ".join(
-            "".join(str(g) for g in order) if len(order) <= 10 else str(order)
+            "".join(str(g) for g in order) if len(order) <= 10 else str(list(order))
             for order in entry["profile"]
         )
         verdict = entry["bound_ok"]
@@ -592,7 +598,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
             raise InputError(str(exc)) from None
     text = dumps(inst)
     if args.output:
-        Path(args.output).write_text(text + "\n", encoding="utf-8")
+        try:
+            Path(args.output).write_text(text + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output!r}: {exc}") from None
         print(f"wrote {args.output}")
     else:
         print(text)

@@ -50,10 +50,7 @@ MAX_GOODS_BEST_RESPONSE = 14
 MAX_EXHAUSTIVE_PROFILES = 10**6
 MAX_GOODS_BOUND_CERTIFICATION = 10
 
-# Scan memos: best-response values by (agent, the other agents' orders in
-# agent order), and fairness reports by the bundles over the real goods.
-ResponseMemo = dict[tuple[int, tuple[tuple[int, ...], ...]], Fraction]
-ReportMemo = dict[tuple[frozenset[int], ...], FairnessReport]
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -79,6 +76,16 @@ class AgentEquilibrium(NamedTuple):
     current_value: Fraction
     best_response_value: Fraction
     ratio: Factor  # current / best, UNBOUNDED when the best response is worthless
+
+
+# Scan memos.  `ResponseMemo`: by (agent, the other agents' orders in agent
+# order), the agent's equilibrium row for each bundle she was seen to get;
+# all rows of one key share its best-response value.  `ReportMemo`: fairness
+# reports by the bundles over the real goods.
+ResponseMemo = dict[
+    tuple[int, tuple[tuple[int, ...], ...]], dict[frozenset[int], AgentEquilibrium]
+]
+ReportMemo = dict[tuple[frozenset[int], ...], FairnessReport]
 
 
 @dataclass(frozen=True)
@@ -231,11 +238,12 @@ def pne_factor(
     reachable bundles) imposes no constraint and counts as ratio 1.
 
     `allocation` is the mechanism's outcome on `profile`, when the caller
-    already has it.  A best-response value depends only on the agent and the
-    other agents' orders, so it is read from `responses` (a `ResponseMemo`)
-    and `best_response` runs only on a miss.  Pass one dict across calls on
-    the same instance to share the values; without one, a fresh dict serves
-    this call alone.
+    already has it.  A row depends only on the agent, the other agents'
+    orders and her bundle, so it is read from `responses` (a
+    `ResponseMemo`); `best_response` runs only for a new (agent, others)
+    key, and a new bundle under a known key reuses its best-response value.
+    Pass one dict across calls on the same instance to share the rows;
+    without one, a fresh dict serves this call alone.
     """
     if allocation is None:
         allocation, _ = round_robin(inst, profile)
@@ -243,19 +251,25 @@ def pne_factor(
         responses = {}
     orders = tuple(r.order for r in profile.rankings)
     per_agent = []
-    factor = Fraction(1)
+    factor = _ONE
     for i in range(inst.n):
-        current = inst.valuations[i].value(allocation.bundles[i])
+        bundle = allocation.bundles[i]
         key = (i, orders[:i] + orders[i + 1:])
-        best = responses.get(key)
-        if best is None:
-            best = responses[key] = best_response(inst, i, profile.others(i)).value
-        if best == 0:
-            ratio: Factor = UNBOUNDED
-        else:
-            ratio = current / best
-            factor = min(factor, ratio)
-        per_agent.append(AgentEquilibrium(i, current, best, ratio))
+        rows = responses.get(key)
+        if rows is None:
+            rows = responses[key] = {}
+        row = rows.get(bundle)
+        if row is None:
+            if rows:
+                best = next(iter(rows.values())).best_response_value
+            else:
+                best = best_response(inst, i, profile.others(i)).value
+            current = inst.valuations[i].value(bundle)
+            ratio: Factor = UNBOUNDED if best == 0 else current / best
+            row = rows[bundle] = AgentEquilibrium(i, current, best, ratio)
+        if row.ratio < factor:
+            factor = row.ratio
+        per_agent.append(row)
     return EquilibriumReport(tuple(per_agent), factor)
 
 
@@ -328,22 +342,23 @@ def profile_orders(
 def scan_one_profile(
     inst: Instance,
     padded: Instance,
-    orders,
+    profile: Profile,
+    padded_profile: Profile,
     responses: ResponseMemo,
     reports: ReportMemo,
 ) -> ScanRecord:
     """Evaluate a single scanned profile (equilibrium plus fairness).
 
-    The mechanism runs once.  Best-response values come from `responses`
-    (see `pne_factor`) and fairness reports from `reports`, keyed by the
-    allocation's bundles over the real goods; both dicts belong to `padded`
-    and fill up as the scan goes.
+    `profile` ranks the real goods and `padded_profile` is its extension to
+    `padded` (the same object when nothing is padded).  The mechanism runs
+    once.  Equilibrium rows come from `responses` (see `pne_factor`) and
+    fairness reports from `reports`, keyed by the allocation's bundles over
+    the real goods; both dicts belong to `padded` and fill up as the scan
+    goes.
     """
-    profile = Profile(tuple(Ranking(order) for order in orders))
-    padded_profile = profile.extended(padded.m)
     alloc, _ = round_robin(padded, padded_profile)
     equilibrium = pne_factor(padded, padded_profile, allocation=alloc, responses=responses)
-    real = strip_padding(alloc, inst.m)
+    real = alloc if padded.m == inst.m else strip_padding(alloc, inst.m)
     fairness = reports.get(real.bundles)
     if fairness is None:
         fairness = reports[real.bundles] = ef1_factor(inst, real)
@@ -360,16 +375,29 @@ def profile_space_scan(
     a seeded generator.  Both are deterministic.
 
     The scan runs the mechanism once per profile and keeps two memos for its
-    whole length: best-response values by (agent, the other agents' orders)
-    and fairness reports by allocation.  Both are pure functions of their
-    keys, so the records equal those of unshared evaluation; only values are
-    kept, never a search's own memo table.
+    whole length: equilibrium rows by (agent, the other agents' orders,
+    bundle), with one best response per (agent, others), and fairness
+    reports by allocation.  All are pure functions of their keys, so the
+    records equal those of unshared evaluation; only values are kept, never
+    a search's own memo table.  Each distinct order's `Ranking`, and its
+    extension to the padded goods, is built once per scan.
     """
     padded, _ = pad_to_multiple(inst)
     responses: ResponseMemo = {}
     reports: ReportMemo = {}
+    rankings: dict[tuple[int, ...], tuple[Ranking, Ranking]] = {}
     for orders in profile_orders(inst, samples=samples, seed=seed):
-        yield scan_one_profile(inst, padded, orders, responses, reports)
+        pairs = []
+        for order in orders:
+            pair = rankings.get(order)
+            if pair is None:
+                ranking = Ranking(order)
+                pair = rankings[order] = (ranking, ranking.extended(padded.m))
+            pairs.append(pair)
+        profile = Profile(tuple(real for real, _ in pairs))
+        padded_profile = profile if padded.m == inst.m else Profile(
+            tuple(extended for _, extended in pairs))
+        yield scan_one_profile(inst, padded, profile, padded_profile, responses, reports)
 
 
 @dataclass(frozen=True)

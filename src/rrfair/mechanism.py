@@ -1,4 +1,4 @@
-"""The round-robin picking mechanism, with full step traces.
+"""The round-robin picking mechanism and the pick traces of its runs.
 
 Agents report strict preference rankings; in fixed priority order (agent 0
 first) each agent repeatedly receives the top-ranked good still available.
@@ -119,25 +119,29 @@ class PickStep(NamedTuple):
 
 @dataclass(frozen=True)
 class Trace:
-    """The pick sequence of one mechanism run, in execution order."""
+    """The pick sequence of one mechanism run, in execution order.
 
-    steps: tuple[PickStep, ...]
+    Pick k is made in round k // n by agent k mod n; `steps` spells that out.
+    """
+
+    picks: tuple[int, ...]
     n: int
 
     @property
+    def steps(self) -> tuple[PickStep, ...]:
+        n = self.n
+        return tuple(PickStep(k // n, k % n, g) for k, g in enumerate(self.picks))
+
+    @property
     def rounds(self) -> int:
-        return len(self.steps) // self.n
+        return len(self.picks) // self.n
 
     def prefix_sets(self, agent: int) -> tuple[frozenset[int], ...]:
         """S_r for r = 0..k-1: goods allocated before `agent`'s pick in round r.
 
         S_r collects the goods taken in the first r*n + agent steps.
         """
-        out = []
-        for r in range(self.rounds):
-            cut = r * self.n + agent
-            out.append(frozenset(step.good for step in self.steps[:cut]))
-        return tuple(out)
+        return tuple(frozenset(self.picks[: r * self.n + agent]) for r in range(self.rounds))
 
 
 def pad_to_multiple(inst: Instance) -> tuple[Instance, int]:
@@ -171,7 +175,7 @@ def round_robin(inst: Instance, profile: Profile) -> tuple[Allocation, Trace]:
     Requires m to be a multiple of n (use `pad_to_multiple` first).  In each
     of the m/n rounds, agents 0..n-1 in order receive the top good of their
     ranking among those still available.  Deterministic; the trace records
-    every (round, agent, good) step.
+    the picks in order.
     """
     if inst.m % inst.n != 0:
         raise ValueError(f"m = {inst.m} is not a multiple of n = {inst.n}; pad first")
@@ -180,16 +184,18 @@ def round_robin(inst: Instance, profile: Profile) -> tuple[Allocation, Trace]:
     if profile.m != inst.m:
         raise ValueError(f"profile ranks {profile.m} goods, instance has {inst.m}")
 
-    available = set(range(inst.m))
-    bundles: list[set[int]] = [set() for _ in range(inst.n)]
-    steps: list[PickStep] = []
-    for r in range(inst.m // inst.n):
-        for i in range(inst.n):
-            g = profile.rankings[i].top(available)
-            available.remove(g)
-            bundles[i].add(g)
-            steps.append(PickStep(r, i, g))
-    return Allocation(tuple(frozenset(b) for b in bundles)), Trace(tuple(steps), inst.n)
+    n = inst.n
+    orders = [r.order for r in profile.rankings]
+    taken = 0  # bit g is set once good g is allocated
+    picks: list[int] = []
+    for _ in range(inst.m // n):
+        for order in orders:
+            for g in order:
+                if not taken >> g & 1:
+                    break
+            taken |= 1 << g
+            picks.append(g)
+    return Allocation(tuple(frozenset(picks[i::n]) for i in range(n))), Trace(tuple(picks), n)
 
 
 def ranking_from_picks(picks: Iterable[int], m: int) -> Ranking:

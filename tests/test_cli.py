@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+from rrfair import cli
 from rrfair.cli import (
+    json_frac,
     main,
     print_best_response_report,
     print_certify_report,
@@ -17,13 +26,20 @@ from rrfair.cli import (
     print_run_report,
     print_scan_report,
 )
+from rrfair.equilibria import NoApplicableBoundError, applicable_bound_rule, profile_space_scan
+from rrfair.fairness import UNBOUNDED
 from rrfair.instances import (
     FIXTURES,
+    GENERATOR_CLASSES,
+    GeneratorSpec,
     bluff_tightness_instance,
     build_fixture,
+    generate,
     no_pne_instance,
     save,
 )
+from rrfair.scan_json import write_scan_json
+from rrfair.valuations import Additive, Instance, SizeGuardError, Table
 
 F = Fraction
 
@@ -286,6 +302,136 @@ def test_scan_exhaustive_guard(capsys, tmp_path):
     assert code == 3
 
 
+def reference_scan_document(inst, samples, scan_seed):
+    """The `scan --json` document with its records collected in a list first."""
+    try:
+        rule = applicable_bound_rule(inst)
+    except (NoApplicableBoundError, SizeGuardError):
+        rule = None
+    records, pnes, ef1s = [], [], []
+    for record in profile_space_scan(inst, samples=samples, seed=scan_seed):
+        pne, ef1 = record.equilibrium.pne_factor, record.fairness.ef1_factor
+        pnes.append(pne)
+        ef1s.append(ef1)
+        records.append({
+            "profile": [list(r.order) for r in record.profile.rankings],
+            "pne_factor": json_frac(pne),
+            "ef1_factor": json_frac(ef1),
+            "bound_ok": None if rule is None else ef1 >= rule(pne),
+        })
+    summary = {
+        "profiles": len(records),
+        "min_pne_factor": json_frac(min(pnes)),
+        "max_pne_factor": json_frac(max(pnes)),
+        "min_ef1_factor": json_frac(min(ef1s)),
+        "bound_rule": None if rule is None else rule.name,
+        "violations": None if rule is None else sum(r["bound_ok"] is False for r in records),
+    }
+    return {"records": records, "summary": summary}
+
+
+def streamed_scan_json(inst, samples, scan_seed):
+    """The stdout of `scan --json` on `inst`, which writes it record by record."""
+    mode = ["--exhaustive"] if samples is None else ["--samples", str(samples)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instance.json"
+        save(inst, path)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["scan", str(path), *mode, "--seed", str(scan_seed), "--json"])
+    assert code == 0
+    return out.getvalue()
+
+
+def assert_streamed_json_is_the_dumped_document(inst, samples, scan_seed):
+    out = streamed_scan_json(inst, samples, scan_seed)
+    assert out == json.dumps(reference_scan_document(inst, samples, scan_seed), indent=2) + "\n"
+    return out
+
+
+def superadditive_table(m):
+    """|S|^2: monotone but not subadditive, so no bound rule applies from m = 2 on."""
+    return Table(m, [bin(mask).count("1") ** 2 for mask in range(1 << m)])
+
+
+@st.composite
+def streamed_scan_cases(draw):
+    n = draw(st.sampled_from((2, 3)))
+    m = draw(st.integers(min_value=1, max_value=5))
+    valuations = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(GENERATOR_CLASSES + ("superadditive_table",)))
+        if kind == "superadditive_table":
+            valuations.append(superadditive_table(m))
+        else:
+            spec = GeneratorSpec(kind, 1, m, draw(st.integers(min_value=0, max_value=10**6)),
+                                 weight_range=(0, 3))
+            valuations.append(generate(spec).valuations[0])
+    inst = Instance(n=n, m=m, valuations=tuple(valuations))
+    exhaustive = math.factorial(m) ** n <= 576 and draw(st.booleans())
+    samples = None if exhaustive else draw(st.integers(min_value=1, max_value=30))
+    return inst, samples, draw(st.integers(min_value=0, max_value=1000))
+
+
+@seed(20230131)
+@settings(max_examples=40, deadline=None)
+@given(case=streamed_scan_cases())
+def test_streamed_scan_json_equals_the_dumped_document(case):
+    assert_streamed_json_is_the_dumped_document(*case)
+
+
+@pytest.mark.parametrize("inst, samples, shows", [
+    # exhaustive, padded: 3 goods for 2 agents
+    (Instance(n=2, m=3, valuations=(Additive([3, 1, 2]), Additive([1, 2, 2]))), None,
+     '"bound_ok": true'),
+    # sampled
+    (no_pne_instance(), 25, '"bound_ok": true'),
+    # no bound rule applies
+    (Instance(n=2, m=3, valuations=(superadditive_table(3),) * 2), None, '"bound_ok": null'),
+    # one agent: every ef1 ratio is unbounded
+    (Instance(n=1, m=3, valuations=(Additive([3, 1, 2]),)), None,
+     '"frac": "unbounded",\n        "dec": null'),
+])
+def test_streamed_scan_json_covers_each_record_form(inst, samples, shows):
+    assert shows in assert_streamed_json_is_the_dumped_document(inst, samples, 0)
+
+
+def test_scan_json_writer_matches_json_dumps_beyond_what_scans_produce(monkeypatch):
+    # No certified bound has been seen violated, so scans never print `false`.
+    def entry(order, pne, ef1, bound_ok):
+        return {"profile": [order, order[::-1]], "pne_factor": json_frac(pne),
+                "ef1_factor": json_frac(ef1), "bound_ok": bound_ok}
+
+    summary = {"profiles": 3, "min_pne_factor": json_frac(F(1, 3)), "bound_rule": None}
+    records = [entry((0, 1), F(1, 3), F(1, 7), False), entry((1, 0), F(1), UNBOUNDED, True),
+               entry(tuple(range(12)), F(2, 3), F(1, 7), None)]
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    write_scan_json({"records": iter(records), "summary": summary})
+    assert out.getvalue() == json.dumps({"records": records, "summary": summary}, indent=2) + "\n"
+
+
+def test_scan_json_writes_each_record_before_pulling_the_next(monkeypatch, no_pne_path):
+    out = io.StringIO()
+    written_at_pull = []
+    scan = cli.profile_space_scan
+
+    def noting_scan(*args, **kwargs):
+        for record in scan(*args, **kwargs):
+            written_at_pull.append(len(out.getvalue()))
+            yield record
+
+    monkeypatch.setattr(cli, "profile_space_scan", noting_scan)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["scan", no_pne_path, "--samples", "12", "--json"]) == 0
+    records = out.getvalue().split('"summary"')[0]
+    ends = [i + len("\n    }") for i in range(len(records)) if records.startswith("\n    }", i)]
+    assert len(ends) == len(written_at_pull) == 12
+    assert written_at_pull[0] == 0  # the first record is pulled before anything is written
+    for k in range(11):
+        assert written_at_pull[k + 1] >= ends[k]  # record k is out before k + 1 is pulled
+
+
 # ---------------------------------------------------------------------------
 # certify
 
@@ -345,6 +491,20 @@ def test_generate_fixture_document(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["agents"][0]["weights"][0] == "6"
+
+
+def test_generate_to_an_unwritable_path_exits_2_without_traceback(tmp_path):
+    target = str(tmp_path / "missing" / "x.json")
+    result = subprocess.run(
+        [sys.executable, "-m", "rrfair.cli", "generate", "--class", "oxs", "-o", target],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: cannot write {target!r}: ")
+    assert "Traceback" not in result.stderr
 
 
 def test_generate_argument_validation(capsys):
