@@ -89,14 +89,19 @@ def emit(doc: dict[str, Any], as_json: bool, render: Callable[[dict[str, Any]], 
 
 
 def json_frac(x: Factor) -> dict[str, Any]:
+    """An exact `"frac"` string and its `"dec"` float, null beyond float range."""
     if x == UNBOUNDED:
         return {"frac": "unbounded", "dec": None}
-    return {"frac": str(x), "dec": float(x)}
+    try:
+        dec = float(x)
+    except OverflowError:
+        dec = None
+    return {"frac": str(x), "dec": dec}
 
 
 def fmt_frac(x: dict[str, Any]) -> str:
-    """A `json_frac` entry as text; a non-integer also shows its decimal."""
-    if "/" in x["frac"]:
+    """A `json_frac` entry as text; a non-integer also shows its decimal, if it has one."""
+    if "/" in x["frac"] and x["dec"] is not None:
         return f"{x['frac']} (~{x['dec']:.6g})"
     return x["frac"]
 

@@ -7,15 +7,15 @@ is realizable by the ranking that lists those picks first.  The search is
 therefore exact over all m! ranking deviations while visiting only the
 reachable outcomes.
 
-The search is branch and bound on exact integers: values are the oracle's
-`scale` times the true values, and a state whose optimistic bound cannot
-beat the best value found so far is not expanded.  Every oracle is
-monotone, so v(B | available) bounds each completion of the bundle B.  For
-oracles subadditive by construction, v(B) plus the k largest singleton
-values still available (k picks to go) is a second bound, and the search
-takes the smaller.  No bound prunes an optimum, so the value, the bundle
-and the lexicographically least optimal pick sequence are those of the
-exhaustive search.
+The search is branch and bound on the oracle's `value_mask` ints, `scale`
+times the true values; only its result becomes a Fraction.  A state whose
+optimistic bound cannot beat the best value found so far is not expanded.
+Every oracle is monotone, so v(B | available) bounds each completion of
+the bundle B.  For oracles subadditive by construction, v(B) plus the k
+largest singleton values still available (k picks to go) is a second
+bound, and the search takes the smaller.  No bound prunes an optimum, so
+the value, the bundle and the lexicographically least optimal pick
+sequence are those of the exhaustive search.
 """
 
 from __future__ import annotations
@@ -119,7 +119,6 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking]) -> 
 
     m, n = inst.m, inst.n
     v = inst.valuations[agent]
-    scale = v.scale
     order_of = {i: others[i].order for i in others}
     full = (1 << m) - 1
 
@@ -134,15 +133,7 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking]) -> 
             step += 1
         return avail, step
 
-    ints: dict[int, int] = {}
-
-    def value(mask: int) -> int:
-        # scale * v(mask), an int; each bundle's Fraction is converted once.
-        x = ints.get(mask)
-        if x is None:
-            f = v.value_mask(mask)
-            x = ints[mask] = f.numerator * (scale // f.denominator)
-        return x
+    value = v.value_mask  # scale * v(mask), an int, cached by the oracle
 
     # Single-bit masks, by decreasing singleton value and then ascending good:
     # the search tries promising picks first, so the incumbent rises early.
@@ -219,7 +210,7 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking]) -> 
     return BestResponse(
         ranking=ranking_from_picks(picks, m),
         bundle=frozenset(picks),
-        value=Fraction(best_value, scale),
+        value=Fraction(best_value, v.scale),
         explored_states=len(opened),
     )
 

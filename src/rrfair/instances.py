@@ -26,7 +26,6 @@ from .valuations import (
     UnitDemand,
     Valuation,
     as_fraction,
-    is_submodular,
 )
 
 
@@ -213,7 +212,6 @@ def build_fixture(name: str, **params: Fraction | int | str | Sequence) -> Insta
 GENERATOR_CLASSES = ("additive", "budget_additive", "unit_demand", "oxs", "submodular_table")
 
 MAX_GOODS_GENERATE = 12
-MAX_REJECTION_ATTEMPTS = 50
 
 
 @dataclass(frozen=True)
@@ -247,9 +245,9 @@ def generate(spec: GeneratorSpec) -> Instance:
     """Deterministic instance for a spec; the declared class is certified.
 
     Additive, budget-additive, and unit-demand oracles are cancelable and
-    subadditive by algebra, and OXS oracles submodular by construction;
-    coverage-built tables are certified submodular explicitly, with bounded
-    retries.
+    subadditive by algebra, OXS oracles submodular by construction, and
+    `submodular_table` oracles are weighted-coverage functions tabulated
+    over all subsets, which are monotone submodular by construction too.
     """
     rng = random.Random(spec.seed)
     lo, hi = spec.weight_range
@@ -284,11 +282,7 @@ def _generate_valuation(spec: GeneratorSpec, rng: random.Random, lo: int, hi: in
                 edges.append((g, rng.randrange(slots), Fraction(rng.randint(lo, hi))))
         return OXS(m, edges)
     assert cls == "submodular_table"
-    for _ in range(MAX_REJECTION_ATTEMPTS):
-        candidate = _coverage_table(rng, m, lo, hi)
-        if is_submodular(candidate):
-            return candidate
-    raise ValueError("certification failed after bounded attempts")  # coverage never gets here
+    return _coverage_table(rng, m, lo, hi)
 
 
 def _coverage_table(rng: random.Random, m: int, lo: int, hi: int) -> Table:

@@ -1,48 +1,36 @@
-"""Exact maximum-weight bipartite matching over integer or rational edge weights.
+"""Exact maximum-weight bipartite matching over integer edge weights.
 
 Goods sit on the left, abstract slots on the right.  The matching value is
 computed by successive augmenting paths: each iteration finds the most
 profitable alternating path with a Bellman-Ford sweep over the residual
 graph and stops once no path has positive gain.  Because a best matching of
 cardinality c+1 never gains more per edge than one of cardinality c, the
-first non-positive path certifies optimality.  The arithmetic is that of
-the weights given: `int` or `fractions.Fraction`, never floats, so
-epsilon-separated weights compare exactly.  `OXS` oracles pass integer
-copies of their edges (see `valuations.OXS`), which run fastest.
+first non-positive path certifies optimality.  The weights are ints, never
+floats, so every comparison is exact.  `OXS` oracles pass the adjacency
+they build once, with weights `scale` times their rational edge weights
+(see `valuations.OXS`), and turn the int back into a value there.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from typing import Sequence
 
-Weight = int | Fraction
-Edge = tuple[int, int, Weight]  # (left node, right node, weight >= 0)
+Adjacency = Sequence[Sequence[tuple[int, int]]]  # per left node: (right node, weight)
 
 
-def max_weight_matching_value(num_left: int, num_right: int, edges: list[Edge]) -> Weight:
+def max_weight_matching_value(num_right: int, adjacency: Adjacency) -> int:
     """Value of a maximum-weight (not necessarily perfect) matching.
 
-    Parallel edges are collapsed to their heaviest copy.  Edges must have
-    non-negative weights and endpoints in range; zero-weight edges are
-    allowed but never improve the value.
+    `adjacency[left]` lists the (right node, weight) pairs of left node
+    `left`, with right nodes in range(num_right), each at most once, and
+    non-negative int weights; zero-weight edges are allowed but never
+    improve the value.  The caller validates the edges and collapses
+    parallel ones to their heaviest copy.
     """
-    best: dict[tuple[int, int], Weight] = {}
-    for left, right, weight in edges:
-        if not 0 <= left < num_left or not 0 <= right < num_right:
-            raise ValueError(f"edge ({left}, {right}) out of range")
-        if weight < 0:
-            raise ValueError(f"edge ({left}, {right}) has negative weight {weight}")
-        key = (left, right)
-        if key not in best or best[key] < weight:
-            best[key] = weight
-
-    adjacency: list[list[tuple[int, Weight]]] = [[] for _ in range(num_left)]
-    for (left, right), weight in best.items():
-        adjacency[left].append((right, weight))
-
+    num_left = len(adjacency)
     match_left: list[int | None] = [None] * num_left   # left -> right
     match_right: list[int | None] = [None] * num_right  # right -> left
-    total: Weight = 0
+    total = 0
 
     while True:
         gain, path = _best_augmenting_path(adjacency, match_left, match_right, num_right)
@@ -55,11 +43,11 @@ def max_weight_matching_value(num_left: int, num_right: int, edges: list[Edge]) 
 
 
 def _best_augmenting_path(
-    adjacency: list[list[tuple[int, Weight]]],
+    adjacency: Adjacency,
     match_left: list[int | None],
     match_right: list[int | None],
     num_right: int,
-) -> tuple[Weight | None, list[tuple[int, int]]]:
+) -> tuple[int | None, list[tuple[int, int]]]:
     """Maximum-gain alternating path from a free left node to a free right node.
 
     Bellman-Ford over right nodes: dist[r] is the best gain of an alternating
@@ -67,7 +55,7 @@ def _best_augmenting_path(
     matchings the residual graph has no positive cycle, so the sweep settles.
     """
     num_left = len(adjacency)
-    dist: list[Weight | None] = [None] * num_right
+    dist: list[int | None] = [None] * num_right
     # via[r] = (left node of the final edge into r, right node that left was matched to before)
     via: list[tuple[int, int | None] | None] = [None] * num_right
 
@@ -119,7 +107,7 @@ def _best_augmenting_path(
     return dist[end], flips
 
 
-def _weight_of(adjacency: list[list[tuple[int, Weight]]], left: int, right: int) -> Weight:
+def _weight_of(adjacency: Adjacency, left: int, right: int) -> int:
     for node, weight in adjacency[left]:
         if node == right:
             return weight

@@ -1,18 +1,20 @@
 """Set-function valuation oracles over goods, with exact rational values.
 
-Goods are the integers 0..m-1; bundles are sets of goods; every value an
-oracle returns is a `fractions.Fraction`.  Five oracle families are provided
-(additive, budget-additive, unit-demand, OXS via bipartite matching, and
-explicit tables), together with exhaustive class-membership checks:
-monotonicity, additivity, submodularity, cancelability, and subadditivity.
+Goods are the integers 0..m-1; bundles are sets of goods.  Five oracle
+families are provided (additive, budget-additive, unit-demand, OXS via
+bipartite matching, and explicit tables), together with exhaustive
+class-membership checks: monotonicity, additivity, submodularity,
+cancelability, and subadditivity.
 
 Each oracle fixes a positive integer `scale` at construction, the least
-common denominator of its weights, cap, edge weights or table entries, so
-that `scale * v(S)` is an integer for every bundle S.  Scaling by a positive
-constant keeps every comparison, tie and ratio, so the exact integer paths
-(the class checks, OXS matching, the best-response search) work on those
-integers and give the results of the Fraction values.  The checks enumerate
-subsets, so they carry hard size guards.
+common denominator of its weights, cap, edge weights or table entries.
+`value_mask(mask)`, the one cached primitive, is the int `scale * v(S)`;
+`value`, `marginal` and `singleton` build exact `Fraction`s from it, and
+scaled ints are made from Fractions in this module only.  Scaling by a
+positive constant keeps every comparison, tie and ratio, so the integer
+paths (class checks, OXS matching, the best-response search) give the
+results of the rational values.  The checks enumerate subsets, so they
+carry hard size guards.
 """
 
 from __future__ import annotations
@@ -71,12 +73,18 @@ def _lcd(values: Iterable[Fraction]) -> int:
     return lcm(*{x.denominator for x in values})
 
 
+def _scaled(x: Fraction, scale: int) -> int:
+    """`scale * x` as an int; `scale` is a multiple of x's denominator."""
+    return x.numerator * (scale // x.denominator)
+
+
 class Valuation(ABC):
     """Immutable, normalized (v(empty) = 0), non-decreasing value oracle.
 
-    Subclasses implement `_value_mask`; results are memoized per bitmask, so
-    repeated queries during searches and exhaustive checks are cheap.
     `scale` is a positive integer with `scale * v(S)` integral for every S.
+    Subclasses implement `_value_mask`, that int for one bitmask, on the
+    integer copies their constructors make; `value_mask` memoizes it, so
+    repeated queries during searches and exhaustive checks are cheap.
     `subadditive_by_construction` states, per class, that v(S | T) <=
     v(S) + v(T) holds for every oracle of the class; searches rely on it.
     """
@@ -88,13 +96,14 @@ class Valuation(ABC):
             raise ValueError("a valuation needs at least one good")
         self.m = m
         self.scale = scale
-        self._cache: dict[int, Fraction] = {0: Fraction(0)}
+        self._cache: dict[int, int] = {0: 0}
 
     def value(self, bundle: Iterable[int]) -> Fraction:
         """v(bundle); exact and deterministic."""
-        return self.value_mask(_bundle_mask(bundle, self.m))
+        return Fraction(self.value_mask(_bundle_mask(bundle, self.m)), self.scale)
 
-    def value_mask(self, mask: int) -> Fraction:
+    def value_mask(self, mask: int) -> int:
+        """`scale * v(S)` for the bundle S with bitmask `mask`, an int."""
         cached = self._cache.get(mask)
         if cached is None:
             cached = self._cache[mask] = self._value_mask(mask)
@@ -105,18 +114,15 @@ class Valuation(ABC):
         if not 0 <= good < self.m:
             raise ValueError(f"good {good} out of range [0, {self.m})")
         mask = _bundle_mask(bundle, self.m)
-        return self.marginal_mask(good, mask)
-
-    def marginal_mask(self, good: int, mask: int) -> Fraction:
-        return self.value_mask(mask | (1 << good)) - self.value_mask(mask)
+        return Fraction(self.value_mask(mask | (1 << good)) - self.value_mask(mask), self.scale)
 
     def singleton(self, good: int) -> Fraction:
         if not 0 <= good < self.m:
             raise ValueError(f"good {good} out of range [0, {self.m})")
-        return self.value_mask(1 << good)
+        return Fraction(self.value_mask(1 << good), self.scale)
 
     @abstractmethod
-    def _value_mask(self, mask: int) -> Fraction:
+    def _value_mask(self, mask: int) -> int:
         ...
 
     @abstractmethod
@@ -150,9 +156,10 @@ class Additive(Valuation):
     def __init__(self, weights: Sequence[int | str | Fraction]) -> None:
         self.weights = _check_weights(weights)
         super().__init__(len(self.weights), _lcd(self.weights))
+        self._ints = tuple(_scaled(w, self.scale) for w in self.weights)
 
-    def _value_mask(self, mask: int) -> Fraction:
-        return sum((self.weights[g] for g in _iter_bits(mask)), Fraction(0))
+    def _value_mask(self, mask: int) -> int:
+        return sum(self._ints[g] for g in _iter_bits(mask))
 
     def pad(self, extra: int) -> "Additive":
         return Additive(self.weights + (Fraction(0),) * extra)
@@ -175,10 +182,11 @@ class BudgetAdditive(Valuation):
         if self.cap < 0:
             raise ValueError(f"negative cap {self.cap}")
         super().__init__(len(self.weights), _lcd((*self.weights, self.cap)))
+        self._ints = tuple(_scaled(w, self.scale) for w in self.weights)
+        self._cap = _scaled(self.cap, self.scale)
 
-    def _value_mask(self, mask: int) -> Fraction:
-        total = sum((self.weights[g] for g in _iter_bits(mask)), Fraction(0))
-        return total if total < self.cap else self.cap
+    def _value_mask(self, mask: int) -> int:
+        return min(self._cap, sum(self._ints[g] for g in _iter_bits(mask)))
 
     def pad(self, extra: int) -> "BudgetAdditive":
         return BudgetAdditive(self.weights + (Fraction(0),) * extra, self.cap)
@@ -198,9 +206,10 @@ class UnitDemand(Valuation):
     def __init__(self, weights: Sequence[int | str | Fraction]) -> None:
         self.weights = _check_weights(weights)
         super().__init__(len(self.weights), _lcd(self.weights))
+        self._ints = tuple(_scaled(w, self.scale) for w in self.weights)
 
-    def _value_mask(self, mask: int) -> Fraction:
-        return max((self.weights[g] for g in _iter_bits(mask)), default=Fraction(0))
+    def _value_mask(self, mask: int) -> int:
+        return max((self._ints[g] for g in _iter_bits(mask)), default=0)
 
     def pad(self, extra: int) -> "UnitDemand":
         return UnitDemand(self.weights + (Fraction(0),) * extra)
@@ -217,8 +226,8 @@ class OXS(Valuation):
 
     Edges are (good, slot label, weight) triples; slot labels may be any
     strings or integers.  OXS functions are monotone submodular.  The
-    matching runs on a copy of the edges with slot indices and weights
-    multiplied by `scale`, so on ints.
+    matching runs on an adjacency built once: per good, (slot index,
+    weight times `scale`) pairs, parallel edges collapsed to the heaviest.
     """
 
     subadditive_by_construction = True
@@ -241,18 +250,18 @@ class OXS(Valuation):
             normalized.append((good, label, w))
         self.edges = tuple(normalized)
         self._slots = len(labels)
-        scale = _lcd(w for _, _, w in normalized)
-        self._int_edges = tuple(
-            (good, labels[label], w.numerator * (scale // w.denominator))
-            for good, label, w in normalized
-        )
-        super().__init__(m, scale)
+        super().__init__(m, _lcd(w for _, _, w in normalized))
+        heaviest: list[dict[int, int]] = [{} for _ in range(m)]
+        for good, label, w in normalized:
+            slot, x = labels[label], _scaled(w, self.scale)
+            if heaviest[good].get(slot, -1) < x:
+                heaviest[good][slot] = x
+        self._adjacency = tuple(tuple(row.items()) for row in heaviest)
 
-    def _value_mask(self, mask: int) -> Fraction:
-        edges = [edge for edge in self._int_edges if mask >> edge[0] & 1]
-        if not edges:
-            return Fraction(0)
-        return Fraction(max_weight_matching_value(self.m, self._slots, edges), self.scale)
+    def _value_mask(self, mask: int) -> int:
+        adjacency = self._adjacency
+        rows = [adjacency[g] for g in _iter_bits(mask) if adjacency[g]]
+        return max_weight_matching_value(self._slots, rows) if rows else 0
 
     def pad(self, extra: int) -> "OXS":
         return OXS(self.m + extra, self.edges)
@@ -286,9 +295,10 @@ class Table(Valuation):
             if value < 0:
                 raise ValueError(f"negative value {value} for subset {sorted(_iter_bits(mask))}")
         super().__init__(m, _lcd(self.values))
+        self._ints = tuple(_scaled(x, self.scale) for x in self.values)
 
-    def _value_mask(self, mask: int) -> Fraction:
-        return self.values[mask]
+    def _value_mask(self, mask: int) -> int:
+        return self._ints[mask]
 
     def pad(self, extra: int) -> "Table":
         m_new = self.m + extra
@@ -342,27 +352,26 @@ class ClassCheck:
         return self.holds
 
 
-def value_table(v: Valuation) -> list[Fraction]:
-    """All 2^m subset values, indexed by bitmask (also warms the oracle cache)."""
-    if v.m > MAX_GOODS:
-        raise SizeGuardError(f"tabulating 2^{v.m} values exceeds the storage bound 2^{MAX_GOODS}")
-    return [v.value_mask(mask) for mask in range(1 << v.m)]
-
-
-def _guard(v: Valuation, bound: int, what: str) -> None:
-    if v.m > bound:
-        raise SizeGuardError(f"{what} enumerates subsets; m = {v.m} exceeds the guard {bound}")
-
-
 def _integer_table(v: Valuation) -> list[int]:
-    """`value_table(v)` multiplied by the oracle's `scale`.
+    """All 2^m values `scale * v(S)`, indexed by bitmask (also warms the oracle cache).
 
     Every test the class checks make (comparisons, differences, two-term sums)
     is invariant under scaling by a positive constant, so the checks give the
     verdicts and witnesses of the Fraction table, exactly, on plain ints.
     """
-    scale = v.scale
-    return [x.numerator * (scale // x.denominator) for x in value_table(v)]
+    if v.m > MAX_GOODS:
+        raise SizeGuardError(f"tabulating 2^{v.m} values exceeds the storage bound 2^{MAX_GOODS}")
+    return [v.value_mask(mask) for mask in range(1 << v.m)]
+
+
+def value_table(v: Valuation) -> list[Fraction]:
+    """All 2^m subset values v(S) as Fractions, indexed by bitmask."""
+    return [Fraction(x, v.scale) for x in _integer_table(v)]
+
+
+def _guard(v: Valuation, bound: int, what: str) -> None:
+    if v.m > bound:
+        raise SizeGuardError(f"{what} enumerates subsets; m = {v.m} exceeds the guard {bound}")
 
 
 def _set_bits(m: int) -> list[list[int]]:

@@ -96,7 +96,7 @@ def reference_best_response(inst: Instance, agent: int, others: Mapping[int, Ran
     def solve(avail: int, bundle: int, step: int) -> Fraction:
         nonlocal expanded
         if step >= m:
-            return v.value_mask(bundle)
+            return Fraction(v.value_mask(bundle), v.scale)
         key = (avail, bundle)
         hit = memo.get(key)
         if hit is not None:

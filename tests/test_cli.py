@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -42,6 +43,7 @@ from rrfair.scan_json import write_scan_json
 from rrfair.valuations import Additive, Instance, SizeGuardError, Table
 
 F = Fraction
+REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -110,6 +112,30 @@ def test_json_carries_what_the_text_prints(capsys, fixture_paths):
 
 # ---------------------------------------------------------------------------
 # run
+
+
+@pytest.mark.parametrize("command", ["run", "best-response --agent 1", "scan --samples 3"])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_rationals_beyond_float_range_print_without_decimals(tmp_path, command, as_json):
+    path = tmp_path / "huge.json"
+    huge = F(10**400, 3)  # neither it nor 10^400 fits a float
+    save(Instance(2, 2, (Additive([huge, 1]), Additive(["1e400", "1"]))), path)
+    result = subprocess.run(
+        [sys.executable, "-m", "rrfair.cli", *command.split(), str(path),
+         *(["--json"] if as_json else [])],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr
+    assert "1" + "0" * 400 in result.stdout
+    if command != "scan --samples 3":  # agent 1's bundle and best response are worth `huge`
+        assert str(huge) in result.stdout
+        assert f"{huge} (~" not in result.stdout
+    if as_json:
+        assert '"dec": null' in result.stdout
+        json.loads(result.stdout)
 
 
 def test_run_bluff_profile(capsys, thm4_path):
@@ -191,6 +217,19 @@ def test_reproduce_all_fixtures_pass(capsys):
         code, out = run_cli(capsys, "reproduce", fixture)
         assert code == 0, (fixture, out)
         assert "PASS" in out
+
+
+@pytest.mark.parametrize("fixture", sorted(FIXTURES))
+def test_reproduce_json_bytes_match_the_benchmark_digests(fixture):
+    # The benchmark pins the sha256 of each fixture's `reproduce --json`
+    # stdout; the file is only read here, never re-recorded.
+    expected = json.loads((REPO / "perfbench" / "expected.json").read_text(encoding="utf-8"))
+    result = subprocess.run(
+        [sys.executable, "-m", "rrfair.cli", "reproduce", fixture, "--json"],
+        capture_output=True,
+        check=True,
+    )
+    assert hashlib.sha256(result.stdout).hexdigest() == expected[f"fixtures/{fixture}"]
 
 
 def test_reproduce_reports_expected_numbers(capsys):

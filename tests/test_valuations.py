@@ -447,3 +447,77 @@ def test_class_checks_match_fraction_reference_with_distinct_prime_denominators(
     table = Table(6, values)
     assert is_monotone(table)
     assert_checks_match_reference(table)
+
+
+# ---------------------------------------------------------------------------
+# value_mask: the int scale * v against independent Fraction closed forms
+
+PRIMES = [p for p in range(2, 200) if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+
+
+@st.composite
+def oracles_with_closed_forms(draw):
+    """An oracle of any class, maybe padded, and its value as a Fraction closed form.
+
+    Every rational gets its own prime denominator, so `scale` is the product
+    of the primes of the non-zero ones; zeros are common.  OXS edges include
+    zero weights and a parallel copy of an earlier edge, lighter or heavier.
+    """
+    m = draw(st.integers(min_value=1, max_value=4))
+    primes = iter(PRIMES)
+
+    def rational() -> Fraction:
+        p = next(primes)
+        return F(draw(st.integers(min_value=0, max_value=3 * p - 1) | st.just(0)), p)
+
+    kind = draw(st.sampled_from(["additive", "budget_additive", "unit_demand", "oxs", "table"]))
+    if kind == "table":
+        values = [F(0)] + [rational() for _ in range((1 << m) - 1)]
+        v, closed = Table(m, values), lambda members: values[sum(1 << g for g in members)]
+    elif kind == "oxs":
+        slots = draw(st.integers(min_value=1, max_value=3))
+        edges = [(draw(st.integers(min_value=0, max_value=m - 1)),
+                  draw(st.integers(min_value=0, max_value=slots - 1)), rational())
+                 for _ in range(draw(st.integers(min_value=1, max_value=2 * m)))]
+        good, slot, _ = edges[draw(st.integers(min_value=0, max_value=len(edges) - 1))]
+        edges.insert(draw(st.integers(min_value=0, max_value=len(edges))), (good, slot, rational()))
+        v = OXS(m, edges)
+
+        def closed(members):
+            return brute_force_matching_value([e for e in edges if e[0] in members])
+    else:
+        weights = [rational() for _ in range(m)]
+        if kind == "additive":
+            v = Additive(weights)
+
+            def closed(members):
+                return sum((weights[g] for g in members), F(0))
+        elif kind == "budget_additive":
+            cap = rational()
+            v = BudgetAdditive(weights, cap)
+
+            def closed(members):
+                return min(cap, sum((weights[g] for g in members), F(0)))
+        else:
+            v = UnitDemand(weights)
+
+            def closed(members):
+                return max((weights[g] for g in members), default=F(0))
+    extra = draw(st.integers(min_value=0, max_value=2))
+    # Padded goods (ids m and up) add nothing.
+    return v.pad(extra), lambda members: closed({g for g in members if g < m})
+
+
+@seed(20230131)
+@settings(max_examples=300, deadline=None)
+@given(case=oracles_with_closed_forms())
+def test_value_mask_is_scale_times_the_closed_form(case):
+    v, closed = case
+    for mask in range(1 << v.m):
+        members = {g for g in range(v.m) if mask >> g & 1}
+        expected = closed(members)
+        scaled = v.value_mask(mask)
+        assert type(scaled) is int
+        assert scaled == v.scale * expected
+        value = v.value(members)
+        assert type(value) is Fraction and value == expected
