@@ -2,7 +2,7 @@
 
 Subcommands: run, reproduce, scan, certify, generate, best-response.
 Exit codes: 0 success, 1 reproduction mismatch, 2 malformed input,
-3 guard-policy violation.
+3 size-guard refusal (an operation estimated over the work budget).
 
 The document format is zero-based; this layer renders goods as g1..gm and
 agents/rounds one-based, and prints every rational both exactly ("p/q") and
@@ -598,9 +598,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
                 seed=args.seed,
                 weight_range=_parse_weight_range(args.weights),
             )
-            inst = generate(spec)
-        except (ValueError, SizeGuardError) as exc:
+        except ValueError as exc:
             raise InputError(str(exc)) from None
+        inst = generate(spec)
     text = dumps(inst)
     if args.output:
         try:

@@ -40,15 +40,13 @@ from .mechanism import (
 from .valuations import (
     Instance,
     SizeGuardError,
+    check_subset_work,
+    check_work,
     is_additive,
     is_cancelable,
     is_subadditive,
     is_submodular,
 )
-
-MAX_GOODS_BEST_RESPONSE = 14
-MAX_EXHAUSTIVE_PROFILES = 10**6
-MAX_GOODS_BOUND_CERTIFICATION = 10
 
 _ONE = Fraction(1)
 
@@ -101,21 +99,35 @@ class EquilibriumReport:
     pne_factor: Fraction
 
 
+def search_states(m: int, n: int, agent: int) -> int:
+    """A bound on the states a best-response search for `agent` expands.
+
+    At her k-th turn a state is her k goods and the k(n-1) + agent goods the
+    others took: C(m, k) C(m-k, k(n-1) + agent) of them, summed over k < m/n.
+    A binomial C(x, y) with min(y, x-y) > 64 exceeds 2^64 and is slow to
+    compute, so the sum stops there, below its true value.
+    """
+    total = 0
+    for k in range(m // n):
+        others = k * (n - 1) + agent
+        if min(k, m - k) > 64 or min(others, m - k - others) > 64:
+            return total + (1 << 64)
+        total += math.comb(m, k) * math.comb(m - k, others)
+    return total
+
+
 def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking]) -> BestResponse:
     """Maximize `agent`'s true value over all ranking deviations.
 
-    Requires m to be a multiple of n and m within the search guard.  Ties
-    in value resolve toward the lexicographically least pick sequence.
+    Requires m to be a multiple of n and the search within the work budget.
+    Ties in value resolve toward the lexicographically least pick sequence.
     """
     if inst.m % inst.n != 0:
         raise ValueError(f"m = {inst.m} is not a multiple of n = {inst.n}; pad first")
-    if inst.m > MAX_GOODS_BEST_RESPONSE:
-        raise SizeGuardError(
-            f"best_response explores pick trees; m = {inst.m} exceeds the guard "
-            f"{MAX_GOODS_BEST_RESPONSE}"
-        )
     if set(others) != set(range(inst.n)) - {agent}:
         raise ValueError("`others` must cover exactly the agents other than `agent`")
+    check_work(inst.m * search_states(inst.m, inst.n, agent),  # m children per state
+               f"best_response for agent {agent + 1} of {inst.n} on {inst.m} goods")
 
     m, n = inst.m, inst.n
     v = inst.valuations[agent]
@@ -285,8 +297,8 @@ def evaluate_profile(inst: Instance, profile: Profile) -> ProfileEvaluation:
     """Pad, run the mechanism, strip dummies, and score the outcome.
 
     `profile` ranks the real goods; dummies are appended at the end of each
-    ranking.  The equilibrium report is skipped (with a reason) when the
-    padded instance exceeds the best-response guard.
+    ranking.  The equilibrium report is skipped, with the guard's message
+    as the reason, when a best-response search exceeds the work budget.
     """
     padded, padding = pad_to_multiple(inst)
     padded_profile = profile.extended(padded.m)
@@ -295,10 +307,10 @@ def evaluate_profile(inst: Instance, profile: Profile) -> ProfileEvaluation:
     fairness = ef1_factor(inst, real)
     equilibrium = None
     skipped = None
-    if padded.m > MAX_GOODS_BEST_RESPONSE:
-        skipped = f"size guard: padded m = {padded.m} exceeds {MAX_GOODS_BEST_RESPONSE}"
-    else:
+    try:
         equilibrium = pne_factor(padded, padded_profile, allocation=alloc)
+    except SizeGuardError as exc:
+        skipped = str(exc)
     return ProfileEvaluation(
         allocation=real,
         fairness=fairness,
@@ -313,17 +325,16 @@ def profile_orders(
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Per-agent good orders for a scan: all of them, or a seeded sample.
 
-    Exhaustive enumeration is lexicographic and refuses instances beyond
-    10^6 profiles, since a truncated scan would invalidate non-existence
-    claims.
+    Exhaustive enumeration is lexicographic and refuses (m!)^n profiles
+    times the padded m beyond the work budget, since a truncated scan would
+    invalidate non-existence claims.
     """
     if samples is None:
-        total = math.factorial(inst.m) ** inst.n
-        if total > MAX_EXHAUSTIVE_PROFILES:
-            raise SizeGuardError(
-                f"exhaustive scan of {total} profiles exceeds {MAX_EXHAUSTIVE_PROFILES}"
-            )
-        yield from itertools.product(itertools.permutations(range(inst.m)), repeat=inst.n)
+        n, m = inst.n, inst.m
+        what = f"an exhaustive scan of {n} agents and {m} goods"
+        check_work(m << m, what)  # cheap, and below (m!)^n·m wherever it refuses
+        check_work(math.factorial(m) ** n * (-(-m // n) * n), what)  # padded m
+        yield from itertools.product(itertools.permutations(range(m)), repeat=n)
     else:
         rng = random.Random(seed)
         for _ in range(samples):
@@ -413,14 +424,11 @@ def applicable_bound_rule(inst: Instance) -> BoundRule:
     submodular agents: a/2.  Submodular agents: a/3.  The formulas are
     ordered pointwise on (0, 1], so the first applicable rule is strongest.
 
-    Certification runs the exhaustive class checks, so it carries its own
-    size guard, tighter than the individual checks'.
+    Certification runs four exhaustive class checks per agent, so the
+    largest of their estimates is checked once, before the first check.
     """
-    if inst.m > MAX_GOODS_BOUND_CERTIFICATION:
-        raise SizeGuardError(
-            f"class certification for bound selection enumerates subset pairs; "
-            f"m = {inst.m} exceeds the guard {MAX_GOODS_BOUND_CERTIFICATION}"
-        )
+    check_subset_work(inst.m, "class certification for the bound rule",
+                      "is_additive", "is_submodular", "is_cancelable", "is_subadditive")
     checks = [
         (
             is_additive(v),

@@ -2,8 +2,8 @@
 
 The four fixtures are exact constructions whose equilibrium and fairness
 numbers are known in closed form; their parameters are rationals with
-validated strict inequalities.  Generators produce class-certified random
-instances from a seed.  Instances serialize to a strict JSON document with
+validated strict inequalities.  Generators produce random instances of a
+valuation class from a seed.  Instances serialize to a strict JSON document with
 "p/q" rationals; floats are rejected end to end.
 """
 
@@ -26,6 +26,8 @@ from .valuations import (
     UnitDemand,
     Valuation,
     as_fraction,
+    check_subset_work,
+    check_work,
 )
 
 
@@ -211,8 +213,6 @@ def build_fixture(name: str, **params: Fraction | int | str | Sequence) -> Insta
 
 GENERATOR_CLASSES = ("additive", "budget_additive", "unit_demand", "oxs", "submodular_table")
 
-MAX_GOODS_GENERATE = 12
-
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -231,24 +231,22 @@ class GeneratorSpec:
             )
         if self.n < 1 or self.m < 1:
             raise ValueError("need at least one agent and one good")
-        if self.m > MAX_GOODS_GENERATE:
-            raise SizeGuardError(
-                f"generation certifies classes exhaustively; m = {self.m} exceeds "
-                f"{MAX_GOODS_GENERATE}"
-            )
         lo, hi = self.weight_range
         if not 0 <= lo <= hi:
             raise ValueError(f"weight range {self.weight_range} must satisfy 0 <= lo <= hi")
 
 
 def generate(spec: GeneratorSpec) -> Instance:
-    """Deterministic instance for a spec; the declared class is certified.
+    """Deterministic instance for a spec; its class holds by construction, unchecked.
 
     Additive, budget-additive, and unit-demand oracles are cancelable and
     subadditive by algebra, OXS oracles submodular by construction, and
     `submodular_table` oracles are weighted-coverage functions tabulated
     over all subsets, which are monotone submodular by construction too.
     """
+    check_work(spec.m, f"generating {spec.m} goods")
+    if spec.valuation_class == "submodular_table":  # 2^m subsets, each covering ~3m
+        check_work(3 * spec.m << spec.m, f"generating a submodular_table on {spec.m} goods")
     rng = random.Random(spec.seed)
     lo, hi = spec.weight_range
     valuations: list[Valuation] = []
@@ -411,7 +409,7 @@ def from_document(doc: Any) -> Instance:
             raise SchemaError(f"{where}: missing fields {sorted(missing)}")
         try:
             valuations.append(_agent_from_document(cls, agent_doc, m, where))
-        except SchemaError:
+        except (SchemaError, SizeGuardError):
             raise
         except (ValueError, TypeError) as exc:
             raise SchemaError(f"{where}: {exc}") from None
@@ -449,6 +447,7 @@ def _agent_from_document(cls: str, agent_doc: dict, m: int, where: str) -> Valua
             edges.append((good, label, _parse_fraction(weight, f"{where}.edges[{k}]")))
         return OXS(m, edges)
     assert cls == "table"
+    check_subset_work(m, f"the table of {where}")
     values_doc = agent_doc["values"]
     if not isinstance(values_doc, list) or len(values_doc) != 1 << m:
         raise SchemaError(f"{where}: 'values' must list {1 << m} rationals")

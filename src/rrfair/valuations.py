@@ -13,8 +13,8 @@ common denominator of its weights, cap, edge weights or table entries.
 scaled ints are made from Fractions in this module only.  Scaling by a
 positive constant keeps every comparison, tie and ratio, so the integer
 paths (class checks, OXS matching, the best-response search) give the
-results of the rational values.  The checks enumerate subsets, so they
-carry hard size guards.
+results of the rational values.  Work over subsets is refused first when
+its estimate exceeds the one `WORK_BUDGET`.
 """
 
 from __future__ import annotations
@@ -23,20 +23,49 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .matching import max_weight_matching_value
 
 GoodId = int
 Bundle = frozenset[int]
 
-MAX_GOODS = 20               # dense-table / 2^m storage bound
-MAX_GOODS_NESTED_CHECK = 20  # monotone, additive, submodular
-MAX_GOODS_PAIR_CHECK = 16    # cancelable, subadditive (all subset pairs)
+WORK_BUDGET = 10**7  # estimated steps; the one size guard of every exhaustive operation
 
 
 class SizeGuardError(ValueError):
-    """An exhaustive check or search was asked to exceed its size guard."""
+    """An operation's estimated work exceeds `WORK_BUDGET`; none of it was done."""
+
+
+def check_work(work: int, what: str) -> None:
+    """Refuse `what` before it starts when its estimated steps exceed `WORK_BUDGET`."""
+    if work > WORK_BUDGET:
+        bits = work.bit_length()  # str() refuses ints of over 4300 digits
+        steps = f"{work:,}" if bits <= 64 else f"2^{bits - 1:,} or more"
+        raise SizeGuardError(f"size guard: {what} needs an estimated {steps} steps, "
+                             f"over the budget of {WORK_BUDGET:,}")
+
+
+# Estimated steps of each exhaustive class check on m goods.
+CHECK_WORK: dict[str, Callable[[int], int]] = {
+    "is_monotone": lambda m: m << m,
+    "is_additive": lambda m: m << m,
+    "is_submodular": lambda m: 3**m * m,
+    "is_subadditive": lambda m: 4**m // 2,
+    "is_cancelable": lambda m: m * 4 ** (m - 1),
+}
+
+
+def check_subset_work(m: int, what: str, *checks: str) -> None:
+    """Refuse `what` on m goods, which tabulates and then runs `checks`, cheapest first.
+
+    Storage per good (m) and tabulation (m·2^m) go first, so 3^m or 4^m is
+    only computed for an m they admit.
+    """
+    what = f"{what} on {m} goods"
+    check_work(m, what)
+    check_work(m << m, what)
+    check_work(max((CHECK_WORK[check](m) for check in checks), default=0), what)
 
 
 def as_fraction(x: int | str | Fraction) -> Fraction:
@@ -94,6 +123,7 @@ class Valuation(ABC):
     def __init__(self, m: int, scale: int) -> None:
         if m < 1:
             raise ValueError("a valuation needs at least one good")
+        check_work(m, f"an oracle on {m} goods")
         self.m = m
         self.scale = scale
         self._cache: dict[int, int] = {0: 0}
@@ -284,8 +314,7 @@ class Table(Valuation):
     """
 
     def __init__(self, m: int, values: Sequence[int | str | Fraction]) -> None:
-        if m > MAX_GOODS:
-            raise SizeGuardError(f"m = {m} exceeds the supported bound {MAX_GOODS}")
+        check_subset_work(m, "a table")
         if len(values) != 1 << m:
             raise ValueError(f"table needs {1 << m} entries for m = {m}, got {len(values)}")
         self.values = tuple(as_fraction(v) for v in values)
@@ -302,6 +331,7 @@ class Table(Valuation):
 
     def pad(self, extra: int) -> "Table":
         m_new = self.m + extra
+        check_subset_work(m_new, "a table")
         real = (1 << self.m) - 1
         return Table(m_new, [self.values[mask & real] for mask in range(1 << m_new)])
 
@@ -359,19 +389,13 @@ def _integer_table(v: Valuation) -> list[int]:
     is invariant under scaling by a positive constant, so the checks give the
     verdicts and witnesses of the Fraction table, exactly, on plain ints.
     """
-    if v.m > MAX_GOODS:
-        raise SizeGuardError(f"tabulating 2^{v.m} values exceeds the storage bound 2^{MAX_GOODS}")
+    check_subset_work(v.m, "tabulating an oracle")
     return [v.value_mask(mask) for mask in range(1 << v.m)]
 
 
 def value_table(v: Valuation) -> list[Fraction]:
     """All 2^m subset values v(S) as Fractions, indexed by bitmask."""
     return [Fraction(x, v.scale) for x in _integer_table(v)]
-
-
-def _guard(v: Valuation, bound: int, what: str) -> None:
-    if v.m > bound:
-        raise SizeGuardError(f"{what} enumerates subsets; m = {v.m} exceeds the guard {bound}")
 
 
 def _set_bits(m: int) -> list[list[int]]:
@@ -385,7 +409,7 @@ def _set_bits(m: int) -> list[list[int]]:
 
 def is_monotone(v: Valuation) -> bool:
     """Exhaustive: every single-good marginal is non-negative."""
-    _guard(v, MAX_GOODS_NESTED_CHECK, "is_monotone")
+    check_subset_work(v.m, "is_monotone", "is_monotone")
     vals = _integer_table(v)
     for mask in range(1 << v.m):
         for g in range(v.m):
@@ -397,7 +421,7 @@ def is_monotone(v: Valuation) -> bool:
 
 def is_additive(v: Valuation) -> bool:
     """Exhaustive: v(S) equals the sum of singleton values over S."""
-    _guard(v, MAX_GOODS_NESTED_CHECK, "is_additive")
+    check_subset_work(v.m, "is_additive", "is_additive")
     vals = _integer_table(v)
     for mask in range(1, 1 << v.m):
         bit = mask & -mask
@@ -418,7 +442,7 @@ def _ascending_submasks(mask: int):
 
 def is_submodular(v: Valuation) -> ClassCheck:
     """Exhaustive diminishing-returns check: v(g|S) >= v(g|T) for S subset of T, g outside T."""
-    _guard(v, MAX_GOODS_NESTED_CHECK, "is_submodular")
+    check_subset_work(v.m, "is_submodular", "is_submodular")
     vals = _integer_table(v)
     bits = _set_bits(v.m)
     full = (1 << v.m) - 1
@@ -438,7 +462,7 @@ def is_submodular(v: Valuation) -> ClassCheck:
 
 def is_cancelable(v: Valuation) -> ClassCheck:
     """Exhaustive: v(S+g) > v(T+g) implies v(S) > v(T), for all S, T and outside g."""
-    _guard(v, MAX_GOODS_PAIR_CHECK, "is_cancelable")
+    check_subset_work(v.m, "is_cancelable", "is_cancelable")
     vals = _integer_table(v)
     bits = _set_bits(v.m)
     full = (1 << v.m) - 1
@@ -461,7 +485,7 @@ def is_subadditive(v: Valuation) -> bool:
     The condition is symmetric in S and T, so each unordered pair is tested
     once (T from S upward).
     """
-    _guard(v, MAX_GOODS_PAIR_CHECK, "is_subadditive")
+    check_subset_work(v.m, "is_subadditive", "is_subadditive")
     vals = _integer_table(v)
     for s_mask in range(1 << v.m):
         vs = vals[s_mask]

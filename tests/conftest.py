@@ -16,9 +16,9 @@ import random
 from fractions import Fraction
 from typing import Mapping
 
-from rrfair.equilibria import MAX_GOODS_BEST_RESPONSE, BestResponse
+from rrfair.equilibria import BestResponse, search_states
 from rrfair.mechanism import Profile, Ranking, ranking_from_picks, round_robin
-from rrfair.valuations import ClassCheck, Instance, SizeGuardError, Valuation, value_table
+from rrfair.valuations import ClassCheck, Instance, Valuation, check_work, value_table
 
 
 def brute_force_matching_value(edges: list[tuple[int, object, Fraction]]) -> Fraction:
@@ -61,18 +61,16 @@ def reference_best_response(inst: Instance, agent: int, others: Mapping[int, Ran
     The memoized Fraction search that `best_response` replaced: it expands
     every reachable (available, bundle) state exactly once.
 
-    Requires m to be a multiple of n and m within the search guard.  Ties
-    in value resolve toward the lexicographically least pick sequence.
+    Requires m to be a multiple of n and the search estimate within the
+    work budget.  Ties in value resolve toward the lexicographically least
+    pick sequence.
     """
     if inst.m % inst.n != 0:
         raise ValueError(f"m = {inst.m} is not a multiple of n = {inst.n}; pad first")
-    if inst.m > MAX_GOODS_BEST_RESPONSE:
-        raise SizeGuardError(
-            f"best_response explores pick trees; m = {inst.m} exceeds the guard "
-            f"{MAX_GOODS_BEST_RESPONSE}"
-        )
     if set(others) != set(range(inst.n)) - {agent}:
         raise ValueError("`others` must cover exactly the agents other than `agent`")
+    check_work(inst.m * search_states(inst.m, inst.n, agent),
+               f"reference_best_response on {inst.m} goods")
 
     m, n = inst.m, inst.n
     v = inst.valuations[agent]

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import math
+import resource
 import subprocess
 import sys
 import tempfile
@@ -510,6 +511,33 @@ def test_certify_json_and_guard_skips(capsys, tmp_path):
         assert "skipped" in agent[check]
 
 
+@pytest.mark.parametrize("m, agent", [
+    (10**15, {"class": "table", "values": ["0"]}),
+    (10**15, {"class": "oxs", "edges": []}),
+    (21, {"class": "table", "values": ["0"]}),  # well-formed but for its values' length
+], ids=["absurd-table", "absurd-oxs", "table-21"])
+def test_oversized_documents_exit_3_at_load_without_traceback(tmp_path, m, agent):
+    # The guards refuse before anything of size m or 2^m is built, so the
+    # load stays small under a 2 GB address-space cap.
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"n": 1, "m": m, "agents": [agent]}), encoding="utf-8")
+
+    def cap_memory() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "rrfair.cli", "certify", str(path)],
+        capture_output=True,
+        text=True,
+        check=False,
+        preexec_fn=cap_memory,
+    )
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: size guard: ")
+    assert "Traceback" not in result.stderr
+
+
 # ---------------------------------------------------------------------------
 # generate
 
@@ -523,6 +551,16 @@ def test_generate_random_document(capsys, tmp_path):
 
     inst = load(out_path)
     assert (inst.n, inst.m) == (2, 5)
+
+
+def test_generate_beyond_12_goods_writes_a_scannable_document(capsys, tmp_path):
+    out_path = str(tmp_path / "deep.json")
+    code, _ = run_cli(capsys, "generate", "--class", "oxs", "--agents", "2",
+                      "--goods", "14", "-o", out_path)
+    assert code == 0
+    code, out = run_cli(capsys, "scan", out_path, "--samples", "2")
+    assert code == 0
+    assert out.splitlines()[-1].startswith("2 profiles, ")
 
 
 def test_generate_fixture_document(capsys):
@@ -598,7 +636,8 @@ def test_best_response_size_guard_exits_3_without_traceback(tmp_path):
     assert result.returncode == 3
     assert result.stdout == ""
     assert result.stderr.startswith("error: ")
-    assert "m = 16 exceeds the guard 14" in result.stderr
+    assert "best_response for agent 1 of 2 on 16 goods needs an estimated 82,940,112 steps" \
+        in result.stderr
     assert "Traceback" not in result.stderr
 
 

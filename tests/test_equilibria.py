@@ -22,6 +22,7 @@ from rrfair.equilibria import (
     pne_factor,
     profile_orders,
     profile_space_scan,
+    search_states,
 )
 from rrfair.fairness import UNBOUNDED, ef1_factor
 from rrfair.instances import (
@@ -213,6 +214,29 @@ def test_branch_and_bound_matches_the_exhaustive_reference(n, rounds, kinds, ins
         assert response.explored_states <= reference.explored_states
         if m <= 6:
             assert response.value == brute_force_best_response(inst, agent, others)
+
+
+@seed(20261018)
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(GENERATOR_CLASSES + ("convex_table",)),
+    n=st.integers(min_value=1, max_value=4),
+    m=st.integers(min_value=1, max_value=9),
+    instance_seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_search_states_bound_every_search(kind, n, m, instance_seed):
+    rng = random.Random(instance_seed)
+    if kind == "convex_table":
+        inst = Instance(n, m, tuple(rational_oracle(rng, kind, m) for _ in range(n)))
+    else:
+        inst = generate(GeneratorSpec(kind, n, m, instance_seed))
+    padded, _ = pad_to_multiple(inst)
+    profile = random_profile(rng, n, padded.m)
+    for agent in range(n):
+        others = profile.others(agent)
+        bound = search_states(padded.m, n, agent)
+        assert best_response(padded, agent, others).explored_states <= bound
+        assert reference_best_response(padded, agent, others).explored_states <= bound
 
 
 def test_convex_tables_exercise_the_monotone_bound():

@@ -1,0 +1,117 @@
+"""The one work budget: each exhaustive operation refuses just past its boundary."""
+
+from __future__ import annotations
+
+import math
+from typing import Callable
+
+import pytest
+
+from rrfair.equilibria import (
+    NoApplicableBoundError,
+    applicable_bound_rule,
+    best_response,
+    profile_space_scan,
+)
+from rrfair.instances import GeneratorSpec, generate
+from rrfair.mechanism import Ranking
+from rrfair.valuations import (
+    WORK_BUDGET,
+    Additive,
+    Instance,
+    SizeGuardError,
+    Table,
+    Valuation,
+    is_additive,
+    is_cancelable,
+    is_monotone,
+    is_subadditive,
+    is_submodular,
+)
+
+
+class Tangled(Valuation):
+    """Worth 1 on {g1}, 2 on all goods and 0 elsewhere, for any m without a table.
+
+    Every class check meets a violation within about m·2^m steps, far below
+    its own estimate, so a check just inside its boundary ends quickly.
+    """
+
+    def __init__(self, m: int) -> None:
+        super().__init__(m, 1)
+
+    def _value_mask(self, mask: int) -> int:
+        return 2 if mask == (1 << self.m) - 1 else int(mask == 1)
+
+    def pad(self, extra: int) -> Tangled:
+        raise NotImplementedError
+
+    def _key(self) -> tuple:
+        return (self.m,)
+
+
+def class_check(check: Callable) -> Callable:
+    def build(m: int):
+        v = Tangled(m)
+        return (v,), lambda: check(v)
+    return build
+
+
+def bound_rule(m: int):
+    inst = Instance(n=1, m=m, valuations=(Tangled(m),))
+
+    def run() -> None:
+        with pytest.raises(NoApplicableBoundError):
+            applicable_bound_rule(inst)
+    return inst.valuations, run
+
+
+def exhaustive_scan(m: int):
+    inst = Instance(n=2, m=m, valuations=(Additive(range(m)),) * 2)
+    return inst.valuations, lambda: next(profile_space_scan(inst))
+
+
+def two_agent_search(m: int):
+    inst = Instance(n=2, m=m, valuations=(Additive(range(m)),) * 2)
+    return inst.valuations, lambda: best_response(inst, 0, {1: Ranking(tuple(range(m)))})
+
+
+def table(m: int):
+    return (), lambda: Table(m, [0] * (1 << m))
+
+
+def generation(m: int):
+    return (), lambda: generate(GeneratorSpec("submodular_table", 1, m, seed=0))
+
+
+# (operation named in the message, its last admitted m, its first refused
+# m, its builder, its estimate in steps at the first refused m)
+GUARDS = [
+    ("a table on", 19, 20, table, 20 * 2**20),
+    ("is_monotone on", 19, 20, class_check(is_monotone), 20 * 2**20),
+    ("is_additive on", 19, 20, class_check(is_additive), 20 * 2**20),
+    ("is_submodular on", 12, 13, class_check(is_submodular), 3**13 * 13),
+    ("is_subadditive on", 12, 13, class_check(is_subadditive), 4**13 // 2),
+    ("is_cancelable on", 10, 11, class_check(is_cancelable), 11 * 4**10),
+    ("class certification for the bound rule on", 10, 11, bound_rule, 11 * 4**10),
+    ("an exhaustive scan of 2 agents and", 6, 7, exhaustive_scan, math.factorial(7) ** 2 * 8),
+    ("best_response for agent 1 of 2 on", 14, 16, two_agent_search, 82_940_112),
+    ("generating a submodular_table on", 17, 18, generation, 3 * 18 * 2**18),
+]
+
+
+@pytest.mark.parametrize("what, last, past, build, estimate", GUARDS,
+                         ids=[g[0] for g in GUARDS])
+def test_each_guard_refuses_past_its_boundary_before_any_work(what, last, past, build, estimate):
+    oracles, run = build(past)
+    with pytest.raises(SizeGuardError) as refused:
+        run()
+    assert str(refused.value) == (
+        f"size guard: {what} {past} goods needs an estimated {estimate:,} steps, "
+        f"over the budget of {WORK_BUDGET:,}"
+    )
+    for v in oracles:
+        assert v._cache == {0: 0}  # no value_mask miss: nothing was tabulated or searched
+
+    _, run = build(last)
+    run()

@@ -137,8 +137,9 @@ def test_generator_spec_validation():
         GeneratorSpec(valuation_class="additive", n=2, m=4, seed=0, weight_range=(5, 2))
     from rrfair.valuations import SizeGuardError
 
+    assert generate(GeneratorSpec(valuation_class="additive", n=2, m=13, seed=0)).m == 13
     with pytest.raises(SizeGuardError):
-        GeneratorSpec(valuation_class="additive", n=2, m=13, seed=0)
+        generate(GeneratorSpec(valuation_class="submodular_table", n=2, m=18, seed=0))
 
 
 # ---------------------------------------------------------------------------
