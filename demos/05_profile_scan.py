@@ -18,7 +18,7 @@ print("certified bound rule:", rule.name)
 histogram = Counter()
 violations = 0
 for record in profile_space_scan(inst):
-    alpha = record.equilibrium.pne_factor
+    alpha = record.pne_factor
     histogram[alpha] += 1
     if record.fairness.ef1_factor < rule(alpha):
         violations += 1
@@ -34,4 +34,4 @@ print("fairness-bound violations:", violations)
 # they are deterministic per seed.
 sample = list(profile_space_scan(inst, samples=50, seed=7))
 print("\nsampled 50 profiles; min factor seen:",
-      min(r.equilibrium.pne_factor for r in sample))
+      min(r.pne_factor for r in sample))

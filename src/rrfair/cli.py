@@ -15,6 +15,7 @@ the text output is rendered from it alone, so both say the same things.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import sys
@@ -28,6 +29,7 @@ from .equilibria import (
     ProfileEvaluation,
     applicable_bound_rule,
     best_response,
+    check_search_work,
     evaluate_profile,
     profile_space_scan,
 )
@@ -350,7 +352,7 @@ def reproduction_rows(name: str, params: dict[str, Fraction]) -> list[tuple[str,
     values = {**FIXTURE_DEFAULTS[name], **params}
 
     if name == "no-pne":
-        best = max(rec.equilibrium.pne_factor for rec in profile_space_scan(inst))
+        best = max(rec.pne_factor for rec in profile_space_scan(inst))
         count = 24 * 24
         return [
             (f"max pne_factor over {count} profiles", Fraction(3, 4), best),
@@ -461,34 +463,29 @@ def cmd_scan(args: argparse.Namespace) -> int:
         rule = None
 
     summary: dict[str, Any] = {}  # filled in when the records run out
-    # By each distinct pne_factor: its json_frac block and the bound rule(pne)
-    # (None without a rule).  By each distinct ef1_factor: its block.  The
-    # summary's extremes are taken over these keys.
-    pnes: dict[Factor, tuple[dict[str, Any], Factor | None]] = {}
-    ef1s: dict[Factor, dict[str, Any]] = {}
 
     def records() -> Iterator[dict[str, Any]]:
+        # Each record's tail (its two json_frac blocks and bound_ok) by the
+        # record's int key, which the scan makes equal exactly for equal
+        # (pne_factor, ef1_factor); Fractions are compared only for a new key,
+        # and the summary's extremes are taken over those keys' factors.
+        tails: dict[tuple[int, ...], tuple[dict[str, Any], dict[str, Any], bool | None]] = {}
+        pnes: list[Factor] = []
+        ef1s: list[Factor] = []
         count = 0
         violations = 0
         for record in profile_space_scan(inst, samples=args.samples, seed=args.seed):
             count += 1
-            pne = record.equilibrium.pne_factor
-            ef1 = record.fairness.ef1_factor
-            seen = pnes.get(pne)
-            if seen is None:
-                seen = pnes[pne] = (json_frac(pne), None if rule is None else rule(pne))
-            pne_block, bound = seen
-            ef1_block = ef1s.get(ef1)
-            if ef1_block is None:
-                ef1_block = ef1s[ef1] = json_frac(ef1)
-            bound_ok = None if bound is None else ef1 >= bound
-            violations += bound_ok is False
-            yield {
-                "profile": [r.order for r in record.profile.rankings],
-                "pne_factor": pne_block,
-                "ef1_factor": ef1_block,
-                "bound_ok": bound_ok,
-            }
+            tail = tails.get(record.key)
+            if tail is None:
+                pne, ef1 = record.pne_factor, record.fairness.ef1_factor
+                pnes.append(pne)
+                ef1s.append(ef1)
+                tail = tails[record.key] = (json_frac(pne), json_frac(ef1),
+                                            None if rule is None else ef1 >= rule(pne))
+            violations += tail[2] is False
+            yield {"profile": record.orders, "pne_factor": tail[0], "ef1_factor": tail[1],
+                   "bound_ok": tail[2]}
         summary.update(
             profiles=count,
             min_pne_factor=json_frac(min(pnes, default=UNBOUNDED)),
@@ -508,15 +505,23 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def print_scan_report(doc: dict[str, Any]) -> None:
+    # Each distinct order and each distinct (pne, ef1, verdict) tail is rendered once.
+    write = sys.stdout.write
+
+    @functools.cache
+    def order_text(order: tuple[int, ...]) -> str:
+        return "".join(map(str, order)) if len(order) <= 10 else str(list(order))
+
+    tails: dict[tuple[str, str, bool | None], str] = {}
     for entry in doc["records"]:
-        profile = " | ".join(
-            "".join(str(g) for g in order) if len(order) <= 10 else str(list(order))
-            for order in entry["profile"]
-        )
-        verdict = entry["bound_ok"]
-        print(f"profile {profile}  pne {fmt_frac(entry['pne_factor'])}  "
-              f"ef1 {fmt_frac(entry['ef1_factor'])}"
-              + ("" if verdict is None else f"  bound {'ok' if verdict else 'VIOLATED'}"))
+        profile = " | ".join([order_text(tuple(order)) for order in entry["profile"]])
+        pne, ef1, verdict = entry["pne_factor"], entry["ef1_factor"], entry["bound_ok"]
+        tail = tails.get((pne["frac"], ef1["frac"], verdict))
+        if tail is None:
+            tail = tails[pne["frac"], ef1["frac"], verdict] = (
+                f"  pne {fmt_frac(pne)}  ef1 {fmt_frac(ef1)}"
+                + ("" if verdict is None else f"  bound {'ok' if verdict else 'VIOLATED'}"))
+        write(f"profile {profile}{tail}\n")
     summary = doc["summary"]
     print(f"{summary['profiles']} profiles, pne_factor in "
           f"[{fmt_frac(summary['min_pne_factor'])}, {fmt_frac(summary['max_pne_factor'])}], "
@@ -632,8 +637,9 @@ def cmd_best_response(args: argparse.Namespace) -> int:
     if not 1 <= args.agent <= inst.n:
         raise InputError(f"--agent must be in 1..{inst.n}")
     agent = args.agent - 1
-    profile, source = profile_from_source(inst, args.profile)
     padded, padding = pad_to_multiple(inst)
+    check_search_work(padded.m, padded.n, agent)  # before the reports are built
+    profile, source = profile_from_source(inst, args.profile)
     padded_profile = profile.extended(padded.m)
     response = best_response(padded, agent, padded_profile.others(agent))
     alloc, _ = round_robin(padded, padded_profile)

@@ -32,6 +32,7 @@ from .mechanism import (
     Allocation,
     Profile,
     Ranking,
+    deal,
     pad_to_multiple,
     ranking_from_picks,
     round_robin,
@@ -46,6 +47,7 @@ from .valuations import (
     is_cancelable,
     is_subadditive,
     is_submodular,
+    mask_to_bundle,
 )
 
 _ONE = Fraction(1)
@@ -76,14 +78,35 @@ class AgentEquilibrium(NamedTuple):
     ratio: Factor  # current / best, UNBOUNDED when the best response is worthless
 
 
-# Scan memos.  `ResponseMemo`: by (agent, the other agents' orders in agent
-# order), the agent's equilibrium row for each bundle she was seen to get;
-# all rows of one key share its best-response value.  `ReportMemo`: fairness
-# reports by the bundles over the real goods.
-ResponseMemo = dict[
-    tuple[int, tuple[tuple[int, ...], ...]], dict[frozenset[int], AgentEquilibrium]
-]
-ReportMemo = dict[tuple[frozenset[int], ...], FairnessReport]
+Orders = tuple[tuple[int, ...], ...]  # one order of the goods per agent
+# An agent's equilibrium row: her ratio capped at 1 (an unbounded ratio
+# counts as 1) as a reduced int pair (p, q) and as a Fraction, and her entry.
+Row = tuple[int, int, Fraction, AgentEquilibrium]
+
+
+class ResponseMemo:
+    """Equilibrium rows and best-response values shared by the profiles of one instance.
+
+    `rows` is keyed by (agent, the other agents' orders in agent order,
+    bundle mask) and `best` by (agent, others' orders): a row depends on
+    nothing else, and its best-response value not on the bundle.
+    """
+
+    def __init__(self) -> None:
+        self.rows: dict[tuple[int, Orders, int], Row] = {}
+        self.best: dict[tuple[int, Orders], Fraction] = {}
+
+    def add_row(self, inst: Instance, agent: int, others: Orders, mask: int,
+                best: Fraction) -> Row:
+        """Make and keep `agent`'s row for bundle `mask`, given her best-response value."""
+        v = inst.valuations[agent]
+        current = Fraction(v.value_mask(mask), v.scale)
+        ratio: Factor = UNBOUNDED if best == 0 else current / best
+        capped = ratio if ratio < 1 else _ONE
+        row = self.rows[agent, others, mask] = (
+            capped.numerator, capped.denominator, capped,
+            AgentEquilibrium(agent, current, best, ratio))
+        return row
 
 
 @dataclass(frozen=True)
@@ -116,6 +139,12 @@ def search_states(m: int, n: int, agent: int) -> int:
     return total
 
 
+def check_search_work(m: int, n: int, agent: int) -> None:
+    """Refuse a best-response search for `agent` on m (padded) goods over the work budget."""
+    check_work(m * search_states(m, n, agent),  # m children per state
+               f"best_response for agent {agent + 1} of {n} on {m} goods")
+
+
 def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking]) -> BestResponse:
     """Maximize `agent`'s true value over all ranking deviations.
 
@@ -126,8 +155,7 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking]) -> 
         raise ValueError(f"m = {inst.m} is not a multiple of n = {inst.n}; pad first")
     if set(others) != set(range(inst.n)) - {agent}:
         raise ValueError("`others` must cover exactly the agents other than `agent`")
-    check_work(inst.m * search_states(inst.m, inst.n, agent),  # m children per state
-               f"best_response for agent {agent + 1} of {inst.n} on {inst.m} goods")
+    check_search_work(inst.m, inst.n, agent)
 
     m, n = inst.m, inst.n
     v = inst.valuations[agent]
@@ -241,45 +269,43 @@ def pne_factor(
     reachable bundles) imposes no constraint and counts as ratio 1.
 
     `allocation` is the mechanism's outcome on `profile`, when the caller
-    already has it.  A row depends only on the agent, the other agents'
-    orders and her bundle, so it is read from `responses` (a
-    `ResponseMemo`); `best_response` runs only for a new (agent, others)
-    key, and a new bundle under a known key reuses its best-response value.
-    Pass one dict across calls on the same instance to share the rows;
-    without one, a fresh dict serves this call alone.
+    already has it.  Rows are read from `responses`: `best_response` runs
+    only for a new (agent, others) key, and a new bundle under a known key
+    reuses its best-response value.  Pass one memo across calls on the same
+    instance to share the rows; without one, a fresh memo serves this call
+    alone.  The minimum is taken by cross-multiplying the rows' int pairs.
     """
     if allocation is None:
         allocation, _ = round_robin(inst, profile)
     if responses is None:
-        responses = {}
+        responses = ResponseMemo()
     orders = tuple(r.order for r in profile.rankings)
     per_agent = []
-    factor = _ONE
-    for i in range(inst.n):
-        bundle = allocation.bundles[i]
-        key = (i, orders[:i] + orders[i + 1:])
-        rows = responses.get(key)
-        if rows is None:
-            rows = responses[key] = {}
-        row = rows.get(bundle)
+    p, q, factor = 1, 1, _ONE
+    for i, bundle in enumerate(allocation.bundles):
+        others = orders[:i] + orders[i + 1:]
+        mask = sum(1 << g for g in bundle)
+        row = responses.rows.get((i, others, mask))
         if row is None:
-            if rows:
-                best = next(iter(rows.values())).best_response_value
-            else:
-                best = best_response(inst, i, profile.others(i)).value
-            current = inst.valuations[i].value(bundle)
-            ratio: Factor = UNBOUNDED if best == 0 else current / best
-            row = rows[bundle] = AgentEquilibrium(i, current, best, ratio)
-        if row.ratio < factor:
-            factor = row.ratio
-        per_agent.append(row)
+            best = responses.best.get((i, others))
+            if best is None:
+                best = responses.best[i, others] = best_response(
+                    inst, i, profile.others(i)).value
+            row = responses.add_row(inst, i, others, mask, best)
+        if row[0] * q < p * row[1]:
+            p, q, factor = row[0], row[1], row[2]
+        per_agent.append(row[3])
     return EquilibriumReport(tuple(per_agent), factor)
 
 
 class ScanRecord(NamedTuple):
-    profile: Profile  # over the real goods (dummies stripped)
-    equilibrium: EquilibriumReport
+    orders: Orders  # over the real goods
+    per_agent: tuple[AgentEquilibrium, ...]
+    pne_factor: Fraction
     fairness: FairnessReport
+    # pne_factor and fairness.ef1_factor as reduced int pairs (p, q, p', q'),
+    # an unbounded ef1 factor as (1, 0): equal keys mean equal factors.
+    key: tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -322,7 +348,7 @@ def evaluate_profile(inst: Instance, profile: Profile) -> ProfileEvaluation:
 
 def profile_orders(
     inst: Instance, *, samples: int | None = None, seed: int = 0
-) -> Iterator[tuple[tuple[int, ...], ...]]:
+) -> Iterator[Orders]:
     """Per-agent good orders for a scan: all of them, or a seeded sample.
 
     Exhaustive enumeration is lexicographic and refuses (m!)^n profiles
@@ -341,30 +367,57 @@ def profile_orders(
             yield tuple(tuple(rng.sample(range(inst.m), inst.m)) for _ in range(inst.n))
 
 
-def scan_one_profile(
-    inst: Instance,
-    padded: Instance,
-    profile: Profile,
-    padded_profile: Profile,
-    responses: ResponseMemo,
-    reports: ReportMemo,
-) -> ScanRecord:
+class ScanMemo(ResponseMemo):
+    """What a scan of one instance keeps from profile to profile.
+
+    The equilibrium rows over the padded goods, and fairness reports with
+    their ef1 int pair by the bundle masks over the real goods (`reports`).
+    """
+
+    def __init__(self, inst: Instance) -> None:
+        super().__init__()
+        self.inst = inst
+        self.padded, self.padding = pad_to_multiple(inst)
+        self.rounds = self.padded.m // inst.n
+        self.dummies = tuple(range(inst.m, self.padded.m))
+        self.real = (1 << inst.m) - 1  # the mask of the real goods
+        self.reports: dict[tuple[int, ...], tuple[FairnessReport, tuple[int, int]]] = {}
+
+
+def scan_one_profile(scan: ScanMemo, orders: Orders) -> ScanRecord:
     """Evaluate a single scanned profile (equilibrium plus fairness).
 
-    `profile` ranks the real goods and `padded_profile` is its extension to
-    `padded` (the same object when nothing is padded).  The mechanism runs
-    once.  Equilibrium rows come from `responses` (see `pne_factor`) and
-    fairness reports from `reports`, keyed by the allocation's bundles over
-    the real goods; both dicts belong to `padded` and fill up as the scan
-    goes.
+    `orders` ranks the real goods.  The profile is dealt once over its
+    padded orders; rows and the fairness report come from `scan`.  Only a
+    profile that needs a new best response builds a `Profile`, on which
+    `pne_factor` fills its rows.  The factor is the least row, found by
+    cross-multiplying the rows' int pairs.
     """
-    alloc, _ = round_robin(padded, padded_profile)
-    equilibrium = pne_factor(padded, padded_profile, allocation=alloc, responses=responses)
-    real = alloc if padded.m == inst.m else strip_padding(alloc, inst.m)
-    fairness = reports.get(real.bundles)
+    padded = tuple([order + scan.dummies for order in orders]) if scan.padding else orders
+    _, masks = deal(padded, scan.rounds)
+    per_agent = []
+    p, q, factor = 1, 1, _ONE
+    for i, mask in enumerate(masks):
+        others = padded[:i] + padded[i + 1:]
+        row = scan.rows.get((i, others, mask))
+        if row is None:
+            best = scan.best.get((i, others))
+            if best is None:
+                pne_factor(scan.padded, Profile(tuple(map(Ranking, padded))), responses=scan)
+                row = scan.rows[i, others, mask]
+            else:
+                row = scan.add_row(scan.padded, i, others, mask, best)
+        if row[0] * q < p * row[1]:
+            p, q, factor = row[0], row[1], row[2]
+        per_agent.append(row[3])
+    real = tuple([mask & scan.real for mask in masks]) if scan.padding else tuple(masks)
+    fairness = scan.reports.get(real)
     if fairness is None:
-        fairness = reports[real.bundles] = ef1_factor(inst, real)
-    return ScanRecord(profile, equilibrium, fairness)
+        report = ef1_factor(scan.inst, Allocation(tuple(map(mask_to_bundle, real))))
+        ef1 = report.ef1_factor
+        fairness = scan.reports[real] = (
+            report, (1, 0) if ef1 == UNBOUNDED else (ef1.numerator, ef1.denominator))
+    return ScanRecord(orders, tuple(per_agent), factor, fairness[0], (p, q) + fairness[1])
 
 
 def profile_space_scan(
@@ -376,30 +429,15 @@ def profile_space_scan(
     lexicographic order; sampled mode draws `samples` uniform profiles from
     a seeded generator.  Both are deterministic.
 
-    The scan runs the mechanism once per profile and keeps two memos for its
-    whole length: equilibrium rows by (agent, the other agents' orders,
-    bundle), with one best response per (agent, others), and fairness
-    reports by allocation.  All are pure functions of their keys, so the
-    records equal those of unshared evaluation; only values are kept, never
-    a search's own memo table.  Each distinct order's `Ranking`, and its
-    extension to the padded goods, is built once per scan.
+    The scan deals each profile once and keeps a `ScanMemo` for its whole
+    length: equilibrium rows by (agent, the other agents' orders, bundle),
+    with one best response per (agent, others), and fairness reports by
+    allocation.  All are pure functions of their keys, so the records equal
+    those of unshared evaluation; no search's own memo table is kept.
     """
-    padded, _ = pad_to_multiple(inst)
-    responses: ResponseMemo = {}
-    reports: ReportMemo = {}
-    rankings: dict[tuple[int, ...], tuple[Ranking, Ranking]] = {}
+    scan = ScanMemo(inst)
     for orders in profile_orders(inst, samples=samples, seed=seed):
-        pairs = []
-        for order in orders:
-            pair = rankings.get(order)
-            if pair is None:
-                ranking = Ranking(order)
-                pair = rankings[order] = (ranking, ranking.extended(padded.m))
-            pairs.append(pair)
-        profile = Profile(tuple(real for real, _ in pairs))
-        padded_profile = profile if padded.m == inst.m else Profile(
-            tuple(extended for _, extended in pairs))
-        yield scan_one_profile(inst, padded, profile, padded_profile, responses, reports)
+        yield scan_one_profile(scan, orders)
 
 
 @dataclass(frozen=True)

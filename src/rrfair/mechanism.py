@@ -12,7 +12,7 @@ All indices here are zero-based: goods 0..m-1, agents 0..n-1, rounds
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, NamedTuple
+from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
 from .valuations import Instance
 
@@ -169,6 +169,28 @@ def strip_padding(alloc: Allocation, m_real: int) -> Allocation:
     return Allocation(tuple(frozenset(g for g in b if g < m_real) for b in alloc.bundles))
 
 
+def deal(orders: Sequence[tuple[int, ...]], rounds: int) -> tuple[list[int], list[int]]:
+    """The unchecked core of `round_robin`: the picks in order, and each agent's bundle mask.
+
+    `orders` holds one order of all goods per agent; one bitmask tracks the
+    goods taken so far.
+    """
+    taken = 0
+    picks: list[int] = []
+    masks = [0] * len(orders)
+    agents = range(len(orders))
+    for _ in range(rounds):
+        for i in agents:
+            for g in orders[i]:
+                bit = 1 << g
+                if not taken & bit:
+                    break
+            taken |= bit
+            picks.append(g)
+            masks[i] |= bit
+    return picks, masks
+
+
 def round_robin(inst: Instance, profile: Profile) -> tuple[Allocation, Trace]:
     """Run the mechanism on a reported profile.
 
@@ -185,21 +207,13 @@ def round_robin(inst: Instance, profile: Profile) -> tuple[Allocation, Trace]:
         raise ValueError(f"profile ranks {profile.m} goods, instance has {inst.m}")
 
     n = inst.n
-    orders = [r.order for r in profile.rankings]
-    taken = 0  # bit g is set once good g is allocated
-    picks: list[int] = []
-    for _ in range(inst.m // n):
-        for order in orders:
-            for g in order:
-                if not taken >> g & 1:
-                    break
-            taken |= 1 << g
-            picks.append(g)
+    picks, _ = deal([r.order for r in profile.rankings], inst.m // n)
     return Allocation(tuple(frozenset(picks[i::n]) for i in range(n))), Trace(tuple(picks), n)
 
 
 def ranking_from_picks(picks: Iterable[int], m: int) -> Ranking:
     """Ranking listing `picks` first (in order), then the rest ascending."""
     picks = tuple(picks)
-    rest = tuple(g for g in range(m) if g not in set(picks))
+    chosen = set(picks)
+    rest = tuple(g for g in range(m) if g not in chosen)
     return Ranking(picks + rest)

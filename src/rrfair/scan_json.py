@@ -9,6 +9,7 @@ selects; `write_scan_json` writes the same bytes one record at a time.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from typing import Any
@@ -30,32 +31,28 @@ def write_scan_json(doc: dict[str, Any]) -> None:
     """Print `json.dumps(doc, indent=2)` and a newline, each record as it is pulled.
 
     The record layout is fixed, so it is written directly; each distinct
-    order and each distinct {"frac", "dec"} block is rendered once.  Nothing
-    is written before the first record is pulled, so a scan its guard
-    refuses prints nothing; every other scan has at least one record.
+    order and each distinct (pne_factor, ef1_factor, bound_ok) tail is
+    rendered once.  Nothing is written before the first record is pulled,
+    so a scan its guard refuses prints nothing; every other scan has at
+    least one record.
     """
     write = sys.stdout.write
-    orders: dict[tuple[int, ...], str] = {}
-    blocks: dict[str, str] = {}
 
+    @functools.cache
     def order_text(order: tuple[int, ...]) -> str:
-        text = orders.get(order)
-        if text is None:
-            text = orders[order] = "        " + _json_at(order, 4)
-        return text
+        return "        " + _json_at(order, 4)
 
-    def block_text(block: dict[str, Any]) -> str:
-        text = blocks.get(block["frac"])
-        if text is None:
-            text = blocks[block["frac"]] = _json_at(block, 3)
-        return text
-
+    tails: dict[tuple[str, str, bool | None], str] = {}
     head = '{\n  "records": [\n'
     for entry in doc["records"]:
-        profile = ",\n".join(order_text(tuple(order)) for order in entry["profile"])
-        write(f'{head}    {{\n      "profile": [\n{profile}\n      ],\n'
-              f'      "pne_factor": {block_text(entry["pne_factor"])},\n'
-              f'      "ef1_factor": {block_text(entry["ef1_factor"])},\n'
-              f'      "bound_ok": {_JSON_LITERALS[entry["bound_ok"]]}\n    }}')
+        profile = ",\n".join([order_text(tuple(order)) for order in entry["profile"]])
+        pne, ef1, verdict = entry["pne_factor"], entry["ef1_factor"], entry["bound_ok"]
+        tail = tails.get((pne["frac"], ef1["frac"], verdict))
+        if tail is None:
+            tail = tails[pne["frac"], ef1["frac"], verdict] = (
+                f'      "pne_factor": {_json_at(pne, 3)},\n'
+                f'      "ef1_factor": {_json_at(ef1, 3)},\n'
+                f'      "bound_ok": {_JSON_LITERALS[verdict]}\n    }}')
+        write(f'{head}    {{\n      "profile": [\n{profile}\n      ],\n{tail}')
         head = ",\n"
     write(f'\n  ],\n  "summary": {_json_at(doc["summary"], 1)}\n}}\n')

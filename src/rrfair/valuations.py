@@ -257,7 +257,8 @@ class OXS(Valuation):
     Edges are (good, slot label, weight) triples; slot labels may be any
     strings or integers.  OXS functions are monotone submodular.  The
     matching runs on an adjacency built once: per good, (slot index,
-    weight times `scale`) pairs, parallel edges collapsed to the heaviest.
+    weight times `scale`) pairs, parallel edges collapsed to the heaviest;
+    every good without an edge shares one empty row.
     """
 
     subadditive_by_construction = True
@@ -281,12 +282,17 @@ class OXS(Valuation):
         self.edges = tuple(normalized)
         self._slots = len(labels)
         super().__init__(m, _lcd(w for _, _, w in normalized))
-        heaviest: list[dict[int, int]] = [{} for _ in range(m)]
+        heaviest: dict[tuple[int, int], int] = {}  # by (good, slot)
         for good, label, w in normalized:
-            slot, x = labels[label], _scaled(w, self.scale)
-            if heaviest[good].get(slot, -1) < x:
-                heaviest[good][slot] = x
-        self._adjacency = tuple(tuple(row.items()) for row in heaviest)
+            key, x = (good, labels[label]), _scaled(w, self.scale)
+            if heaviest.get(key, -1) < x:
+                heaviest[key] = x
+        rows: dict[int, list[tuple[int, int]]] = {}
+        for (good, slot), x in heaviest.items():
+            rows.setdefault(good, []).append((slot, x))
+        self._adjacency: list[tuple[tuple[int, int], ...]] = [()] * m  # one shared empty row
+        for good, row in rows.items():
+            self._adjacency[good] = tuple(row)
 
     def _value_mask(self, mask: int) -> int:
         adjacency = self._adjacency

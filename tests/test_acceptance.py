@@ -87,7 +87,7 @@ def test_criterion_01_no_pne_scan():
     with criterion(1, "no profile of the 2x4 table instance beats factor 3/4"):
         start = time.perf_counter()
         factors = [
-            record.equilibrium.pne_factor for record in profile_space_scan(no_pne_instance())
+            record.pne_factor for record in profile_space_scan(no_pne_instance())
         ]
         elapsed = time.perf_counter() - start
         assert len(factors) == 576
@@ -173,7 +173,7 @@ def test_criterion_07_two_agent_bounds_hold_on_exhaustive_scans():
             count = 0
             for record in profile_space_scan(inst):
                 count += 1
-                alpha = record.equilibrium.pne_factor
+                alpha = record.pne_factor
                 assert record.fairness.ef1_factor >= rule(alpha), inst.description
             assert count == 576
 
@@ -193,7 +193,7 @@ def test_criterion_08_three_agent_bounds_hold_on_sampled_scans():
                 )
                 rule = applicable_bound_rule(inst)
                 for record in profile_space_scan(inst, samples=1000, seed=80 + k):
-                    alpha = record.equilibrium.pne_factor
+                    alpha = record.pne_factor
                     assert record.fairness.ef1_factor >= rule(alpha), inst.description
         elapsed = time.perf_counter() - start
         assert elapsed < 600.0, f"took {elapsed:.1f}s"

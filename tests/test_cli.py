@@ -350,11 +350,11 @@ def reference_scan_document(inst, samples, scan_seed):
         rule = None
     records, pnes, ef1s = [], [], []
     for record in profile_space_scan(inst, samples=samples, seed=scan_seed):
-        pne, ef1 = record.equilibrium.pne_factor, record.fairness.ef1_factor
+        pne, ef1 = record.pne_factor, record.fairness.ef1_factor
         pnes.append(pne)
         ef1s.append(ef1)
         records.append({
-            "profile": [list(r.order) for r in record.profile.rankings],
+            "profile": [list(order) for order in record.orders],
             "pne_factor": json_frac(pne),
             "ef1_factor": json_frac(ef1),
             "bound_ok": None if rule is None else ef1 >= rule(pne),
@@ -370,21 +370,21 @@ def reference_scan_document(inst, samples, scan_seed):
     return {"records": records, "summary": summary}
 
 
-def streamed_scan_json(inst, samples, scan_seed):
-    """The stdout of `scan --json` on `inst`, which writes it record by record."""
+def streamed_scan_output(inst, samples, scan_seed, *flags):
+    """The stdout of `scan` on `inst`, which writes it record by record."""
     mode = ["--exhaustive"] if samples is None else ["--samples", str(samples)]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "instance.json"
         save(inst, path)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = main(["scan", str(path), *mode, "--seed", str(scan_seed), "--json"])
+            code = main(["scan", str(path), *mode, "--seed", str(scan_seed), *flags])
     assert code == 0
     return out.getvalue()
 
 
 def assert_streamed_json_is_the_dumped_document(inst, samples, scan_seed):
-    out = streamed_scan_json(inst, samples, scan_seed)
+    out = streamed_scan_output(inst, samples, scan_seed, "--json")
     assert out == json.dumps(reference_scan_document(inst, samples, scan_seed), indent=2) + "\n"
     return out
 
@@ -418,6 +418,16 @@ def streamed_scan_cases(draw):
 @given(case=streamed_scan_cases())
 def test_streamed_scan_json_equals_the_dumped_document(case):
     assert_streamed_json_is_the_dumped_document(*case)
+
+
+@seed(20230131)
+@settings(max_examples=40, deadline=None)
+@given(case=streamed_scan_cases())
+def test_streamed_scan_text_renders_the_dumped_document(case):
+    rendered = io.StringIO()
+    with contextlib.redirect_stdout(rendered):
+        print_scan_report(reference_scan_document(*case))
+    assert streamed_scan_output(*case) == rendered.getvalue()
 
 
 @pytest.mark.parametrize("inst, samples, shows", [
@@ -639,6 +649,21 @@ def test_best_response_size_guard_exits_3_without_traceback(tmp_path):
     assert "best_response for agent 1 of 2 on 16 goods needs an estimated 82,940,112 steps" \
         in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_best_response_guard_refuses_before_the_profile_is_built(capsys, monkeypatch, tmp_path):
+    def unreachable(inst):
+        raise AssertionError("truthful_profile ran before the search guard")
+
+    monkeypatch.setattr(cli, "truthful_profile", unreachable)
+    path = tmp_path / "big.json"
+    save(Instance(n=2, m=16, valuations=(Additive(list(range(16))),) * 2), path)
+    assert main(["best-response", str(path), "--agent", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: size guard: best_response for agent 1 of 2 on 16 goods needs an estimated "
+        "82,940,112 steps, over the budget of 10,000,000\n")
 
 
 # ---------------------------------------------------------------------------

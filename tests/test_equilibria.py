@@ -15,7 +15,6 @@ from conftest import brute_force_best_response, random_profile, reference_best_r
 from rrfair import equilibria
 from rrfair.equilibria import (
     NoApplicableBoundError,
-    ScanRecord,
     applicable_bound_rule,
     best_response,
     evaluate_profile,
@@ -300,15 +299,15 @@ def test_scan_of_the_no_pne_instance():
     inst = no_pne_instance()
     records = list(profile_space_scan(inst))
     assert len(records) == 576
-    best = max(r.equilibrium.pne_factor for r in records)
+    best = max(r.pne_factor for r in records)
     assert best == F(3, 4)
-    assert all(r.equilibrium.pne_factor <= F(3, 4) for r in records)
+    assert all(r.pne_factor <= F(3, 4) for r in records)
 
 
 def test_single_agent_profiles_are_exact_equilibria():
     inst = Instance(n=1, m=3, valuations=(Additive([3, 1, 2]),))
     for record in profile_space_scan(inst):
-        assert record.equilibrium.pne_factor == 1
+        assert record.pne_factor == 1
 
 
 def test_scan_guard_rejects_oversized_exhaustive_runs():
@@ -319,22 +318,23 @@ def test_scan_guard_rejects_oversized_exhaustive_runs():
 
 def test_sampled_scan_is_deterministic_per_seed():
     inst = no_pne_instance()
-    first = [r.profile for r in profile_space_scan(inst, samples=20, seed=9)]
-    second = [r.profile for r in profile_space_scan(inst, samples=20, seed=9)]
-    other = [r.profile for r in profile_space_scan(inst, samples=20, seed=10)]
+    first = [r.orders for r in profile_space_scan(inst, samples=20, seed=9)]
+    second = [r.orders for r in profile_space_scan(inst, samples=20, seed=9)]
+    other = [r.orders for r in profile_space_scan(inst, samples=20, seed=10)]
     assert first == second
     assert first != other
 
 
 def unshared_scan(inst, *, samples=None, seed=0):
-    """Scan records evaluated one profile at a time, with no memo shared between them."""
+    """Each profile's orders, rows, factor and fairness, with no memo shared between profiles."""
     padded, _ = pad_to_multiple(inst)
     for orders in profile_orders(inst, samples=samples, seed=seed):
         profile = Profile(tuple(Ranking(order) for order in orders))
         padded_profile = profile.extended(padded.m)
         alloc, _ = round_robin(padded, padded_profile)
-        yield ScanRecord(profile, pne_factor(padded, padded_profile),
-                         ef1_factor(inst, strip_padding(alloc, inst.m)))
+        equilibrium = pne_factor(padded, padded_profile)
+        yield (orders, equilibrium.per_agent, equilibrium.pne_factor,
+               ef1_factor(inst, strip_padding(alloc, inst.m)))
 
 
 @st.composite
@@ -360,32 +360,47 @@ def scan_cases(draw):
 @given(case=scan_cases())
 def test_scan_memos_match_unshared_evaluation(case):
     inst, samples, scan_seed = case
-    assert (list(profile_space_scan(inst, samples=samples, seed=scan_seed))
-            == list(unshared_scan(inst, samples=samples, seed=scan_seed)))
+    records = list(profile_space_scan(inst, samples=samples, seed=scan_seed))
+    assert [record[:4] for record in records] == list(
+        unshared_scan(inst, samples=samples, seed=scan_seed))
+    for record in records:
+        # The factor is the least ratio, an unbounded one counting as 1, and
+        # the key spells out both factors as reduced int pairs.
+        pne, ef1 = record.pne_factor, record.fairness.ef1_factor
+        assert pne == min([F(1), *(row.ratio for row in record.per_agent)])
+        assert record.key == (pne.numerator, pne.denominator) + (
+            (1, 0) if ef1 == UNBOUNDED else (ef1.numerator, ef1.denominator))
 
 
 def test_scan_runs_each_mechanism_search_and_score_once(monkeypatch):
     calls = Counter()
 
-    def count_calls(name):
-        original = getattr(equilibria, name)
-
+    def counting(name, original):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(equilibria, name, wrapper)
+        return wrapper
 
-    for name in ("round_robin", "best_response", "ef1_factor"):
-        count_calls(name)
+    for name in ("deal", "round_robin", "best_response", "ef1_factor"):
+        monkeypatch.setattr(equilibria, name, counting(name, getattr(equilibria, name)))
+    monkeypatch.setattr(Profile, "__post_init__", counting("Profile", Profile.__post_init__))
     inst = no_pne_instance()
     records = list(profile_space_scan(inst))
+    scan_calls = dict(calls)
     assert len(records) == 576
-    allocations = {round_robin(inst, record.profile)[0] for record in records}
-    # One mechanism run per profile, one search per (agent, other agent's
-    # ranking), one score per distinct allocation.
-    assert calls == {"round_robin": 576, "best_response": 2 * 24,
-                     "ef1_factor": len(allocations)}
+    allocations = {}
+    for record in records:
+        allocations[record.orders] = round_robin(
+            inst, Profile(tuple(Ranking(order) for order in record.orders)))[0]
+    # One deal per profile, one search per (agent, other agent's ranking),
+    # one score per distinct allocation.
+    assert (scan_calls["deal"], scan_calls["best_response"], scan_calls["ef1_factor"]) == (
+        576, 2 * 24, len(set(allocations.values())))
+    # A `Profile` is built only for a profile that misses a memoised row.
+    misses = {(i, orders[:i] + orders[i + 1:], alloc.bundles[i])
+              for orders, alloc in allocations.items() for i in range(inst.n)}
+    assert scan_calls["Profile"] <= len(misses) < 576
 
     calls.clear()
     evaluate_profile(inst, truthful_profile(inst))
@@ -397,7 +412,7 @@ def test_submodular_scan_respects_half_bound_per_profile():
     rule = applicable_bound_rule(inst)
     assert rule.name.startswith("alpha/2")
     for record in profile_space_scan(inst):
-        alpha = record.equilibrium.pne_factor
+        alpha = record.pne_factor
         assert record.fairness.ef1_factor >= alpha / 2
 
 
