@@ -35,26 +35,25 @@ from .equilibria import (
 )
 from .fairness import UNBOUNDED, Factor, FairnessReport
 from .instances import (
+    CLASS_NAMES,
     FIXTURES,
+    GENERATOR_CLASSES,
     ConstraintError,
     GeneratorSpec,
     SchemaError,
+    build_fixture,
     dumps,
     generate,
     load,
+    save,
 )
 from .mechanism import Profile, Ranking, pad_to_multiple, round_robin
 from .profiles import bluff_profile, truthful_profile
 from .scan_json import write_scan_json
 from .valuations import (
-    OXS,
-    Additive,
-    BudgetAdditive,
     ClassCheck,
     Instance,
     SizeGuardError,
-    Table,
-    UnitDemand,
     is_additive,
     is_cancelable,
     is_monotone,
@@ -118,16 +117,6 @@ def fmt_goods(goods: Iterable[int]) -> str:
 
 def fmt_ranking(order: Sequence[int]) -> str:
     return " > ".join(fmt_good(g) for g in order)
-
-
-def valuation_class_name(v: Any) -> str:
-    return {
-        Additive: "additive",
-        BudgetAdditive: "budget_additive",
-        UnitDemand: "unit_demand",
-        OXS: "oxs",
-        Table: "table",
-    }[type(v)]
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +193,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "instance": {
             "agents": inst.n,
             "goods": inst.m,
-            "classes": [valuation_class_name(v) for v in inst.valuations],
+            "classes": [CLASS_NAMES[type(v)] for v in inst.valuations],
             "description": inst.description,
         },
         "profile": {"source": source, "rankings": [list(r.order) for r in profile.rankings]},
@@ -314,19 +303,11 @@ def print_run_report(doc: dict[str, Any]) -> None:
 # reproduce
 
 
-def _parameter_defaults(builder: Callable[..., Instance]) -> dict[str, Fraction]:
-    """A builder's parameter defaults by `--param` name; a sequence `eps` gives eps1, eps2, ..."""
-    defaults: dict[str, Fraction] = {}
-    for p in inspect.signature(builder).parameters.values():
-        if isinstance(p.default, tuple):
-            defaults.update((f"{p.name}{k}", Fraction(x)) for k, x in enumerate(p.default, 1))
-        else:
-            defaults[p.name] = Fraction(p.default)
-    return defaults
-
-
 # Every fixture parameter and its default, read from the builders' signatures.
-FIXTURE_DEFAULTS = {name: _parameter_defaults(builder) for name, builder in FIXTURES.items()}
+FIXTURE_DEFAULTS = {
+    name: {p.name: Fraction(p.default) for p in inspect.signature(builder).parameters.values()}
+    for name, builder in FIXTURES.items()
+}
 
 
 def build_named_fixture(name: str, params: dict[str, Fraction]) -> Instance:
@@ -336,12 +317,8 @@ def build_named_fixture(name: str, params: dict[str, Fraction]) -> Instance:
     if unknown:
         raise InputError(f"fixture {name!r} takes parameters {tuple(defaults)}, "
                          f"not {sorted(unknown)}")
-    values = {**defaults, **params}
     try:
-        if name == "oxs-lower-bound":  # its builder takes eps1..eps6 as one sequence
-            eps = tuple(values[f"eps{k}"] for k in range(1, 7))
-            return FIXTURES[name](eps, values["beta"])
-        return FIXTURES[name](**values)
+        return build_fixture(name, **params)
     except ConstraintError as exc:
         raise InputError(str(exc)) from None
 
@@ -390,16 +367,15 @@ def reproduction_rows(name: str, params: dict[str, Fraction]) -> list[tuple[str,
         ]
 
     assert name == "oxs-lower-bound"
-    eps = [values[f"eps{k}"] for k in range(1, 7)]
-    b = values["beta"]
+    e1, e4, b = values["eps1"], values["eps4"], values["beta"]
     agent4 = Ranking((2, 5, 7, 0, 1, 3, 4, 6, 8))
     profile = Profile(truthful_profile(inst).rankings[:3] + (agent4,))
     evaluation = evaluate_profile(inst, profile)
     assert evaluation.equilibrium is not None
-    alpha = (1 + eps[0]) / (2 * b + eps[0])
-    ratio = (1 + eps[0]) / (4 * b - eps[3])
+    alpha = (1 + e1) / (2 * b + e1)
+    ratio = (1 + e1) / (4 * b - e4)
     return [
-        ("agent 4 best-response value", 2 * b + eps[0],
+        ("agent 4 best-response value", 2 * b + e1,
          evaluation.equilibrium.per_agent[3].best_response_value),
         ("pne_factor", alpha, evaluation.equilibrium.pne_factor),
         ("agent 4 -> 1 ef1 ratio", ratio, evaluation.fairness.pair_ratios[3, 0]),
@@ -457,6 +433,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if args.samples is not None and args.samples < 1:
         raise InputError(f"--samples must be at least 1, got {args.samples}")
 
+    # Built first, so an oversized scan is refused before the bound rule is certified.
+    scanned = profile_space_scan(inst, samples=args.samples, seed=args.seed)
     try:
         rule: BoundRule | None = applicable_bound_rule(inst)
     except (NoApplicableBoundError, SizeGuardError):
@@ -474,7 +452,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         ef1s: list[Factor] = []
         count = 0
         violations = 0
-        for record in profile_space_scan(inst, samples=args.samples, seed=args.seed):
+        for record in scanned:
             count += 1
             tail = tails.get(record.key)
             if tail is None:
@@ -549,7 +527,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
     doc: dict[str, list[dict[str, Any]]] = {"agents": []}
     for i, v in enumerate(inst.valuations):
-        entry: dict[str, Any] = {"agent": i + 1, "class": valuation_class_name(v)}
+        entry: dict[str, Any] = {"agent": i + 1, "class": CLASS_NAMES[type(v)]}
         for check_name, check in CLASS_CHECKS.items():
             try:
                 result = check(v)
@@ -606,15 +584,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise InputError(str(exc)) from None
         inst = generate(spec)
-    text = dumps(inst)
     if args.output:
         try:
-            Path(args.output).write_text(text + "\n", encoding="utf-8")
+            save(inst, args.output)
         except OSError as exc:
             raise InputError(f"cannot write {args.output!r}: {exc}") from None
         print(f"wrote {args.output}")
     else:
-        print(text)
+        print(dumps(inst))
     return EXIT_OK
 
 
@@ -714,9 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
     cert.set_defaults(func=cmd_certify)
 
     gen = sub.add_parser("generate", help="emit an instance document (random or fixture)")
-    gen.add_argument("--class", dest="valuation_class", default=None,
-                     choices=("additive", "budget_additive", "unit_demand", "oxs",
-                              "submodular_table"))
+    gen.add_argument("--class", dest="valuation_class", default=None, choices=GENERATOR_CLASSES)
     gen.add_argument("--agents", type=int, default=2)
     gen.add_argument("--goods", type=int, default=4)
     gen.add_argument("--seed", type=int, default=0)

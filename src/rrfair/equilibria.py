@@ -352,19 +352,17 @@ def profile_orders(
     """Per-agent good orders for a scan: all of them, or a seeded sample.
 
     Exhaustive enumeration is lexicographic and refuses (m!)^n profiles
-    times the padded m beyond the work budget, since a truncated scan would
-    invalidate non-existence claims.
+    times the padded m beyond the work budget, when called, since a
+    truncated scan would invalidate non-existence claims.
     """
+    n, m = inst.n, inst.m
     if samples is None:
-        n, m = inst.n, inst.m
         what = f"an exhaustive scan of {n} agents and {m} goods"
         check_work(m << m, what)  # cheap, and below (m!)^n·m wherever it refuses
         check_work(math.factorial(m) ** n * (-(-m // n) * n), what)  # padded m
-        yield from itertools.product(itertools.permutations(range(m)), repeat=n)
-    else:
-        rng = random.Random(seed)
-        for _ in range(samples):
-            yield tuple(tuple(rng.sample(range(inst.m), inst.m)) for _ in range(inst.n))
+        return itertools.product(itertools.permutations(range(m)), repeat=n)
+    rng = random.Random(seed)
+    return (tuple(tuple(rng.sample(range(m), m)) for _ in range(n)) for _ in range(samples))
 
 
 class ScanMemo(ResponseMemo):
@@ -434,10 +432,11 @@ def profile_space_scan(
     with one best response per (agent, others), and fairness reports by
     allocation.  All are pure functions of their keys, so the records equal
     those of unshared evaluation; no search's own memo table is kept.
+    An oversized exhaustive scan is refused when called.
     """
+    orders = profile_orders(inst, samples=samples, seed=seed)
     scan = ScanMemo(inst)
-    for orders in profile_orders(inst, samples=samples, seed=seed):
-        yield scan_one_profile(scan, orders)
+    return (scan_one_profile(scan, profile) for profile in orders)
 
 
 @dataclass(frozen=True)

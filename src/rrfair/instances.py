@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from .valuations import (
     OXS,
@@ -136,14 +136,12 @@ def additive_tightness_instance(
 
 
 def oxs_lower_bound_instance(
-    eps: Sequence[Fraction | int | str] = (
-        Fraction(6, 1000),
-        Fraction(5, 1000),
-        Fraction(4, 1000),
-        Fraction(3, 1000),
-        Fraction(2, 1000),
-        Fraction(1, 1000),
-    ),
+    eps1: Fraction | int | str = Fraction(6, 1000),
+    eps2: Fraction | int | str = Fraction(5, 1000),
+    eps3: Fraction | int | str = Fraction(4, 1000),
+    eps4: Fraction | int | str = Fraction(3, 1000),
+    eps5: Fraction | int | str = Fraction(2, 1000),
+    eps6: Fraction | int | str = Fraction(1, 1000),
     beta: Fraction | int | str = Fraction(3, 5),
 ) -> Instance:
     """Three additive agents plus one OXS agent on nine goods.
@@ -153,9 +151,7 @@ def oxs_lower_bound_instance(
     toward agent 1 stays near a/2, showing the a/2 fairness level is not
     reachable for submodular agents in general.
     """
-    if len(eps) != 6:
-        raise ConstraintError("parameter constraint violated: requires exactly six eps values")
-    e = [as_fraction(x) for x in eps]
+    e = [as_fraction(x) for x in (eps1, eps2, eps3, eps4, eps5, eps6)]
     _require(e[5] > 0, "eps6 > 0")
     for idx in range(5):
         _require(e[idx] > e[idx + 1], f"eps{idx + 1} > eps{idx + 2}")
@@ -198,7 +194,7 @@ FIXTURES: dict[str, FixtureBuilder] = {
 }
 
 
-def build_fixture(name: str, **params: Fraction | int | str | Sequence) -> Instance:
+def build_fixture(name: str, **params: Fraction | int | str) -> Instance:
     """Build a named fixture, validating parameter constraints."""
     try:
         builder = FIXTURES[name]
@@ -312,6 +308,15 @@ class SchemaError(ValueError):
     """An instance document violates the schema."""
 
 
+# The document's class name of each oracle type.
+CLASS_NAMES: dict[type, str] = {
+    Additive: "additive",
+    BudgetAdditive: "budget_additive",
+    UnitDemand: "unit_demand",
+    OXS: "oxs",
+    Table: "table",
+}
+
 _AGENT_FIELDS = {
     "additive": {"class", "weights"},
     "budget_additive": {"class", "weights", "cap"},
@@ -319,10 +324,6 @@ _AGENT_FIELDS = {
     "oxs": {"class", "edges"},
     "table": {"class", "values"},
 }
-
-
-def _fraction_str(x: Fraction) -> str:
-    return str(x)  # "p/q", or "p" for integers
 
 
 def _parse_fraction(raw: Any, where: str) -> Fraction:
@@ -342,31 +343,16 @@ def to_document(inst: Instance) -> dict:
     """JSON-compatible document; rationals as 'p/q' strings, goods zero-based."""
     agents = []
     for v in inst.valuations:
-        if isinstance(v, Additive):
-            agents.append({"class": "additive", "weights": [_fraction_str(w) for w in v.weights]})
-        elif isinstance(v, BudgetAdditive):
-            agents.append(
-                {
-                    "class": "budget_additive",
-                    "weights": [_fraction_str(w) for w in v.weights],
-                    "cap": _fraction_str(v.cap),
-                }
-            )
-        elif isinstance(v, UnitDemand):
-            agents.append(
-                {"class": "unit_demand", "weights": [_fraction_str(w) for w in v.weights]}
-            )
-        elif isinstance(v, OXS):
-            agents.append(
-                {
-                    "class": "oxs",
-                    "edges": [[g, label, _fraction_str(w)] for g, label, w in v.edges],
-                }
-            )
-        elif isinstance(v, Table):
-            agents.append({"class": "table", "values": [_fraction_str(x) for x in v.values]})
-        else:  # pragma: no cover - the five classes above are exhaustive
-            raise TypeError(f"unserializable valuation {type(v).__name__}")
+        agent: dict = {"class": CLASS_NAMES[type(v)]}
+        if isinstance(v, (Additive, BudgetAdditive, UnitDemand)):
+            agent["weights"] = [str(w) for w in v.weights]
+        if isinstance(v, BudgetAdditive):
+            agent["cap"] = str(v.cap)
+        if isinstance(v, OXS):
+            agent["edges"] = [[g, label, str(w)] for g, label, w in v.edges]
+        if isinstance(v, Table):
+            agent["values"] = [str(x) for x in v.values]
+        agents.append(agent)
     doc: dict = {"n": inst.n, "m": inst.m, "agents": agents}
     if inst.description:
         doc["description"] = inst.description
@@ -452,8 +438,6 @@ def _agent_from_document(cls: str, agent_doc: dict, m: int, where: str) -> Valua
     if not isinstance(values_doc, list) or len(values_doc) != 1 << m:
         raise SchemaError(f"{where}: 'values' must list {1 << m} rationals")
     values = [_parse_fraction(x, f"{where}.values[{k}]") for k, x in enumerate(values_doc)]
-    if values[0] != 0:
-        raise SchemaError(f"{where}: table is not normalized, value on the empty set must be 0")
     return Table(m, values)
 
 

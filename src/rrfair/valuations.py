@@ -74,7 +74,7 @@ def as_fraction(x: int | str | Fraction) -> Fraction:
         raise TypeError(f"refusing float {x!r}; use Fraction, int, or 'p/q' string")
     if isinstance(x, bool):
         raise TypeError("booleans are not rational values")
-    return Fraction(x)
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def _bundle_mask(bundle: Iterable[int], m: int) -> int:
@@ -325,7 +325,7 @@ class Table(Valuation):
             raise ValueError(f"table needs {1 << m} entries for m = {m}, got {len(values)}")
         self.values = tuple(as_fraction(v) for v in values)
         if self.values[0] != 0:
-            raise ValueError("table is not normalized: value on the empty set must be 0")
+            raise ValueError("table is not normalized, value on the empty set must be 0")
         for mask, value in enumerate(self.values):
             if value < 0:
                 raise ValueError(f"negative value {value} for subset {sorted(_iter_bits(mask))}")

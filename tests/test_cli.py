@@ -282,6 +282,39 @@ def test_fixture_constraint_violations_exit_2_without_traceback(command, fixture
     assert "Traceback" not in result.stderr
 
 
+FIXTURE_PARAMETERS = [(fixture, name, default)
+                      for fixture, defaults in cli.FIXTURE_DEFAULTS.items()
+                      for name, default in defaults.items()]
+
+
+@pytest.mark.parametrize("fixture, name, default", FIXTURE_PARAMETERS,
+                         ids=[f"{fixture}-{name}" for fixture, name, _ in FIXTURE_PARAMETERS])
+def test_each_fixture_parameter_at_its_default_reproduces_the_default_run(
+        capsys, fixture, name, default):
+    _, plain = run_cli(capsys, "reproduce", fixture, "--json")
+    code, out = run_cli(capsys, "reproduce", fixture, "--param", f"{name}={default}", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc.pop("parameters") == {name: str(default)}
+    assert json.dumps(doc, indent=2) == json.dumps(
+        {k: v for k, v in json.loads(plain).items() if k != "parameters"}, indent=2)
+
+
+def test_fixture_parameters_are_the_flat_builder_arguments(capsys):
+    assert {fixture: tuple(defaults) for fixture, defaults in cli.FIXTURE_DEFAULTS.items()} == {
+        "no-pne": (),
+        "bluff-tightness": ("eps1", "eps2", "eps3"),
+        "additive-tightness": ("delta", "beta"),
+        "oxs-lower-bound": ("eps1", "eps2", "eps3", "eps4", "eps5", "eps6", "beta"),
+    }
+    assert main(["reproduce", "oxs-lower-bound", "--param", "eps=1/100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: fixture 'oxs-lower-bound' takes parameters "
+        "('eps1', 'eps2', 'eps3', 'eps4', 'eps5', 'eps6', 'beta'), not ['eps']\n")
+
+
 # ---------------------------------------------------------------------------
 # scan
 
@@ -340,6 +373,21 @@ def test_scan_exhaustive_guard(capsys, tmp_path):
     save(big, path)
     code, _ = run_cli(capsys, "scan", str(path), "--exhaustive")
     assert code == 3
+
+
+def test_scan_guard_refuses_before_the_bound_rule_is_certified(capsys, monkeypatch, tmp_path):
+    def unreachable(inst):
+        raise AssertionError("applicable_bound_rule ran before the scan guard")
+
+    monkeypatch.setattr(cli, "applicable_bound_rule", unreachable)
+    path = tmp_path / "big.json"
+    save(generate(GeneratorSpec("additive", 2, 10, seed=0)), path)
+    assert main(["scan", str(path), "--exhaustive"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: size guard: an exhaustive scan of 2 agents and 10 goods needs an estimated "
+        "131,681,894,400,000 steps, over the budget of 10,000,000\n")
 
 
 def reference_scan_document(inst, samples, scan_seed):

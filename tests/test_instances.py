@@ -73,9 +73,7 @@ def test_fixture_constraints_name_the_violated_inequality():
     with pytest.raises(ConstraintError, match="eps1 > 0"):
         bluff_tightness_instance(0, F(2, 100), F(3, 100))
     with pytest.raises(ConstraintError, match="eps1 > eps2"):
-        oxs_lower_bound_instance(
-            eps=[F(k, 1000) for k in (1, 2, 3, 4, 5, 6)], beta=F(3, 5)
-        )
+        oxs_lower_bound_instance(*(F(k, 1000) for k in (1, 2, 3, 4, 5, 6)), beta=F(3, 5))
     with pytest.raises(ConstraintError, match="beta > \\(1 \\+ eps4\\)/2"):
         oxs_lower_bound_instance(beta=F(1, 2))
 
@@ -211,8 +209,10 @@ def test_load_rejects_malformed_documents():
 
     unnormalized = corrupted()
     unnormalized["agents"][0]["values"][0] = "1"
-    with pytest.raises(SchemaError, match="normalized"):
+    with pytest.raises(SchemaError) as refused:
         from_document(unnormalized)
+    assert str(refused.value) == (
+        "agents[0]: table is not normalized, value on the empty set must be 0")
 
     unknown_field = corrupted()
     unknown_field["agents"][0]["cap"] = "3"

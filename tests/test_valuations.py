@@ -38,6 +38,7 @@ from rrfair.valuations import (
     SizeGuardError,
     Table,
     UnitDemand,
+    as_fraction,
     is_additive,
     is_cancelable,
     is_monotone,
@@ -150,6 +151,12 @@ def test_floats_are_rejected_everywhere():
         BudgetAdditive([1, 2], cap=0.5)
     with pytest.raises(TypeError):
         OXS(2, [(0, "s", 0.25)])
+
+
+def test_as_fraction_returns_a_fraction_unchanged():
+    x = F(3, 7)
+    assert as_fraction(x) is x
+    assert as_fraction("3/7") == as_fraction(F(6, 14)) == x
 
 
 # ---------------------------------------------------------------------------
