@@ -3,7 +3,8 @@
 
 On the bluff-tightness benchmark (an additive agent vs an OXS agent), the
 bluff profile leaves agent 2 with value 1 while her best deviation earns
-almost 2 -- the 1/2 equilibrium factor is essentially tight.
+almost 2 -- the 1/2 equilibrium factor is essentially tight.  With 5
+goods for 2 agents the last round is agent 1's alone.
 """
 
 from rrfair import (
@@ -11,35 +12,32 @@ from rrfair import (
     bluff_order,
     bluff_profile,
     bluff_tightness_instance,
-    pad_to_multiple,
     pne_factor,
     round_robin,
 )
 
 inst = bluff_tightness_instance()  # eps1, eps2, eps3 = 1/100, 2/100, 3/100
-padded, extra = pad_to_multiple(inst)
-print(f"instance: {inst.n} agents, {inst.m} goods (+{extra} dummy)")
+print(f"instance: {inst.n} agents, {inst.m} goods")
 
 # The bluff order is the sequence greedy-by-marginal picking would produce;
 # the bluff profile has everyone report exactly that order.
-order = bluff_order(padded)
+order = bluff_order(inst)
 print("bluff order:", list(order.ranking.order))
 
-profile = bluff_profile(padded)
-allocation, _ = round_robin(padded, profile)
+profile = bluff_profile(inst)
+allocation, _ = round_robin(inst, profile)
 for agent, bundle in enumerate(allocation.bundles):
-    print(f"  agent {agent} gets {sorted(g for g in bundle if g < inst.m)} "
-          f"worth {inst.valuations[agent].value(g for g in bundle if g < inst.m)}")
+    print(f"  agent {agent} gets {sorted(bundle)} worth {inst.valuations[agent].value(bundle)}")
 
 # Exact best response of agent 2 against the bluff report of agent 1:
-response = best_response(padded, 1, profile.others(1))
+response = best_response(inst, 1, profile.others(1))
 print("\nagent 2 best response:")
 print("  value:", response.value)
-print("  bundle:", sorted(g for g in response.bundle if g < inst.m))
+print("  bundle:", sorted(response.bundle))
 print("  ranking to report:", list(response.ranking.order))
 print("  states explored:", response.explored_states)
 
-report = pne_factor(padded, profile)
+report = pne_factor(inst, profile)
 print("\nequilibrium factor of the bluff profile:", report.pne_factor)
 for row in report.per_agent:
     print(f"  agent {row.agent}: current {row.current_value}, "

@@ -13,17 +13,13 @@ from rrfair import (
     bluff_tightness_instance,
     ef1_factor,
     ef1_from_perspective,
-    pad_to_multiple,
     round_robin,
-    strip_padding,
 )
 
 inst = bluff_tightness_instance()
-padded, _ = pad_to_multiple(inst)
-allocation, _ = round_robin(padded, bluff_profile(padded))
-real = strip_padding(allocation, inst.m)
+allocation, _ = round_robin(inst, bluff_profile(inst))
 
-report = ef1_factor(inst, real)
+report = ef1_factor(inst, allocation)
 print("pair ratios (agent i towards agent j):")
 for (i, j), ratio in sorted(report.pair_ratios.items()):
     print(f"  {i} -> {j}: {ratio}")
@@ -36,6 +32,6 @@ print(f"binding pair: agent {i} towards agent {j}, removing good {g}")
 # Threshold checks from one agent's point of view:
 half = Fraction(1, 2)
 print("\nis the allocation 1/2-EF1 for agent 1?",
-      ef1_from_perspective(inst, real, 1, half))
+      ef1_from_perspective(inst, allocation, 1, half))
 print("is it (25/49 + tiny)-EF1 for agent 1?",
-      ef1_from_perspective(inst, real, 1, Fraction(25, 49) + Fraction(1, 10**9)))
+      ef1_from_perspective(inst, allocation, 1, Fraction(25, 49) + Fraction(1, 10**9)))

@@ -47,11 +47,10 @@ from .instances import (
     load,
     save,
 )
-from .mechanism import Profile, Ranking, pad_to_multiple, round_robin
+from .mechanism import Profile, Ranking, round_robin
 from .profiles import bluff_profile, truthful_profile
 from .scan_json import write_scan_json
 from .valuations import (
-    ClassCheck,
     Instance,
     SizeGuardError,
     is_additive,
@@ -73,12 +72,6 @@ class InputError(Exception):
 
 # ---------------------------------------------------------------------------
 # Rendering
-
-
-def _padding_note(padding: int) -> str:
-    if not padding:
-        return ""
-    return f" (padded with {padding} dummy good{'' if padding == 1 else 's'})"
 
 
 def emit(doc: dict[str, Any], as_json: bool, render: Callable[[dict[str, Any]], None]) -> None:
@@ -154,14 +147,9 @@ def parse_profile_file(path: str, m: int, n: int) -> Profile:
 
 
 def profile_from_source(inst: Instance, source: str) -> tuple[Profile, str]:
-    """Build the reported profile over the real goods from a source spec."""
+    """Build the reported profile from a source spec."""
     if source == "bluff":
-        padded, _ = pad_to_multiple(inst)
-        restricted = tuple(
-            Ranking(tuple(g for g in r.order if g < inst.m))
-            for r in bluff_profile(padded).rankings
-        )
-        return Profile(restricted), "bluff"
+        return bluff_profile(inst), "bluff"
     if source == "truthful":
         return truthful_profile(inst), "truthful"
     return parse_profile_file(source, inst.m, inst.n), f"file:{source}"
@@ -197,7 +185,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             "description": inst.description,
         },
         "profile": {"source": source, "rankings": [list(r.order) for r in profile.rankings]},
-        "padding": evaluation.padding,
         "allocation": [sorted(b) for b in bundles],
         "bundle_values": [json_frac(v.value(b)) for v, b in zip(inst.valuations, bundles)],
         "equilibrium": equilibrium_json(evaluation),
@@ -271,7 +258,7 @@ def print_run_report(doc: dict[str, Any]) -> None:
           f"({', '.join(inst['classes'])})")
     if inst["description"]:
         print(f"  {inst['description']}")
-    print(f"profile: {doc['profile']['source']}{_padding_note(doc['padding'])}")
+    print(f"profile: {doc['profile']['source']}")
     for i, order in enumerate(doc["profile"]["rankings"]):
         print(f"  agent {i + 1}: {fmt_ranking(order)}")
     print("allocation:")
@@ -512,8 +499,8 @@ def print_scan_report(doc: dict[str, Any]) -> None:
 # certify
 
 
-# The class checks `certify` reports, in order.  `is_submodular` and
-# `is_cancelable` return a `ClassCheck`, which names a witness when it fails.
+# The class checks `certify` reports, in order.  Each returns a `ClassCheck`;
+# a failing `is_submodular` or `is_cancelable` names a witness.
 CLASS_CHECKS = {
     "monotone": is_monotone,
     "additive": is_additive,
@@ -534,7 +521,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             except SizeGuardError as exc:
                 entry[check_name] = {"holds": None, "skipped": str(exc)}
                 continue
-            witness = result.witness if isinstance(result, ClassCheck) else None
+            witness = result.witness
             if witness is not None:
                 witness = [sorted(witness[0]), sorted(witness[1]), witness[2]]
             entry[check_name] = {"holds": bool(result), "witness": witness}
@@ -614,22 +601,19 @@ def cmd_best_response(args: argparse.Namespace) -> int:
     if not 1 <= args.agent <= inst.n:
         raise InputError(f"--agent must be in 1..{inst.n}")
     agent = args.agent - 1
-    padded, padding = pad_to_multiple(inst)
-    check_search_work(padded.m, padded.n, agent)  # before the reports are built
+    check_search_work(inst.m, inst.n, agent)  # before the reports are built
     profile, source = profile_from_source(inst, args.profile)
-    padded_profile = profile.extended(padded.m)
-    response = best_response(padded, agent, padded_profile.others(agent))
-    alloc, _ = round_robin(padded, padded_profile)
-    current = padded.valuations[agent].value(alloc.bundles[agent])
+    response = best_response(inst, agent, profile.others(agent))
+    alloc, _ = round_robin(inst, profile)
+    current = inst.valuations[agent].value(alloc.bundles[agent])
     ratio: Factor = UNBOUNDED if response.value == 0 else current / response.value
     doc = {
         "agent": args.agent,
         "profile_source": source,
-        "padding": padding,
         "current_value": json_frac(current),
         "best_response": {
             "value": json_frac(response.value),
-            "bundle": sorted(g for g in response.bundle if g < inst.m),
+            "bundle": sorted(response.bundle),
             "ranking": list(response.ranking.order),
             "explored_states": response.explored_states,
         },
@@ -641,7 +625,7 @@ def cmd_best_response(args: argparse.Namespace) -> int:
 
 def print_best_response_report(doc: dict[str, Any]) -> None:
     response = doc["best_response"]
-    print(f"agent {doc['agent']} vs {doc['profile_source']}{_padding_note(doc['padding'])}")
+    print(f"agent {doc['agent']} vs {doc['profile_source']}")
     print(f"  current value: {fmt_frac(doc['current_value'])}")
     print(f"  best response: {fmt_frac(response['value'])} with {fmt_goods(response['bundle'])}")
     print(f"  ranking: {fmt_ranking(response['ranking'])}")

@@ -33,10 +33,8 @@ from .mechanism import (
     Profile,
     Ranking,
     deal,
-    pad_to_multiple,
     ranking_from_picks,
     round_robin,
-    strip_padding,
 )
 from .valuations import (
     Instance,
@@ -126,12 +124,13 @@ def search_states(m: int, n: int, agent: int) -> int:
     """A bound on the states a best-response search for `agent` expands.
 
     At her k-th turn a state is her k goods and the k(n-1) + agent goods the
-    others took: C(m, k) C(m-k, k(n-1) + agent) of them, summed over k < m/n.
-    A binomial C(x, y) with min(y, x-y) > 64 exceeds 2^64 and is slow to
-    compute, so the sum stops there, below its true value.
+    others took: C(m, k) C(m-k, k(n-1) + agent) of them, summed over her
+    turns, the steps agent, agent + n, ... below m.  A binomial C(x, y) with
+    min(y, x-y) > 64 exceeds 2^64 and is slow to compute, so the sum stops
+    there, below its true value.
     """
     total = 0
-    for k in range(m // n):
+    for k in range(len(range(agent, m, n))):
         others = k * (n - 1) + agent
         if min(k, m - k) > 64 or min(others, m - k - others) > 64:
             return total + (1 << 64)
@@ -140,7 +139,7 @@ def search_states(m: int, n: int, agent: int) -> int:
 
 
 def check_search_work(m: int, n: int, agent: int) -> None:
-    """Refuse a best-response search for `agent` on m (padded) goods over the work budget."""
+    """Refuse a best-response search for `agent` on m goods over the work budget."""
     check_work(m * search_states(m, n, agent),  # m children per state
                f"best_response for agent {agent + 1} of {n} on {m} goods")
 
@@ -148,11 +147,26 @@ def check_search_work(m: int, n: int, agent: int) -> None:
 def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking]) -> BestResponse:
     """Maximize `agent`'s true value over all ranking deviations.
 
-    Requires m to be a multiple of n and the search within the work budget.
-    Ties in value resolve toward the lexicographically least pick sequence.
+    Requires the search within the work budget.  Ties in value resolve
+    toward the lexicographically least pick sequence.
+
+    When n does not divide m the last round is partial.  The paper pads
+    instead, with dummy goods that are worth nothing and that the others rank
+    last; both give the same best response.  Call a dummy pick of `agent`
+    made while a real good remains a pass, and take an optimal padded run
+    with a pass at turn t.  If she picks a real good later, let x be the
+    first: she takes x at t and the dummy at x's old turn.  Nobody took x in
+    between, and the others, who rank dummies last, pick as before; after
+    x's old turn the taken set is the same as before, and so is her bundle.
+    If she picks no real good later, she takes any real good at t instead:
+    her real goods only grow, so by monotonicity she loses nothing.  Each
+    change moves one of her real picks earlier or adds one, so repeating it
+    ends in a run without a pass, which is a partial-round run followed by
+    dummy picks.  So best-response values, current values and `pne_factor`s
+    are equal.  The argument holds from every search state, and real ids sit
+    below dummy ids, so the lexicographically least optimal picks are the
+    padded ones with their trailing dummies dropped.
     """
-    if inst.m % inst.n != 0:
-        raise ValueError(f"m = {inst.m} is not a multiple of n = {inst.n}; pad first")
     if set(others) != set(range(inst.n)) - {agent}:
         raise ValueError("`others` must cover exactly the agents other than `agent`")
     check_search_work(inst.m, inst.n, agent)
@@ -299,7 +313,7 @@ def pne_factor(
 
 
 class ScanRecord(NamedTuple):
-    orders: Orders  # over the real goods
+    orders: Orders
     per_agent: tuple[AgentEquilibrium, ...]
     pne_factor: Fraction
     fairness: FairnessReport
@@ -310,39 +324,33 @@ class ScanRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class ProfileEvaluation:
-    """One profile pushed through the whole pipeline (padding included)."""
+    """One profile pushed through the whole pipeline."""
 
-    allocation: Allocation  # real goods only
+    allocation: Allocation
     fairness: FairnessReport
     equilibrium: EquilibriumReport | None
     equilibrium_skipped: str | None
-    padding: int
 
 
 def evaluate_profile(inst: Instance, profile: Profile) -> ProfileEvaluation:
-    """Pad, run the mechanism, strip dummies, and score the outcome.
+    """Run the mechanism and score the outcome.
 
-    `profile` ranks the real goods; dummies are appended at the end of each
-    ranking.  The equilibrium report is skipped, with the guard's message
-    as the reason, when a best-response search exceeds the work budget.
+    The equilibrium report is skipped, with the guard's message as the
+    reason, when a best-response search exceeds the work budget.
     """
-    padded, padding = pad_to_multiple(inst)
-    padded_profile = profile.extended(padded.m)
-    alloc, _ = round_robin(padded, padded_profile)
-    real = strip_padding(alloc, inst.m)
-    fairness = ef1_factor(inst, real)
+    alloc, _ = round_robin(inst, profile)
+    fairness = ef1_factor(inst, alloc)
     equilibrium = None
     skipped = None
     try:
-        equilibrium = pne_factor(padded, padded_profile, allocation=alloc)
+        equilibrium = pne_factor(inst, profile, allocation=alloc)
     except SizeGuardError as exc:
         skipped = str(exc)
     return ProfileEvaluation(
-        allocation=real,
+        allocation=alloc,
         fairness=fairness,
         equilibrium=equilibrium,
         equilibrium_skipped=skipped,
-        padding=padding,
     )
 
 
@@ -352,14 +360,14 @@ def profile_orders(
     """Per-agent good orders for a scan: all of them, or a seeded sample.
 
     Exhaustive enumeration is lexicographic and refuses (m!)^n profiles
-    times the padded m beyond the work budget, when called, since a
-    truncated scan would invalidate non-existence claims.
+    times m beyond the work budget, when called, since a truncated scan
+    would invalidate non-existence claims.
     """
     n, m = inst.n, inst.m
     if samples is None:
         what = f"an exhaustive scan of {n} agents and {m} goods"
         check_work(m << m, what)  # cheap, and below (m!)^n·m wherever it refuses
-        check_work(math.factorial(m) ** n * (-(-m // n) * n), what)  # padded m
+        check_work(math.factorial(m) ** n * m, what)
         return itertools.product(itertools.permutations(range(m)), repeat=n)
     rng = random.Random(seed)
     return (tuple(tuple(rng.sample(range(m), m)) for _ in range(n)) for _ in range(samples))
@@ -368,52 +376,47 @@ def profile_orders(
 class ScanMemo(ResponseMemo):
     """What a scan of one instance keeps from profile to profile.
 
-    The equilibrium rows over the padded goods, and fairness reports with
-    their ef1 int pair by the bundle masks over the real goods (`reports`).
+    The equilibrium rows, and fairness reports with their ef1 int pair by
+    the bundle masks (`reports`).
     """
 
     def __init__(self, inst: Instance) -> None:
         super().__init__()
         self.inst = inst
-        self.padded, self.padding = pad_to_multiple(inst)
-        self.rounds = self.padded.m // inst.n
-        self.dummies = tuple(range(inst.m, self.padded.m))
-        self.real = (1 << inst.m) - 1  # the mask of the real goods
         self.reports: dict[tuple[int, ...], tuple[FairnessReport, tuple[int, int]]] = {}
 
 
 def scan_one_profile(scan: ScanMemo, orders: Orders) -> ScanRecord:
     """Evaluate a single scanned profile (equilibrium plus fairness).
 
-    `orders` ranks the real goods.  The profile is dealt once over its
-    padded orders; rows and the fairness report come from `scan`.  Only a
-    profile that needs a new best response builds a `Profile`, on which
-    `pne_factor` fills its rows.  The factor is the least row, found by
-    cross-multiplying the rows' int pairs.
+    The profile is dealt once; rows and the fairness report come from
+    `scan`.  Only a profile that needs a new best response builds a
+    `Profile`, on which `pne_factor` fills its rows.  The factor is the
+    least row, found by cross-multiplying the rows' int pairs.
     """
-    padded = tuple([order + scan.dummies for order in orders]) if scan.padding else orders
-    _, masks = deal(padded, scan.rounds)
+    inst = scan.inst
+    _, masks = deal(orders, inst.m)
     per_agent = []
     p, q, factor = 1, 1, _ONE
     for i, mask in enumerate(masks):
-        others = padded[:i] + padded[i + 1:]
+        others = orders[:i] + orders[i + 1:]
         row = scan.rows.get((i, others, mask))
         if row is None:
             best = scan.best.get((i, others))
             if best is None:
-                pne_factor(scan.padded, Profile(tuple(map(Ranking, padded))), responses=scan)
+                pne_factor(inst, Profile(tuple(map(Ranking, orders))), responses=scan)
                 row = scan.rows[i, others, mask]
             else:
-                row = scan.add_row(scan.padded, i, others, mask, best)
+                row = scan.add_row(inst, i, others, mask, best)
         if row[0] * q < p * row[1]:
             p, q, factor = row[0], row[1], row[2]
         per_agent.append(row[3])
-    real = tuple([mask & scan.real for mask in masks]) if scan.padding else tuple(masks)
-    fairness = scan.reports.get(real)
+    bundles = tuple(masks)
+    fairness = scan.reports.get(bundles)
     if fairness is None:
-        report = ef1_factor(scan.inst, Allocation(tuple(map(mask_to_bundle, real))))
+        report = ef1_factor(inst, Allocation(tuple(map(mask_to_bundle, bundles))))
         ef1 = report.ef1_factor
-        fairness = scan.reports[real] = (
+        fairness = scan.reports[bundles] = (
             report, (1, 0) if ef1 == UNBOUNDED else (ef1.numerator, ef1.denominator))
     return ScanRecord(orders, tuple(per_agent), factor, fairness[0], (p, q) + fairness[1])
 
@@ -421,7 +424,7 @@ def scan_one_profile(scan: ScanMemo, orders: Orders) -> ScanRecord:
 def profile_space_scan(
     inst: Instance, *, samples: int | None = None, seed: int = 0
 ) -> Iterator[ScanRecord]:
-    """Evaluate profiles over the real goods, exhaustively or sampled.
+    """Evaluate profiles, exhaustively or sampled.
 
     Exhaustive mode (samples=None) walks all (m!)^n profiles in
     lexicographic order; sampled mode draws `samples` uniform profiles from
@@ -469,8 +472,8 @@ def applicable_bound_rule(inst: Instance) -> BoundRule:
     checks = [
         (
             is_additive(v),
-            bool(is_submodular(v)),
-            bool(is_cancelable(v)),
+            is_submodular(v),
+            is_cancelable(v),
             is_subadditive(v),
         )
         for v in inst.valuations

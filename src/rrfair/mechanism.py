@@ -1,9 +1,11 @@
 """The round-robin picking mechanism and the pick traces of its runs.
 
 Agents report strict preference rankings; in fixed priority order (agent 0
-first) each agent repeatedly receives the top-ranked good still available.
-The mechanism assumes the good count is a multiple of the agent count;
-`pad_to_multiple` appends zero-marginal dummy goods so callers can meet it.
+first) each agent repeatedly receives the top-ranked good still available,
+until the goods run out.  When m is not a multiple of n the last round is
+partial: only agents 0..(m mod n)-1 pick in it.  The paper instead pads
+with dummy goods that everyone values at zero and ranks last; each agent
+then gets the same real goods, and the dummies fill the last round.
 
 All indices here are zero-based: goods 0..m-1, agents 0..n-1, rounds
 0..k-1.  Presentation layers render them 1-based.
@@ -39,18 +41,6 @@ class Ranking:
                 return g
         raise ValueError("no ranked good is available")
 
-    def extended(self, m_new: int) -> "Ranking":
-        """Same order with goods m..m_new-1 appended at the end (ascending).
-
-        Returns `self` when there is nothing to append.
-        """
-        m = len(self.order)
-        if m_new < m:
-            raise ValueError("cannot shrink a ranking")
-        if m_new == m:
-            return self
-        return Ranking(self.order + tuple(range(m, m_new)))
-
 
 @dataclass(frozen=True)
 class Profile:
@@ -78,12 +68,6 @@ class Profile:
         rankings = list(self.rankings)
         rankings[agent] = ranking
         return Profile(tuple(rankings))
-
-    def extended(self, m_new: int) -> "Profile":
-        """Every ranking extended to m_new goods; `self` when there is nothing to append."""
-        if m_new == len(self.rankings[0].order):
-            return self
-        return Profile(tuple(r.extended(m_new) for r in self.rankings))
 
     def others(self, agent: int) -> dict[int, Ranking]:
         return {i: r for i, r in enumerate(self.rankings) if i != agent}
@@ -122,6 +106,7 @@ class Trace:
     """The pick sequence of one mechanism run, in execution order.
 
     Pick k is made in round k // n by agent k mod n; `steps` spells that out.
+    The last round is partial when n does not divide the number of picks.
     """
 
     picks: tuple[int, ...]
@@ -134,80 +119,53 @@ class Trace:
 
     @property
     def rounds(self) -> int:
-        return len(self.picks) // self.n
+        return -(-len(self.picks) // self.n)
 
     def prefix_sets(self, agent: int) -> tuple[frozenset[int], ...]:
-        """S_r for r = 0..k-1: goods allocated before `agent`'s pick in round r.
+        """S_r for each round r in which `agent` picks: the goods allocated before that pick.
 
         S_r collects the goods taken in the first r*n + agent steps.
         """
-        return tuple(frozenset(self.picks[: r * self.n + agent]) for r in range(self.rounds))
+        return tuple(frozenset(self.picks[:step])
+                     for step in range(agent, len(self.picks), self.n))
 
 
-def pad_to_multiple(inst: Instance) -> tuple[Instance, int]:
-    """Append zero-marginal dummy goods until m is a multiple of n.
-
-    Returns the (possibly identical) instance and the number of dummies, so
-    reports can strip them.  Dummies take the highest indices and, under
-    ascending-id tie-breaking, sort last among zero-marginal goods.
-    """
-    remainder = inst.m % inst.n
-    if remainder == 0:
-        return inst, 0
-    extra = inst.n - remainder
-    padded = Instance(
-        n=inst.n,
-        m=inst.m + extra,
-        valuations=tuple(v.pad(extra) for v in inst.valuations),
-        description=inst.description,
-    )
-    return padded, extra
-
-
-def strip_padding(alloc: Allocation, m_real: int) -> Allocation:
-    """Drop dummy goods (ids >= m_real) from every bundle."""
-    return Allocation(tuple(frozenset(g for g in b if g < m_real) for b in alloc.bundles))
-
-
-def deal(orders: Sequence[tuple[int, ...]], rounds: int) -> tuple[list[int], list[int]]:
+def deal(orders: Sequence[tuple[int, ...]], m: int) -> tuple[list[int], list[int]]:
     """The unchecked core of `round_robin`: the picks in order, and each agent's bundle mask.
 
-    `orders` holds one order of all goods per agent; one bitmask tracks the
-    goods taken so far.
+    `orders` holds one order of all m goods per agent; pick k goes to agent
+    k mod n, and one bitmask tracks the goods taken so far.
     """
+    n = len(orders)
     taken = 0
     picks: list[int] = []
-    masks = [0] * len(orders)
-    agents = range(len(orders))
-    for _ in range(rounds):
-        for i in agents:
-            for g in orders[i]:
-                bit = 1 << g
-                if not taken & bit:
-                    break
-            taken |= bit
-            picks.append(g)
-            masks[i] |= bit
+    masks = [0] * n
+    for step in range(m):
+        i = step % n
+        for g in orders[i]:
+            bit = 1 << g
+            if not taken & bit:
+                break
+        taken |= bit
+        picks.append(g)
+        masks[i] |= bit
     return picks, masks
 
 
 def round_robin(inst: Instance, profile: Profile) -> tuple[Allocation, Trace]:
     """Run the mechanism on a reported profile.
 
-    Requires m to be a multiple of n (use `pad_to_multiple` first).  In each
-    of the m/n rounds, agents 0..n-1 in order receive the top good of their
-    ranking among those still available.  Deterministic; the trace records
-    the picks in order.
+    In each round, agents 0..n-1 in order receive the top good of their
+    ranking among those still available, until all m goods are taken.
+    Deterministic; the trace records the picks in order.
     """
-    if inst.m % inst.n != 0:
-        raise ValueError(f"m = {inst.m} is not a multiple of n = {inst.n}; pad first")
     if profile.n != inst.n:
         raise ValueError(f"profile has {profile.n} rankings, instance has {inst.n} agents")
     if profile.m != inst.m:
         raise ValueError(f"profile ranks {profile.m} goods, instance has {inst.m}")
 
     n = inst.n
-    picks, _ = deal([r.order for r in profile.rankings], inst.m // n)
+    picks, _ = deal([r.order for r in profile.rankings], inst.m)
     return Allocation(tuple(frozenset(picks[i::n]) for i in range(n))), Trace(tuple(picks), n)
 
 

@@ -47,7 +47,7 @@ class BluffOrder:
 
 
 def bluff_order(inst: Instance) -> BluffOrder:
-    """Greedy renaming of the goods (requires m to be a multiple of n).
+    """Greedy renaming of the goods.
 
     At step j, agent j mod n takes the unallocated good with the largest
     marginal value to her current pile.  Ties prefer the larger singleton
@@ -55,8 +55,6 @@ def bluff_order(inst: Instance) -> BluffOrder:
     order coincide, for cancelable valuations, with the order in which
     round-robin on the strict truthful profile hands out the goods.
     """
-    if inst.m % inst.n != 0:
-        raise ValueError(f"m = {inst.m} is not a multiple of n = {inst.n}; pad first")
     piles: list[set[int]] = [set() for _ in range(inst.n)]
     remaining = set(range(inst.m))
     order: list[int] = []
@@ -123,8 +121,6 @@ def greedy_response(inst: Instance, agent: int, others: Mapping[int, Ranking]) -
     goods ascending; replaying the mechanism with it yields exactly the
     picked bundle.
     """
-    if inst.m % inst.n != 0:
-        raise ValueError(f"m = {inst.m} is not a multiple of n = {inst.n}; pad first")
     if set(others) != set(range(inst.n)) - {agent}:
         raise ValueError("`others` must cover exactly the agents other than `agent`")
     v = inst.valuations[agent]

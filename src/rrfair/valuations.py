@@ -156,10 +156,6 @@ class Valuation(ABC):
         ...
 
     @abstractmethod
-    def pad(self, extra: int) -> "Valuation":
-        """Same valuation on m + extra goods; the new goods have zero marginal value."""
-
-    @abstractmethod
     def _key(self) -> tuple:
         """The fields that define the oracle; equality and hashing compare them."""
 
@@ -191,9 +187,6 @@ class Additive(Valuation):
     def _value_mask(self, mask: int) -> int:
         return sum(self._ints[g] for g in _iter_bits(mask))
 
-    def pad(self, extra: int) -> "Additive":
-        return Additive(self.weights + (Fraction(0),) * extra)
-
     def _key(self) -> tuple:
         return self.weights
 
@@ -218,9 +211,6 @@ class BudgetAdditive(Valuation):
     def _value_mask(self, mask: int) -> int:
         return min(self._cap, sum(self._ints[g] for g in _iter_bits(mask)))
 
-    def pad(self, extra: int) -> "BudgetAdditive":
-        return BudgetAdditive(self.weights + (Fraction(0),) * extra, self.cap)
-
     def _key(self) -> tuple:
         return self.weights, self.cap
 
@@ -240,9 +230,6 @@ class UnitDemand(Valuation):
 
     def _value_mask(self, mask: int) -> int:
         return max((self._ints[g] for g in _iter_bits(mask)), default=0)
-
-    def pad(self, extra: int) -> "UnitDemand":
-        return UnitDemand(self.weights + (Fraction(0),) * extra)
 
     def _key(self) -> tuple:
         return self.weights
@@ -299,9 +286,6 @@ class OXS(Valuation):
         rows = [adjacency[g] for g in _iter_bits(mask) if adjacency[g]]
         return max_weight_matching_value(self._slots, rows) if rows else 0
 
-    def pad(self, extra: int) -> "OXS":
-        return OXS(self.m + extra, self.edges)
-
     def _key(self) -> tuple:
         return self.m, self.edges
 
@@ -334,12 +318,6 @@ class Table(Valuation):
 
     def _value_mask(self, mask: int) -> int:
         return self._ints[mask]
-
-    def pad(self, extra: int) -> "Table":
-        m_new = self.m + extra
-        check_subset_work(m_new, "a table")
-        real = (1 << self.m) - 1
-        return Table(m_new, [self.values[mask & real] for mask in range(1 << m_new)])
 
     def _key(self) -> tuple:
         return self.m, self.values
@@ -377,8 +355,9 @@ class Instance:
 class ClassCheck:
     """Outcome of an exhaustive class-membership check.
 
-    When the property fails, `witness` is the first violating (S, T, g)
-    triple in (S bitmask, T bitmask, g) order, for reproducible reporting.
+    When submodularity or cancelability fails, `witness` is the first
+    violating (S, T, g) triple in (S bitmask, T bitmask, g) order, for
+    reproducible reporting; the other checks name no witness.
     """
 
     holds: bool
@@ -394,14 +373,9 @@ def _integer_table(v: Valuation) -> list[int]:
     Every test the class checks make (comparisons, differences, two-term sums)
     is invariant under scaling by a positive constant, so the checks give the
     verdicts and witnesses of the Fraction table, exactly, on plain ints.
+    Each caller has refused m and m·2^m under its own name first.
     """
-    check_subset_work(v.m, "tabulating an oracle")
     return [v.value_mask(mask) for mask in range(1 << v.m)]
-
-
-def value_table(v: Valuation) -> list[Fraction]:
-    """All 2^m subset values v(S) as Fractions, indexed by bitmask."""
-    return [Fraction(x, v.scale) for x in _integer_table(v)]
 
 
 def _set_bits(m: int) -> list[list[int]]:
@@ -413,7 +387,7 @@ def _set_bits(m: int) -> list[list[int]]:
     return bits
 
 
-def is_monotone(v: Valuation) -> bool:
+def is_monotone(v: Valuation) -> ClassCheck:
     """Exhaustive: every single-good marginal is non-negative."""
     check_subset_work(v.m, "is_monotone", "is_monotone")
     vals = _integer_table(v)
@@ -421,19 +395,19 @@ def is_monotone(v: Valuation) -> bool:
         for g in range(v.m):
             bit = 1 << g
             if not mask & bit and vals[mask | bit] < vals[mask]:
-                return False
-    return True
+                return ClassCheck(False)
+    return ClassCheck(True)
 
 
-def is_additive(v: Valuation) -> bool:
+def is_additive(v: Valuation) -> ClassCheck:
     """Exhaustive: v(S) equals the sum of singleton values over S."""
     check_subset_work(v.m, "is_additive", "is_additive")
     vals = _integer_table(v)
     for mask in range(1, 1 << v.m):
         bit = mask & -mask
         if vals[mask] != vals[bit] + vals[mask ^ bit]:
-            return False
-    return True
+            return ClassCheck(False)
+    return ClassCheck(True)
 
 
 def _ascending_submasks(mask: int):
@@ -485,7 +459,7 @@ def is_cancelable(v: Valuation) -> ClassCheck:
     return ClassCheck(True)
 
 
-def is_subadditive(v: Valuation) -> bool:
+def is_subadditive(v: Valuation) -> ClassCheck:
     """Exhaustive: v(S | T) <= v(S) + v(T) over all subset pairs.
 
     The condition is symmetric in S and T, so each unordered pair is tested
@@ -497,5 +471,5 @@ def is_subadditive(v: Valuation) -> bool:
         vs = vals[s_mask]
         for t_mask in range(s_mask, 1 << v.m):
             if vals[s_mask | t_mask] > vs + vals[t_mask]:
-                return False
-    return True
+                return ClassCheck(False)
+    return ClassCheck(True)

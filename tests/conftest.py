@@ -6,7 +6,8 @@ over all m! explicit ranking deviations, and the reference class checks
 compare the oracle's Fraction values directly, with no integer scaling.
 `reference_best_response` is the exhaustive Fraction pick-tree search the
 branch-and-bound search replaced, kept to compare bundles, rankings and
-state counts against.
+state counts against.  `dummy_padded` builds the paper's padded instance,
+which the partial-round mechanism must agree with.
 """
 
 from __future__ import annotations
@@ -18,7 +19,29 @@ from typing import Mapping
 
 from rrfair.equilibria import BestResponse, search_states
 from rrfair.mechanism import Profile, Ranking, ranking_from_picks, round_robin
-from rrfair.valuations import ClassCheck, Instance, Valuation, check_work, value_table
+from rrfair.valuations import ClassCheck, Instance, Table, Valuation, check_work
+
+
+def value_table(v: Valuation) -> list[Fraction]:
+    """All 2^m subset values v(S) as Fractions, indexed by bitmask."""
+    return [Fraction(v.value_mask(mask), v.scale) for mask in range(1 << v.m)]
+
+
+def dummy_padded(inst: Instance) -> Instance:
+    """The paper's padding: dummy goods m..kn-1, worth nothing, so that n divides kn.
+
+    Each agent becomes a `Table` on the kn goods with v'(S) = v(S ∩ real).
+    """
+    m = -(-inst.m // inst.n) * inst.n
+    real = (1 << inst.m) - 1
+    return Instance(inst.n, m, tuple(
+        Table(m, [Fraction(v.value_mask(mask & real), v.scale) for mask in range(1 << m)])
+        for v in inst.valuations), inst.description)
+
+
+def with_dummies_last(ranking: Ranking, m: int) -> Ranking:
+    """`ranking` followed by the goods it lacks up to m, ascending: how others rank dummies."""
+    return Ranking(ranking.order + tuple(range(ranking.m, m)))
 
 
 def brute_force_matching_value(edges: list[tuple[int, object, Fraction]]) -> Fraction:
@@ -61,12 +84,9 @@ def reference_best_response(inst: Instance, agent: int, others: Mapping[int, Ran
     The memoized Fraction search that `best_response` replaced: it expands
     every reachable (available, bundle) state exactly once.
 
-    Requires m to be a multiple of n and the search estimate within the
-    work budget.  Ties in value resolve toward the lexicographically least
-    pick sequence.
+    Requires the search estimate within the work budget.  Ties in value
+    resolve toward the lexicographically least pick sequence.
     """
-    if inst.m % inst.n != 0:
-        raise ValueError(f"m = {inst.m} is not a multiple of n = {inst.n}; pad first")
     if set(others) != set(range(inst.n)) - {agent}:
         raise ValueError("`others` must cover exactly the agents other than `agent`")
     check_work(inst.m * search_states(inst.m, inst.n, agent),

@@ -29,7 +29,7 @@ from rrfair.instances import (
     no_pne_instance,
     oxs_lower_bound_instance,
 )
-from rrfair.mechanism import Profile, Ranking, pad_to_multiple, round_robin, strip_padding
+from rrfair.mechanism import Profile, Ranking, round_robin
 from rrfair.profiles import bluff_profile, greedy_response, truthful_profile, truthful_ranking
 from rrfair.valuations import OXS, is_submodular
 
@@ -74,11 +74,6 @@ def submodular_pool(count: int):
         yield inst
 
 
-def padded_bluff(inst):
-    padded, _ = pad_to_multiple(inst)
-    return padded, bluff_profile(padded)
-
-
 # ---------------------------------------------------------------------------
 # criteria
 
@@ -99,8 +94,7 @@ def test_criterion_02_bluff_is_exact_equilibrium_for_cancelable():
     with criterion(2, "bluff profile is an exact equilibrium on 200 cancelable instances"):
         start = time.perf_counter()
         for inst in cancelable_pool(200):
-            padded, profile = padded_bluff(inst)
-            report = pne_factor(padded, profile)
+            report = pne_factor(inst, bluff_profile(inst))
             assert report.pne_factor == 1, inst.description
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, f"took {elapsed:.1f}s"
@@ -109,33 +103,28 @@ def test_criterion_02_bluff_is_exact_equilibrium_for_cancelable():
 def test_criterion_03_truthful_round_robin_is_ef1_for_cancelable():
     with criterion(3, "truthful round-robin is fully EF1 on the same 200 instances"):
         for inst in cancelable_pool(200):
-            padded, _ = pad_to_multiple(inst)
-            profile = truthful_profile(inst).extended(padded.m)
-            alloc, _ = round_robin(padded, profile)
-            report = ef1_factor(inst, strip_padding(alloc, inst.m))
+            alloc, _ = round_robin(inst, truthful_profile(inst))
+            report = ef1_factor(inst, alloc)
             assert report.ef1_factor >= 1, inst.description
 
 
 def test_criterion_04_bluff_is_half_equilibrium_for_submodular():
     with criterion(4, "bluff profile is a 1/2-equilibrium on 100 submodular instances"):
         for inst in submodular_pool(100):
-            padded, profile = padded_bluff(inst)
-            assert pne_factor(padded, profile).pne_factor >= HALF, inst.description
-        padded, profile = padded_bluff(bluff_tightness_instance())
-        assert pne_factor(padded, profile).pne_factor == F(100, 197)
+            assert pne_factor(inst, bluff_profile(inst)).pne_factor >= HALF, inst.description
+        fixture = bluff_tightness_instance()
+        assert pne_factor(fixture, bluff_profile(fixture)).pne_factor == F(100, 197)
 
 
 def test_criterion_05_bluff_allocation_is_half_ef1_for_submodular():
     with criterion(5, "bluff allocation is 1/2-EF1 on the same 100 instances"):
         for inst in submodular_pool(100):
-            padded, profile = padded_bluff(inst)
-            alloc, _ = round_robin(padded, profile)
-            report = ef1_factor(inst, strip_padding(alloc, inst.m))
+            alloc, _ = round_robin(inst, bluff_profile(inst))
+            report = ef1_factor(inst, alloc)
             assert report.ef1_factor >= HALF, inst.description
         fixture = bluff_tightness_instance()
-        padded, profile = padded_bluff(fixture)
-        alloc, _ = round_robin(padded, profile)
-        report = ef1_factor(fixture, strip_padding(alloc, fixture.m))
+        alloc, _ = round_robin(fixture, bluff_profile(fixture))
+        report = ef1_factor(fixture, alloc)
         assert report.pair_ratios[1, 0] == F(25, 49)
 
 
@@ -143,19 +132,17 @@ def test_criterion_06_greedy_response_is_half_ef1_from_own_perspective():
     with criterion(6, "greedy response secures 1/2-EF1 from the deviator's perspective"):
         rng = random.Random(606)
         for inst in submodular_pool(100):
-            padded, _ = pad_to_multiple(inst)
             for agent in range(inst.n):
                 others = {
-                    j: Ranking(tuple(rng.sample(range(inst.m), inst.m))).extended(padded.m)
+                    j: Ranking(tuple(rng.sample(range(inst.m), inst.m)))
                     for j in range(inst.n)
                     if j != agent
                 }
-                ranking = greedy_response(padded, agent, others)
+                ranking = greedy_response(inst, agent, others)
                 rankings = [others.get(j) for j in range(inst.n)]
                 rankings[agent] = ranking
-                alloc, _ = round_robin(padded, Profile(tuple(rankings)))
-                stripped = strip_padding(alloc, inst.m)
-                assert ef1_from_perspective(inst, stripped, agent, HALF), inst.description
+                alloc, _ = round_robin(inst, Profile(tuple(rankings)))
+                assert ef1_from_perspective(inst, alloc, agent, HALF), inst.description
 
 
 def test_criterion_07_two_agent_bounds_hold_on_exhaustive_scans():
@@ -203,13 +190,10 @@ def test_criterion_09_tightness_fixtures_reproduce_exactly():
     with criterion(9, "tightness fixtures reproduce their closed-form factors"):
         # Two additive agents: delta = 1/1000, beta = 1/2.
         inst = additive_tightness_instance(F(1, 1000), F(1, 2))
-        padded, _ = pad_to_multiple(inst)
-        profile = Profile(
-            (truthful_ranking(inst.valuations[0]), Ranking((4, 3, 0, 1, 2)))
-        ).extended(padded.m)
-        alloc, _ = round_robin(padded, profile)
-        report = ef1_factor(inst, strip_padding(alloc, inst.m))
-        equilibrium = pne_factor(padded, profile)
+        profile = Profile((truthful_ranking(inst.valuations[0]), Ranking((4, 3, 0, 1, 2))))
+        alloc, _ = round_robin(inst, profile)
+        report = ef1_factor(inst, alloc)
+        equilibrium = pne_factor(inst, profile)
         alpha = equilibrium.pne_factor
         ratio = report.pair_ratios[1, 0]
         bound = alpha / (2 - alpha)
@@ -221,14 +205,13 @@ def test_criterion_09_tightness_fixtures_reproduce_exactly():
         # Three additive agents and an OXS agent: eps = (6..1)/1000, beta = 3/5.
         eps1, eps4, beta = F(6, 1000), F(3, 1000), F(3, 5)
         inst = oxs_lower_bound_instance()
-        padded, _ = pad_to_multiple(inst)
         profile = Profile(
             tuple(truthful_ranking(inst.valuations[i]) for i in range(3))
             + (Ranking((2, 5, 7, 0, 1, 3, 4, 6, 8)),)
-        ).extended(padded.m)
-        alloc, _ = round_robin(padded, profile)
-        report = ef1_factor(inst, strip_padding(alloc, inst.m))
-        equilibrium = pne_factor(padded, profile)
+        )
+        alloc, _ = round_robin(inst, profile)
+        report = ef1_factor(inst, alloc)
+        equilibrium = pne_factor(inst, profile)
         alpha = equilibrium.pne_factor
         ratio = report.pair_ratios[3, 0]
         assert alpha == (1 + eps1) / (2 * beta + eps1) == F(503, 603)

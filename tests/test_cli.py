@@ -102,13 +102,14 @@ def test_text_output_is_rendered_from_the_json_document(capsys, fixture_paths):
 
 
 def test_json_carries_what_the_text_prints(capsys, fixture_paths):
-    path = fixture_paths["additive-tightness"]  # 5 goods for 2 agents: one dummy good
+    path = fixture_paths["additive-tightness"]  # 5 goods for 2 agents: a partial last round
     _, out = run_cli(capsys, "run", path, "--profile", "bluff", "--json")
     doc = json.loads(out)
-    assert doc["padding"] == 1
+    assert doc["allocation"] == [[0, 2, 4], [1, 3]]
     assert [v["frac"] for v in doc["bundle_values"]] == ["19/2", "1001/500"]
     _, out = run_cli(capsys, "best-response", path, "--agent", "1", "--json")
-    assert json.loads(out)["padding"] == 1
+    # Her picks g1, g3, g5 and then the rest: the ranking names real goods only.
+    assert json.loads(out)["best_response"]["ranking"] == [0, 2, 4, 1, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +480,7 @@ def test_streamed_scan_text_renders_the_dumped_document(case):
 
 
 @pytest.mark.parametrize("inst, samples, shows", [
-    # exhaustive, padded: 3 goods for 2 agents
+    # exhaustive, with a partial last round: 3 goods for 2 agents
     (Instance(n=2, m=3, valuations=(Additive([3, 1, 2]), Additive([1, 2, 2]))), None,
      '"bound_ok": true'),
     # sampled

@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_best_response, random_profile, reference_best_response
+from conftest import (
+    brute_force_best_response,
+    dummy_padded,
+    random_profile,
+    reference_best_response,
+    with_dummies_last,
+)
 from rrfair import equilibria
 from rrfair.equilibria import (
     NoApplicableBoundError,
@@ -33,7 +39,7 @@ from rrfair.instances import (
     no_pne_instance,
     oxs_lower_bound_instance,
 )
-from rrfair.mechanism import Profile, Ranking, pad_to_multiple, round_robin, strip_padding
+from rrfair.mechanism import Profile, Ranking, round_robin
 from rrfair.profiles import bluff_profile, truthful_profile, truthful_ranking
 from rrfair.valuations import (
     OXS,
@@ -49,45 +55,37 @@ from rrfair.valuations import (
 F = Fraction
 
 
-def padded_with_bluff(inst):
-    padded, _ = pad_to_multiple(inst)
-    return padded, bluff_profile(padded)
-
-
 # ---------------------------------------------------------------------------
 # best responses on the benchmark constructions
 
 
 def test_best_response_on_bluff_tightness():
-    padded, profile = padded_with_bluff(bluff_tightness_instance())
-    response = best_response(padded, 1, profile.others(1))
+    inst = bluff_tightness_instance()
+    profile = bluff_profile(inst)
+    response = best_response(inst, 1, profile.others(1))
     assert response.value == 2 - F(1, 100) - F(2, 100)
-    assert response.bundle & frozenset(range(5)) == {2, 3}
+    assert response.bundle == {2, 3}
     # replay realizes the bundle
-    alloc, _ = round_robin(padded, profile.replace(1, response.ranking))
+    alloc, _ = round_robin(inst, profile.replace(1, response.ranking))
     assert alloc.bundles[1] == response.bundle
 
 
 def test_best_response_on_additive_tightness():
     inst = additive_tightness_instance()
-    padded, _ = pad_to_multiple(inst)
-    profile = Profile(
-        (truthful_ranking(inst.valuations[0]), Ranking((4, 3, 0, 1, 2)))
-    ).extended(padded.m)
-    response = best_response(padded, 1, profile.others(1))
+    profile = Profile((truthful_ranking(inst.valuations[0]), Ranking((4, 3, 0, 1, 2))))
+    response = best_response(inst, 1, profile.others(1))
     d, b = F(1, 1000), F(1, 2)
     assert response.value == 3 * b + F(1, 2) + 2 * d
-    assert response.bundle & frozenset(range(5)) == {1, 3}
+    assert response.bundle == {1, 3}
 
 
 def test_best_response_on_oxs_lower_bound():
     inst = oxs_lower_bound_instance()
-    padded, _ = pad_to_multiple(inst)
     profile = Profile(
         tuple(truthful_ranking(inst.valuations[i]) for i in range(3))
         + (Ranking((2, 5, 7, 0, 1, 3, 4, 6, 8)),)
-    ).extended(padded.m)
-    response = best_response(padded, 3, profile.others(3))
+    )
+    response = best_response(inst, 3, profile.others(3))
     assert response.value == 2 * F(3, 5) + F(6, 1000)  # 2*beta + eps1
 
 
@@ -126,14 +124,15 @@ def test_best_response_matches_brute_force_over_all_rankings():
 
 
 def test_best_response_is_deterministic_and_lexicographic():
-    padded, profile = padded_with_bluff(bluff_tightness_instance())
-    first = best_response(padded, 1, profile.others(1))
-    second = best_response(padded, 1, profile.others(1))
+    inst = bluff_tightness_instance()
+    profile = bluff_profile(inst)
+    first = best_response(inst, 1, profile.others(1))
+    second = best_response(inst, 1, profile.others(1))
     assert first.ranking == second.ranking
     assert first.explored_states == second.explored_states
-    # The counter is deterministic; the exhaustive reference expands 15 states.
-    assert first.explored_states == 5
-    assert reference_best_response(padded, 1, profile.others(1)).explored_states == 15
+    # The counter is deterministic; the exhaustive reference expands 5 states.
+    assert first.explored_states == 3
+    assert reference_best_response(inst, 1, profile.others(1)).explored_states == 5
     # {g3,g4,...} and {g4,g3,...} tie in value; the pick sequence starts with g3
     assert first.ranking.order[0] == 2
 
@@ -145,9 +144,6 @@ def test_best_response_guards():
     big = Instance(n=2, m=16, valuations=(Additive([1] * 16),) * 2)
     with pytest.raises(SizeGuardError):
         best_response(big, 0, {1: Ranking(tuple(range(16)))})
-    odd = Instance(n=2, m=3, valuations=(Additive([1, 2, 3]),) * 2)
-    with pytest.raises(ValueError, match="multiple"):
-        best_response(odd, 0, {1: Ranking((0, 1, 2))})
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +225,57 @@ def test_search_states_bound_every_search(kind, n, m, instance_seed):
         inst = Instance(n, m, tuple(rational_oracle(rng, kind, m) for _ in range(n)))
     else:
         inst = generate(GeneratorSpec(kind, n, m, instance_seed))
-    padded, _ = pad_to_multiple(inst)
-    profile = random_profile(rng, n, padded.m)
+    profile = random_profile(rng, n, m)
     for agent in range(n):
         others = profile.others(agent)
-        bound = search_states(padded.m, n, agent)
-        assert best_response(padded, agent, others).explored_states <= bound
-        assert reference_best_response(padded, agent, others).explored_states <= bound
+        bound = search_states(m, n, agent)
+        assert best_response(inst, agent, others).explored_states <= bound
+        assert reference_best_response(inst, agent, others).explored_states <= bound
+
+
+# ---------------------------------------------------------------------------
+# the partial last round against the paper's dummy goods
+
+
+def generated_agents(draw, n: int, m: int) -> Instance:
+    """n agents on m goods, each of a drawn generator class and seed, with small weights."""
+    return Instance(n=n, m=m, valuations=tuple(
+        generate(GeneratorSpec(draw(st.sampled_from(GENERATOR_CLASSES)), 1, m,
+                               draw(st.integers(min_value=0, max_value=10**6)),
+                               weight_range=(0, 3))).valuations[0]
+        for _ in range(n)))
+
+
+@st.composite
+def partial_round_cases(draw):
+    n = draw(st.sampled_from((2, 3, 4)))
+    m = draw(st.integers(min_value=1, max_value=7).filter(lambda m: m % n))
+    inst = generated_agents(draw, n, m)
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    return inst, random_profile(rng, n, m), generated_agents(draw, 2, 3)
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None)
+@given(case=partial_round_cases())
+def test_partial_last_round_equals_dummy_padding(case):
+    inst, profile, small = case
+    padded = dummy_padded(inst)
+    for agent in range(inst.n):
+        others = profile.others(agent)
+        padded_others = {i: with_dummies_last(r, padded.m) for i, r in others.items()}
+        response = best_response(inst, agent, others)
+        reference = reference_best_response(padded, agent, padded_others)
+        assert response.value == reference.value
+        assert response.ranking.order == tuple(g for g in reference.ranking.order if g < inst.m)
+        if padded.m <= 7:  # a brute force over 8! rankings takes most of a second
+            assert response.value == brute_force_best_response(padded, agent, padded_others)
+    # Every profile of a 2 x 3 scan scores as its padded profile does.
+    padded = dummy_padded(small)
+    for record in profile_space_scan(small):
+        report = pne_factor(padded, Profile(tuple(
+            with_dummies_last(Ranking(order), padded.m) for order in record.orders)))
+        assert (record.per_agent, record.pne_factor) == (report.per_agent, report.pne_factor)
 
 
 def test_convex_tables_exercise_the_monotone_bound():
@@ -263,8 +303,8 @@ def test_bluff_profile_is_exact_equilibrium_for_cancelable_agents():
 
 
 def test_bluff_profile_factor_on_tightness_fixture():
-    padded, profile = padded_with_bluff(bluff_tightness_instance())
-    report = pne_factor(padded, profile)
+    inst = bluff_tightness_instance()
+    report = pne_factor(inst, bluff_profile(inst))
     assert report.pne_factor == F(100, 197)
     assert report.per_agent[0].ratio == 1
     assert report.per_agent[1].ratio == F(100, 197)
@@ -327,14 +367,11 @@ def test_sampled_scan_is_deterministic_per_seed():
 
 def unshared_scan(inst, *, samples=None, seed=0):
     """Each profile's orders, rows, factor and fairness, with no memo shared between profiles."""
-    padded, _ = pad_to_multiple(inst)
     for orders in profile_orders(inst, samples=samples, seed=seed):
         profile = Profile(tuple(Ranking(order) for order in orders))
-        padded_profile = profile.extended(padded.m)
-        alloc, _ = round_robin(padded, padded_profile)
-        equilibrium = pne_factor(padded, padded_profile)
-        yield (orders, equilibrium.per_agent, equilibrium.pne_factor,
-               ef1_factor(inst, strip_padding(alloc, inst.m)))
+        alloc, _ = round_robin(inst, profile)
+        equilibrium = pne_factor(inst, profile)
+        yield orders, equilibrium.per_agent, equilibrium.pne_factor, ef1_factor(inst, alloc)
 
 
 @st.composite
@@ -343,13 +380,7 @@ def scan_cases(draw):
     # values and repeated allocations common.  m need not be a multiple of n.
     n = draw(st.sampled_from((2, 3)))
     m = draw(st.integers(min_value=1, max_value=4))
-    valuations = tuple(
-        generate(GeneratorSpec(draw(st.sampled_from(GENERATOR_CLASSES)), 1, m,
-                               draw(st.integers(min_value=0, max_value=10**6)),
-                               weight_range=(0, 3))).valuations[0]
-        for _ in range(n)
-    )
-    inst = Instance(n=n, m=m, valuations=valuations)
+    inst = generated_agents(draw, n, m)
     exhaustive = math.factorial(m) ** n <= 576 and draw(st.booleans())
     samples = None if exhaustive else draw(st.integers(min_value=1, max_value=40))
     return inst, samples, draw(st.integers(min_value=0, max_value=1000))

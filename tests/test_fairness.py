@@ -15,7 +15,7 @@ from rrfair.instances import (
     generate,
     oxs_lower_bound_instance,
 )
-from rrfair.mechanism import Allocation, pad_to_multiple, round_robin, strip_padding
+from rrfair.mechanism import Allocation, round_robin
 from rrfair.profiles import bluff_profile, truthful_profile
 from rrfair.valuations import Additive, Instance
 
@@ -24,9 +24,8 @@ F = Fraction
 
 def bluff_tightness_outcome():
     inst = bluff_tightness_instance()
-    padded, _ = pad_to_multiple(inst)
-    alloc, _ = round_robin(padded, bluff_profile(padded))
-    return inst, strip_padding(alloc, inst.m)
+    alloc, _ = round_robin(inst, bluff_profile(inst))
+    return inst, alloc
 
 
 # ---------------------------------------------------------------------------
@@ -83,16 +82,15 @@ def test_singleton_bundles_make_every_pair_unbounded():
 
 def test_ef1_ratio_on_lower_bound_fixture():
     inst = oxs_lower_bound_instance()
-    padded, _ = pad_to_multiple(inst)
     from rrfair.mechanism import Profile, Ranking
     from rrfair.profiles import truthful_ranking
 
     profile = Profile(
         tuple(truthful_ranking(inst.valuations[i]) for i in range(3))
         + (Ranking((2, 5, 7, 0, 1, 3, 4, 6, 8)),)
-    ).extended(padded.m)
-    alloc, _ = round_robin(padded, profile)
-    report = ef1_factor(inst, strip_padding(alloc, inst.m))
+    )
+    alloc, _ = round_robin(inst, profile)
+    report = ef1_factor(inst, alloc)
     e1, e4, b = F(6, 1000), F(3, 1000), F(3, 5)
     assert report.pair_ratios[3, 0] == (1 + e1) / (4 * b - e4)
 

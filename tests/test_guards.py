@@ -43,9 +43,6 @@ class Tangled(Valuation):
     def _value_mask(self, mask: int) -> int:
         return 2 if mask == (1 << self.m) - 1 else int(mask == 1)
 
-    def pad(self, extra: int) -> Tangled:
-        raise NotImplementedError
-
     def _key(self) -> tuple:
         return (self.m,)
 
@@ -94,7 +91,7 @@ GUARDS = [
     ("is_subadditive on", 12, 13, class_check(is_subadditive), 4**13 // 2),
     ("is_cancelable on", 10, 11, class_check(is_cancelable), 11 * 4**10),
     ("class certification for the bound rule on", 10, 11, bound_rule, 11 * 4**10),
-    ("an exhaustive scan of 2 agents and", 6, 7, exhaustive_scan, math.factorial(7) ** 2 * 8),
+    ("an exhaustive scan of 2 agents and", 6, 7, exhaustive_scan, math.factorial(7) ** 2 * 7),
     ("best_response for agent 1 of 2 on", 14, 16, two_agent_search, 82_940_112),
     ("generating a submodular_table on", 17, 18, generation, 3 * 18 * 2**18),
 ]

@@ -1,4 +1,4 @@
-"""Round-robin execution, padding, and trace bookkeeping."""
+"""Round-robin execution, the partial last round, and trace bookkeeping."""
 
 from __future__ import annotations
 
@@ -18,55 +18,41 @@ from rrfair.instances import (
     no_pne_instance,
     oxs_lower_bound_instance,
 )
-from rrfair.mechanism import (
-    Allocation,
-    Profile,
-    Ranking,
-    pad_to_multiple,
-    round_robin,
-    strip_padding,
-)
+from rrfair.mechanism import Profile, Ranking, round_robin
 from rrfair.profiles import truthful_profile, truthful_ranking
-from rrfair.valuations import Additive, Instance, Table
+from rrfair.valuations import Additive, Instance
 
 F = Fraction
 
 
 # ---------------------------------------------------------------------------
-# padding
+# the partial last round
 
 
-def test_padding_counts():
-    nine = oxs_lower_bound_instance()
-    padded, extra = pad_to_multiple(nine)
-    assert (padded.m, extra) == (12, 3)
-
-    four = no_pne_instance()
-    same, extra = pad_to_multiple(four)
-    assert extra == 0 and same is four
-
-    one = Instance(n=3, m=1, valuations=(Additive([1]), Additive([2]), Additive([3])))
-    padded, extra = pad_to_multiple(one)
-    assert (padded.m, extra) == (3, 2)
-
-
-def test_padding_adds_zero_marginal_goods_for_every_class():
-    for inst in (bluff_tightness_instance(), oxs_lower_bound_instance()):
-        padded, extra = pad_to_multiple(inst)
-        assert extra > 0
-        for v in padded.valuations:
-            for dummy in range(inst.m, padded.m):
-                assert v.singleton(dummy) == 0
-                assert v.marginal(dummy, set(range(inst.m))) == 0
+@pytest.mark.parametrize("n, m, sizes, rounds", [
+    (2, 5, (3, 2), 3),
+    (3, 4, (2, 1, 1), 2),
+    (3, 1, (1, 0, 0), 1),
+])
+def test_partial_last_round_deals_every_good_once(n, m, sizes, rounds):
+    inst = Instance(n=n, m=m, valuations=(Additive([1] * m),) * n)
+    order = Ranking(tuple(range(m)))
+    alloc, trace = round_robin(inst, Profile((order,) * n))
+    alloc.validate_partition(m)
+    assert tuple(len(b) for b in alloc.bundles) == sizes
+    assert trace.picks == tuple(range(m))
+    assert trace.rounds == rounds
+    assert trace.steps[-1].round == rounds - 1
 
 
-def test_padding_extends_tables_by_copy():
-    inst = Instance(n=3, m=2, valuations=(Table(2, [0, 1, 2, 2]),) * 3)
-    padded, extra = pad_to_multiple(inst)
-    assert extra == 1
-    v = padded.valuations[0]
-    assert v.value({0, 1}) == v.value({0, 1, 2}) == 2
-    assert v.value({2}) == 0
+def test_prefix_sets_stop_at_the_last_turn_each_agent_gets():
+    inst = Instance(n=3, m=4, valuations=(Additive([1, 1, 1, 1]),) * 3)
+    order = Ranking((0, 1, 2, 3))
+    _, trace = round_robin(inst, Profile((order,) * 3))
+    # agent 1 picks in both rounds, agents 2 and 3 only in the first
+    assert trace.prefix_sets(0) == (frozenset(), frozenset({0, 1, 2}))
+    assert trace.prefix_sets(1) == (frozenset({0}),)
+    assert trace.prefix_sets(2) == (frozenset({0, 1}),)
 
 
 # ---------------------------------------------------------------------------
@@ -85,19 +71,6 @@ def test_profile_rankings_must_agree_on_m():
         Profile((Ranking((0, 1)), Ranking((0, 1, 2))))
 
 
-def test_extending_to_the_same_size_returns_the_same_objects():
-    ranking = Ranking((2, 0, 1))
-    profile = Profile((ranking, Ranking((0, 1, 2))))
-    assert ranking.extended(3) is ranking
-    assert profile.extended(3) is profile
-    grown = profile.extended(5)
-    assert [r.order for r in grown.rankings] == [(2, 0, 1, 3, 4), (0, 1, 2, 3, 4)]
-    with pytest.raises(ValueError, match="shrink"):
-        ranking.extended(2)
-    with pytest.raises(ValueError, match="shrink"):
-        profile.extended(2)
-
-
 def test_round_robin_rejects_mismatched_inputs():
     inst = no_pne_instance()
     with pytest.raises(ValueError, match="profile has"):
@@ -105,9 +78,6 @@ def test_round_robin_rejects_mismatched_inputs():
     bad_m = Profile((Ranking((0, 1)), Ranking((0, 1))))
     with pytest.raises(ValueError, match="ranks"):
         round_robin(inst, bad_m)
-    odd = Instance(n=2, m=3, valuations=(Additive([1, 2, 3]),) * 2)
-    with pytest.raises(ValueError, match="multiple"):
-        round_robin(odd, Profile((Ranking((0, 1, 2)),) * 2))
 
 
 # ---------------------------------------------------------------------------
@@ -115,35 +85,29 @@ def test_round_robin_rejects_mismatched_inputs():
 
 
 def test_identical_bids_alternate_down_the_order():
-    inst, _ = pad_to_multiple(bluff_tightness_instance())
-    order = Ranking((0, 1, 2, 3, 4, 5))
+    inst = bluff_tightness_instance()
+    order = Ranking((0, 1, 2, 3, 4))
     alloc, trace = round_robin(inst, Profile((order, order)))
     assert alloc.bundles[0] == {0, 2, 4}
-    assert alloc.bundles[1] == {1, 3, 5}
-    assert [s.good for s in trace.steps] == [0, 1, 2, 3, 4, 5]
+    assert alloc.bundles[1] == {1, 3}
+    assert [s.good for s in trace.steps] == [0, 1, 2, 3, 4]
 
 
 def test_additive_tightness_run():
     inst = additive_tightness_instance()
-    padded, _ = pad_to_multiple(inst)
-    profile = Profile(
-        (truthful_ranking(inst.valuations[0]), Ranking((4, 3, 0, 1, 2)))
-    ).extended(padded.m)
-    alloc, _ = round_robin(padded, profile)
-    real = strip_padding(alloc, inst.m)
-    assert real.bundles == (frozenset({0, 1, 2}), frozenset({3, 4}))
+    profile = Profile((truthful_ranking(inst.valuations[0]), Ranking((4, 3, 0, 1, 2))))
+    alloc, _ = round_robin(inst, profile)
+    assert alloc.bundles == (frozenset({0, 1, 2}), frozenset({3, 4}))
 
 
 def test_oxs_lower_bound_run():
     inst = oxs_lower_bound_instance()
-    padded, _ = pad_to_multiple(inst)
     profile = Profile(
         tuple(truthful_ranking(inst.valuations[i]) for i in range(3))
         + (Ranking((2, 5, 7, 0, 1, 3, 4, 6, 8)),)
-    ).extended(padded.m)
-    alloc, _ = round_robin(padded, profile)
-    real = strip_padding(alloc, inst.m)
-    assert real.bundles == (
+    )
+    alloc, _ = round_robin(inst, profile)
+    assert alloc.bundles == (
         frozenset({0, 3, 4}),
         frozenset({1, 6}),
         frozenset({2, 8}),
@@ -196,7 +160,7 @@ def test_partition_positional_and_consistency_invariants(seed, n):
 
 
 def test_prefix_sets_views():
-    inst, _ = pad_to_multiple(bluff_tightness_instance())
+    inst = Instance(n=2, m=6, valuations=(Additive([1] * 6),) * 2)
     order = Ranking((0, 1, 2, 3, 4, 5))
     _, trace = round_robin(inst, Profile((order, order)))
     # agent 1 (index 0): before her pick in rounds 0,1,2
@@ -242,8 +206,3 @@ def test_deviation_prefix_invariants_on_random_runs():
         deviation = Ranking(tuple(rng.sample(range(m), m)))
         assert deviation_prefix_invariants_hold(inst, profile, agent, deviation)
 
-
-def test_strip_padding_drops_only_dummies():
-    alloc = Allocation((frozenset({0, 4}), frozenset({1, 2, 3, 5})))
-    stripped = strip_padding(alloc, 4)
-    assert stripped.bundles == (frozenset({0}), frozenset({1, 2, 3}))

@@ -15,7 +15,7 @@ from rrfair.instances import (
     generate,
     no_pne_instance,
 )
-from rrfair.mechanism import Profile, Ranking, pad_to_multiple, round_robin
+from rrfair.mechanism import Profile, Ranking, round_robin
 from rrfair.profiles import (
     bluff_order,
     bluff_profile,
@@ -49,16 +49,14 @@ def test_truthful_ranking_examples():
 
 
 def test_bluff_order_on_tightness_fixture():
-    inst, _ = pad_to_multiple(bluff_tightness_instance())
-    bo = bluff_order(inst)
-    assert bo.ranking.order == (0, 1, 2, 3, 4, 5)
-    assert bo.picked_by == (0, 1, 0, 1, 0, 1)
-    assert bo.bundles == (frozenset({0, 2, 4}), frozenset({1, 3, 5}))
+    bo = bluff_order(bluff_tightness_instance())
+    assert bo.ranking.order == (0, 1, 2, 3, 4)
+    assert bo.picked_by == (0, 1, 0, 1, 0)
+    assert bo.bundles == (frozenset({0, 2, 4}), frozenset({1, 3}))
 
 
 def test_bluff_order_on_additive_tightness_fixture():
-    inst, _ = pad_to_multiple(additive_tightness_instance())
-    assert bluff_order(inst).ranking.order == (0, 1, 2, 3, 4, 5)
+    assert bluff_order(additive_tightness_instance()).ranking.order == (0, 1, 2, 3, 4)
 
 
 def test_bluff_single_agent_is_descending_weight():
@@ -108,11 +106,6 @@ def test_bluff_equals_truthful_even_with_coarse_ties():
     truthful_alloc, _ = round_robin(inst, truthful_profile(inst))
     assert bluff_alloc == truthful_alloc
     assert bluff_alloc.bundles == (frozenset({0, 2}), frozenset({1, 3}))
-
-
-def test_bluff_requires_padded_instance():
-    with pytest.raises(ValueError, match="multiple"):
-        bluff_order(bluff_tightness_instance())
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +174,13 @@ def test_renamed_deviations_are_marginally_dominated_by_greedy_bundles():
 
 
 def test_greedy_response_on_tightness_fixture():
-    inst, _ = pad_to_multiple(bluff_tightness_instance())
+    inst = bluff_tightness_instance()
     others = {0: truthful_ranking(inst.valuations[0])}
     ranking = greedy_response(inst, 1, others)
-    # Picks g2 then (marginal ties 0) the smallest id g4, then the dummy.
-    assert ranking.order[:3] == (1, 3, 5)
+    # Picks g2 then (marginal ties 0) the smallest id g4; the last round is agent 1's alone.
+    assert ranking.order[:2] == (1, 3)
     alloc, _ = round_robin(inst, Profile((others[0], ranking)))
-    assert alloc.bundles[1] == {1, 3, 5}
+    assert alloc.bundles[1] == {1, 3}
     assert inst.valuations[1].value(alloc.bundles[1]) == 1
 
 

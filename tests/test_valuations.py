@@ -20,6 +20,7 @@ from conftest import (
     reference_is_subadditive,
     reference_is_submodular,
     submodular_by_extension_bound,
+    value_table,
 )
 from rrfair.instances import (
     FIXTURES,
@@ -44,7 +45,6 @@ from rrfair.valuations import (
     is_monotone,
     is_subadditive,
     is_submodular,
-    value_table,
 )
 
 F = Fraction
@@ -377,11 +377,11 @@ def test_closed_forms_are_normalized_and_monotone(weights, cap):
 
 
 def assert_checks_match_reference(v):
-    assert is_monotone(v) == reference_is_monotone(v)
-    assert is_additive(v) == reference_is_additive(v)
+    assert bool(is_monotone(v)) == reference_is_monotone(v)
+    assert bool(is_additive(v)) == reference_is_additive(v)
     assert is_submodular(v) == reference_is_submodular(v)
     assert is_cancelable(v) == reference_is_cancelable(v)
-    assert is_subadditive(v) == reference_is_subadditive(v)
+    assert bool(is_subadditive(v)) == reference_is_subadditive(v)
 
 
 # Small numerators over mixed denominators: the scaled tables differ from the
@@ -464,7 +464,7 @@ PRIMES = [p for p in range(2, 200) if all(p % d for d in range(2, int(p ** 0.5) 
 
 @st.composite
 def oracles_with_closed_forms(draw):
-    """An oracle of any class, maybe padded, and its value as a Fraction closed form.
+    """An oracle of any class and its value as a Fraction closed form.
 
     Every rational gets its own prime denominator, so `scale` is the product
     of the primes of the non-zero ones; zeros are common.  OXS edges include
@@ -510,9 +510,7 @@ def oracles_with_closed_forms(draw):
 
             def closed(members):
                 return max((weights[g] for g in members), default=F(0))
-    extra = draw(st.integers(min_value=0, max_value=2))
-    # Padded goods (ids m and up) add nothing.
-    return v.pad(extra), lambda members: closed({g for g in members if g < m})
+    return v, closed
 
 
 @seed(20230131)
