@@ -9,6 +9,7 @@ import pytest
 
 from conftest import enumerate_reachable_bundles
 from rrfair.instances import (
+    GENERATOR_CLASSES,
     GeneratorSpec,
     additive_tightness_instance,
     bluff_tightness_instance,
@@ -106,6 +107,33 @@ def test_bluff_equals_truthful_even_with_coarse_ties():
     truthful_alloc, _ = round_robin(inst, truthful_profile(inst))
     assert bluff_alloc == truthful_alloc
     assert bluff_alloc.bundles == (frozenset({0, 2}), frozenset({1, 3}))
+
+
+def test_bluff_allocation_equals_greedy_piles_on_partial_rounds():
+    rng = random.Random(23)
+    for cls in GENERATOR_CLASSES:
+        for n, m in ((2, 5), (3, 4), (3, 5), (4, 6)):
+            inst = generate(
+                GeneratorSpec(valuation_class=cls, n=n, m=m, seed=rng.randrange(10**6))
+            )
+            bo = bluff_order(inst)
+            assert bo.picked_by == tuple(j % n for j in range(m))
+            alloc, _ = round_robin(inst, bluff_profile(inst))
+            assert alloc.bundles == bo.bundles, (cls, inst.description)
+
+
+def test_bluff_equals_truthful_allocation_on_partial_rounds():
+    rng = random.Random(29)
+    for cls in ("additive", "budget_additive", "unit_demand"):
+        for _ in range(12):
+            n = rng.choice([2, 3])
+            m = n * rng.randint(1, 2) + rng.randint(1, n - 1)
+            inst = generate(
+                GeneratorSpec(valuation_class=cls, n=n, m=m, seed=rng.randrange(10**6))
+            )
+            bluff_alloc, _ = round_robin(inst, bluff_profile(inst))
+            truthful_alloc, _ = round_robin(inst, truthful_profile(inst))
+            assert bluff_alloc == truthful_alloc, (cls, inst.description)
 
 
 # ---------------------------------------------------------------------------
