@@ -21,7 +21,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .equilibria import (
     BoundRule,
@@ -45,11 +45,12 @@ from .instances import (
     dumps,
     generate,
     load,
+    parse_fraction,
     save,
 )
 from .mechanism import Profile, Ranking, round_robin
 from .profiles import bluff_profile, truthful_profile
-from .scan_json import write_scan_json
+from .scan_json import SCAN_JSON, ScanFormat
 from .valuations import (
     Instance,
     SizeGuardError,
@@ -130,7 +131,7 @@ def parse_profile_file(path: str, m: int, n: int) -> Profile:
             for line in Path(path).read_text(encoding="utf-8").splitlines()
             if line.strip() and not line.lstrip().startswith("#")
         ]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read profile {path!r}: {exc}") from None
     if len(lines) != n:
         raise InputError(f"profile {path!r} has {len(lines)} rankings, instance needs {n}")
@@ -161,10 +162,11 @@ def parse_params(pairs: Sequence[str]) -> dict[str, Fraction]:
         name, sep, raw = pair.partition("=")
         if not sep:
             raise InputError(f"--param expects NAME=VALUE, got {pair!r}")
+        name = name.strip()
         try:
-            out[name.strip()] = Fraction(raw.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"malformed rational {raw.strip()!r}: {exc}") from None
+            out[name] = parse_fraction(raw.strip(), f"--param {name}")
+        except SchemaError as exc:
+            raise InputError(str(exc)) from None
     return out
 
 
@@ -427,72 +429,54 @@ def cmd_scan(args: argparse.Namespace) -> int:
     except (NoApplicableBoundError, SizeGuardError):
         rule = None
 
-    summary: dict[str, Any] = {}  # filled in when the records run out
-
-    def records() -> Iterator[dict[str, Any]]:
-        # Each record's tail (its two json_frac blocks and bound_ok) by the
-        # record's int key, which the scan makes equal exactly for equal
-        # (pne_factor, ef1_factor); Fractions are compared only for a new key,
-        # and the summary's extremes are taken over those keys' factors.
-        tails: dict[tuple[int, ...], tuple[dict[str, Any], dict[str, Any], bool | None]] = {}
-        pnes: list[Factor] = []
-        ef1s: list[Factor] = []
-        count = 0
-        violations = 0
-        for record in scanned:
-            count += 1
-            tail = tails.get(record.key)
-            if tail is None:
-                pne, ef1 = record.pne_factor, record.fairness.ef1_factor
-                pnes.append(pne)
-                ef1s.append(ef1)
-                tail = tails[record.key] = (json_frac(pne), json_frac(ef1),
-                                            None if rule is None else ef1 >= rule(pne))
-            violations += tail[2] is False
-            yield {"profile": record.orders, "pne_factor": tail[0], "ef1_factor": tail[1],
-                   "bound_ok": tail[2]}
-        summary.update(
-            profiles=count,
-            min_pne_factor=json_frac(min(pnes, default=UNBOUNDED)),
-            max_pne_factor=json_frac(max(pnes, default=Fraction(0))),
-            min_ef1_factor=json_frac(min(ef1s, default=UNBOUNDED)),
-            bound_rule=rule.name if rule is not None else None,
-            violations=violations if rule is not None else None,
-        )
-
-    # Both outputs pull one record at a time, so no list of records is built.
-    doc = {"records": records(), "summary": summary}
-    if args.json:
-        write_scan_json(doc)
-    else:
-        print_scan_report(doc)
+    fmt = SCAN_JSON if args.json else SCAN_TEXT
+    order_text = functools.cache(fmt.order)
+    # Each record's tail text and bound verdict by the record's int key, which
+    # the scan makes equal exactly for equal (pne_factor, ef1_factor); Fractions
+    # are compared only for a new key, and the summary's extremes are taken
+    # over those keys' factors.
+    tails: dict[tuple[int, ...], tuple[str, bool | None]] = {}
+    pnes: list[Factor] = []
+    ef1s: list[Factor] = []
+    count = violations = 0
+    write = sys.stdout.write
+    for record in scanned:  # each record is written as it is pulled; no list is built
+        tail = tails.get(record.key)
+        if tail is None:
+            pne, ef1 = record.pne_factor, record.fairness.ef1_factor
+            pnes.append(pne)
+            ef1s.append(ef1)
+            verdict = None if rule is None else ef1 >= rule(pne)
+            tail = tails[record.key] = (fmt.tail(json_frac(pne), json_frac(ef1), verdict),
+                                        verdict)
+        violations += tail[1] is False
+        write(fmt.record(count, [order_text(order) for order in record.orders], tail[0]))
+        count += 1
+    write(fmt.end({
+        "profiles": count,
+        "min_pne_factor": json_frac(min(pnes, default=UNBOUNDED)),
+        "max_pne_factor": json_frac(max(pnes, default=Fraction(0))),
+        "min_ef1_factor": json_frac(min(ef1s, default=UNBOUNDED)),
+        "bound_rule": rule.name if rule is not None else None,
+        "violations": violations if rule is not None else None,
+    }))
     return EXIT_OK
 
 
-def print_scan_report(doc: dict[str, Any]) -> None:
-    # Each distinct order and each distinct (pne, ef1, verdict) tail is rendered once.
-    write = sys.stdout.write
-
-    @functools.cache
-    def order_text(order: tuple[int, ...]) -> str:
-        return "".join(map(str, order)) if len(order) <= 10 else str(list(order))
-
-    tails: dict[tuple[str, str, bool | None], str] = {}
-    for entry in doc["records"]:
-        profile = " | ".join([order_text(tuple(order)) for order in entry["profile"]])
-        pne, ef1, verdict = entry["pne_factor"], entry["ef1_factor"], entry["bound_ok"]
-        tail = tails.get((pne["frac"], ef1["frac"], verdict))
-        if tail is None:
-            tail = tails[pne["frac"], ef1["frac"], verdict] = (
-                f"  pne {fmt_frac(pne)}  ef1 {fmt_frac(ef1)}"
-                + ("" if verdict is None else f"  bound {'ok' if verdict else 'VIOLATED'}"))
-        write(f"profile {profile}{tail}\n")
-    summary = doc["summary"]
-    print(f"{summary['profiles']} profiles, pne_factor in "
-          f"[{fmt_frac(summary['min_pne_factor'])}, {fmt_frac(summary['max_pne_factor'])}], "
-          f"min ef1_factor {fmt_frac(summary['min_ef1_factor'])}, "
-          + (f"bound violations {summary['violations']} ({summary['bound_rule']})"
-             if summary["bound_rule"] is not None else "no certified bound"))
+# The text pieces of a scan, rendered from the JSON record's blocks and summary.
+SCAN_TEXT = ScanFormat(
+    order=lambda order: "".join(map(str, order)) if len(order) <= 10 else str(list(order)),
+    tail=lambda pne, ef1, verdict: (
+        f"  pne {fmt_frac(pne)}  ef1 {fmt_frac(ef1)}"
+        + ("" if verdict is None else f"  bound {'ok' if verdict else 'VIOLATED'}")),
+    record=lambda index, orders, tail: f"profile {' | '.join(orders)}{tail}\n",
+    end=lambda summary: (
+        f"{summary['profiles']} profiles, pne_factor in "
+        f"[{fmt_frac(summary['min_pne_factor'])}, {fmt_frac(summary['max_pne_factor'])}], "
+        f"min ef1_factor {fmt_frac(summary['min_ef1_factor'])}, "
+        + (f"bound violations {summary['violations']} ({summary['bound_rule']})"
+           if summary["bound_rule"] is not None else "no certified bound") + "\n"),
+)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,12 @@ largest singleton values still available (k picks to go) is a second
 bound, and the search takes the smaller.  No bound prunes an optimum, so
 the value, the bundle and the lexicographically least optimal pick
 sequence are those of the exhaustive search.
+
+`ResponseMemo.score` is the one scoring loop: it builds each agent's row,
+her current value against her best-response value, once per key the row
+depends on, and takes the least ratio on the rows' int pairs.
+`pne_factor` scores one profile with it, and a scan shares one memo across
+all its profiles.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .fairness import UNBOUNDED, Factor, FairnessReport, ef1_factor
 from .mechanism import (
@@ -83,28 +89,50 @@ Row = tuple[int, int, Fraction, AgentEquilibrium]
 
 
 class ResponseMemo:
-    """Equilibrium rows and best-response values shared by the profiles of one instance.
+    """Equilibrium rows, best-response values and fairness reports of one instance's profiles.
 
     `rows` is keyed by (agent, the other agents' orders in agent order,
     bundle mask) and `best` by (agent, others' orders): a row depends on
-    nothing else, and its best-response value not on the bundle.
+    nothing else, and its best-response value not on the bundle.  `reports`
+    holds a scan's fairness reports, with their ef1 int pair, by the bundle
+    masks.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, inst: Instance) -> None:
+        self.inst = inst
         self.rows: dict[tuple[int, Orders, int], Row] = {}
         self.best: dict[tuple[int, Orders], Fraction] = {}
+        self.reports: dict[tuple[int, ...], tuple[FairnessReport, tuple[int, int]]] = {}
 
-    def add_row(self, inst: Instance, agent: int, others: Orders, mask: int,
-                best: Fraction) -> Row:
-        """Make and keep `agent`'s row for bundle `mask`, given her best-response value."""
-        v = inst.valuations[agent]
-        current = Fraction(v.value_mask(mask), v.scale)
-        ratio: Factor = UNBOUNDED if best == 0 else current / best
-        capped = ratio if ratio < 1 else _ONE
-        row = self.rows[agent, others, mask] = (
-            capped.numerator, capped.denominator, capped,
-            AgentEquilibrium(agent, current, best, ratio))
-        return row
+    def score(self, orders: Orders, masks: Sequence[int], respond: Callable[[int], Fraction]
+              ) -> tuple[tuple[AgentEquilibrium, ...], Fraction, int, int]:
+        """Each agent's row for the bundle masks the profile `orders` deals, and their minimum.
+
+        `respond(i)` gives agent i's best-response value; it is called only
+        for a new (agent, others) key.  Returns the agents' entries and the
+        least capped ratio, as a Fraction and as its reduced int pair (p, q),
+        found by cross-multiplying the rows' int pairs.
+        """
+        per_agent = []
+        p, q, factor = 1, 1, _ONE
+        for i, mask in enumerate(masks):
+            others = orders[:i] + orders[i + 1:]
+            row = self.rows.get((i, others, mask))
+            if row is None:
+                best = self.best.get((i, others))
+                if best is None:
+                    best = self.best[i, others] = respond(i)
+                v = self.inst.valuations[i]
+                current = Fraction(v.value_mask(mask), v.scale)
+                ratio: Factor = UNBOUNDED if best == 0 else current / best
+                capped = ratio if ratio < 1 else _ONE
+                row = self.rows[i, others, mask] = (
+                    capped.numerator, capped.denominator, capped,
+                    AgentEquilibrium(i, current, best, ratio))
+            if row[0] * q < p * row[1]:
+                p, q, factor = row[0], row[1], row[2]
+            per_agent.append(row[3])
+        return tuple(per_agent), factor, p, q
 
 
 @dataclass(frozen=True)
@@ -283,33 +311,20 @@ def pne_factor(
     reachable bundles) imposes no constraint and counts as ratio 1.
 
     `allocation` is the mechanism's outcome on `profile`, when the caller
-    already has it.  Rows are read from `responses`: `best_response` runs
-    only for a new (agent, others) key, and a new bundle under a known key
-    reuses its best-response value.  Pass one memo across calls on the same
-    instance to share the rows; without one, a fresh memo serves this call
-    alone.  The minimum is taken by cross-multiplying the rows' int pairs.
+    already has it.  Rows are read from `responses` (see `ResponseMemo.score`):
+    `best_response` runs only for a new (agent, others) key.  Pass one memo
+    across calls on the same instance to share the rows; without one, a
+    fresh memo serves this call alone.
     """
     if allocation is None:
         allocation, _ = round_robin(inst, profile)
     if responses is None:
-        responses = ResponseMemo()
-    orders = tuple(r.order for r in profile.rankings)
-    per_agent = []
-    p, q, factor = 1, 1, _ONE
-    for i, bundle in enumerate(allocation.bundles):
-        others = orders[:i] + orders[i + 1:]
-        mask = sum(1 << g for g in bundle)
-        row = responses.rows.get((i, others, mask))
-        if row is None:
-            best = responses.best.get((i, others))
-            if best is None:
-                best = responses.best[i, others] = best_response(
-                    inst, i, profile.others(i)).value
-            row = responses.add_row(inst, i, others, mask, best)
-        if row[0] * q < p * row[1]:
-            p, q, factor = row[0], row[1], row[2]
-        per_agent.append(row[3])
-    return EquilibriumReport(tuple(per_agent), factor)
+        responses = ResponseMemo(inst)
+    per_agent, factor, _, _ = responses.score(
+        tuple(r.order for r in profile.rankings),
+        [sum(1 << g for g in bundle) for bundle in allocation.bundles],
+        lambda i: best_response(inst, i, profile.others(i)).value)
+    return EquilibriumReport(per_agent, factor)
 
 
 class ScanRecord(NamedTuple):
@@ -373,44 +388,22 @@ def profile_orders(
     return (tuple(tuple(rng.sample(range(m), m)) for _ in range(n)) for _ in range(samples))
 
 
-class ScanMemo(ResponseMemo):
-    """What a scan of one instance keeps from profile to profile.
-
-    The equilibrium rows, and fairness reports with their ef1 int pair by
-    the bundle masks (`reports`).
-    """
-
-    def __init__(self, inst: Instance) -> None:
-        super().__init__()
-        self.inst = inst
-        self.reports: dict[tuple[int, ...], tuple[FairnessReport, tuple[int, int]]] = {}
-
-
-def scan_one_profile(scan: ScanMemo, orders: Orders) -> ScanRecord:
+def scan_one_profile(scan: ResponseMemo, orders: Orders) -> ScanRecord:
     """Evaluate a single scanned profile (equilibrium plus fairness).
 
     The profile is dealt once; rows and the fairness report come from
     `scan`.  Only a profile that needs a new best response builds a
-    `Profile`, on which `pne_factor` fills its rows.  The factor is the
-    least row, found by cross-multiplying the rows' int pairs.
+    `Profile`, on which `pne_factor` fills its rows.
     """
     inst = scan.inst
     _, masks = deal(orders, inst.m)
-    per_agent = []
-    p, q, factor = 1, 1, _ONE
-    for i, mask in enumerate(masks):
-        others = orders[:i] + orders[i + 1:]
-        row = scan.rows.get((i, others, mask))
-        if row is None:
-            best = scan.best.get((i, others))
-            if best is None:
-                pne_factor(inst, Profile(tuple(map(Ranking, orders))), responses=scan)
-                row = scan.rows[i, others, mask]
-            else:
-                row = scan.add_row(inst, i, others, mask, best)
-        if row[0] * q < p * row[1]:
-            p, q, factor = row[0], row[1], row[2]
-        per_agent.append(row[3])
+
+    def respond(i: int) -> Fraction:
+        # Routed through pne_factor for the benchmark's tracer, until ROADMAP item 1 lands.
+        pne_factor(inst, Profile(tuple(map(Ranking, orders))), responses=scan)
+        return scan.best[i, orders[:i] + orders[i + 1:]]
+
+    per_agent, factor, p, q = scan.score(orders, masks, respond)
     bundles = tuple(masks)
     fairness = scan.reports.get(bundles)
     if fairness is None:
@@ -418,7 +411,7 @@ def scan_one_profile(scan: ScanMemo, orders: Orders) -> ScanRecord:
         ef1 = report.ef1_factor
         fairness = scan.reports[bundles] = (
             report, (1, 0) if ef1 == UNBOUNDED else (ef1.numerator, ef1.denominator))
-    return ScanRecord(orders, tuple(per_agent), factor, fairness[0], (p, q) + fairness[1])
+    return ScanRecord(orders, per_agent, factor, fairness[0], (p, q) + fairness[1])
 
 
 def profile_space_scan(
@@ -430,15 +423,15 @@ def profile_space_scan(
     lexicographic order; sampled mode draws `samples` uniform profiles from
     a seeded generator.  Both are deterministic.
 
-    The scan deals each profile once and keeps a `ScanMemo` for its whole
-    length: equilibrium rows by (agent, the other agents' orders, bundle),
-    with one best response per (agent, others), and fairness reports by
-    allocation.  All are pure functions of their keys, so the records equal
-    those of unshared evaluation; no search's own memo table is kept.
-    An oversized exhaustive scan is refused when called.
+    The scan deals each profile once and keeps a `ResponseMemo` for its
+    whole length: equilibrium rows by (agent, the other agents' orders,
+    bundle), with one best response per (agent, others), and fairness
+    reports by allocation.  All are pure functions of their keys, so the
+    records equal those of unshared evaluation; no search's own memo table
+    is kept.  An oversized exhaustive scan is refused when called.
     """
     orders = profile_orders(inst, samples=samples, seed=seed)
-    scan = ScanMemo(inst)
+    scan = ResponseMemo(inst)
     return (scan_one_profile(scan, profile) for profile in orders)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -326,12 +327,22 @@ _AGENT_FIELDS = {
 }
 
 
-def _parse_fraction(raw: Any, where: str) -> Fraction:
+# The rational forms a document or a flag may spell: an integer, p/q, or a
+# plain decimal, in ASCII digits.  Exponents are refused: "1e99999999" would
+# make `Fraction` build a 10^99999999.
+_RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]*\.[0-9]+)")
+
+
+def parse_fraction(raw: Any, where: str) -> Fraction:
+    """An exact rational from an int or a string of the `_RATIONAL` forms, else `SchemaError`."""
     if isinstance(raw, bool) or isinstance(raw, float):
         raise SchemaError(f"{where}: only exact rationals are accepted, got {raw!r}")
     if isinstance(raw, int):
         return Fraction(raw)
     if isinstance(raw, str):
+        if not _RATIONAL.fullmatch(raw):
+            raise SchemaError(f"{where}: malformed rational {raw!r} "
+                              "(expected an integer, p/q or a plain decimal)")
         try:
             return Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
@@ -411,12 +422,12 @@ def _agent_from_document(cls: str, agent_doc: dict, m: int, where: str) -> Valua
         weights_doc = agent_doc["weights"]
         if not isinstance(weights_doc, list) or len(weights_doc) != m:
             raise SchemaError(f"{where}: 'weights' must list {m} rationals")
-        weights = [_parse_fraction(w, f"{where}.weights[{g}]") for g, w in enumerate(weights_doc)]
+        weights = [parse_fraction(w, f"{where}.weights[{g}]") for g, w in enumerate(weights_doc)]
         if cls == "additive":
             return Additive(weights)
         if cls == "unit_demand":
             return UnitDemand(weights)
-        return BudgetAdditive(weights, _parse_fraction(agent_doc["cap"], f"{where}.cap"))
+        return BudgetAdditive(weights, parse_fraction(agent_doc["cap"], f"{where}.cap"))
     if cls == "oxs":
         edges_doc = agent_doc["edges"]
         if not isinstance(edges_doc, list):
@@ -430,14 +441,14 @@ def _agent_from_document(cls: str, agent_doc: dict, m: int, where: str) -> Valua
                 raise SchemaError(f"{where}.edges[{k}]: good must be an integer index")
             if not isinstance(label, (int, str)) or isinstance(label, bool):
                 raise SchemaError(f"{where}.edges[{k}]: slot label must be int or string")
-            edges.append((good, label, _parse_fraction(weight, f"{where}.edges[{k}]")))
+            edges.append((good, label, parse_fraction(weight, f"{where}.edges[{k}]")))
         return OXS(m, edges)
     assert cls == "table"
     check_subset_work(m, f"the table of {where}")
     values_doc = agent_doc["values"]
     if not isinstance(values_doc, list) or len(values_doc) != 1 << m:
         raise SchemaError(f"{where}: 'values' must list {1 << m} rationals")
-    values = [_parse_fraction(x, f"{where}.values[{k}]") for k, x in enumerate(values_doc)]
+    values = [parse_fraction(x, f"{where}.values[{k}]") for k, x in enumerate(values_doc)]
     return Table(m, values)
 
 
@@ -446,7 +457,11 @@ def save(inst: Instance, path: str | Path) -> None:
 
 
 def load(path: str | Path) -> Instance:
-    return loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not UTF-8 text: {exc}") from None
+    return loads(text)
 
 
 def dumps(inst: Instance) -> str:

@@ -1,18 +1,28 @@
-"""The `scan --json` document, written record by record.
+"""The pieces that write a scan's output record by record, and the JSON ones.
 
-The document is `{"records": [...], "summary": {...}}`; each record holds
-`profile` (one order per agent), `pne_factor` and `ef1_factor` (`json_frac`
-blocks) and `bound_ok`, in that order.  `json.dumps(doc, indent=2)` would
-need every record at once and runs the pure-Python encoder that `indent`
-selects; `write_scan_json` writes the same bytes one record at a time.
+A format is four `ScanFormat` pieces, and `cli.cmd_scan` runs the one loop
+that writes each record as it is pulled, rendering each distinct order and
+each distinct tail once.  `SCAN_JSON` writes the bytes of
+`json.dumps(doc, indent=2)` and a newline, for the document
+`{"records": [...], "summary": {...}}`; each record holds `profile` (one
+order per agent), `pne_factor` and `ef1_factor` (`json_frac` blocks) and
+`bound_ok`, in that order.  `json.dumps` itself would need every record at
+once and runs the pure-Python encoder that `indent` selects.
 """
 
 from __future__ import annotations
 
-import functools
 import json
-import sys
-from typing import Any
+from typing import Any, Callable, NamedTuple
+
+
+class ScanFormat(NamedTuple):
+    """How one output format writes a scan: the loop joins these pieces."""
+
+    order: Callable[[tuple[int, ...]], str]  # one agent's order
+    tail: Callable[[dict[str, Any], dict[str, Any], bool | None], str]  # pne, ef1, bound_ok
+    record: Callable[[int, list[str], str], str]  # its index, its orders' texts, its tail
+    end: Callable[[dict[str, Any]], str]  # the summary document
 
 
 def _json_at(value: Any, depth: int) -> str:
@@ -24,35 +34,18 @@ def _json_at(value: Any, depth: int) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
 
 
-_JSON_LITERALS = {True: "true", False: "false", None: "null"}
+def _json_record(index: int, orders: list[str], tail: str) -> str:
+    head = '{\n  "records": [\n' if index == 0 else ",\n"
+    profile = ",\n".join(orders)
+    return f'{head}    {{\n      "profile": [\n{profile}\n      ],\n{tail}'
 
 
-def write_scan_json(doc: dict[str, Any]) -> None:
-    """Print `json.dumps(doc, indent=2)` and a newline, each record as it is pulled.
-
-    The record layout is fixed, so it is written directly; each distinct
-    order and each distinct (pne_factor, ef1_factor, bound_ok) tail is
-    rendered once.  Nothing is written before the first record is pulled,
-    so a scan its guard refuses prints nothing; every other scan has at
-    least one record.
-    """
-    write = sys.stdout.write
-
-    @functools.cache
-    def order_text(order: tuple[int, ...]) -> str:
-        return "        " + _json_at(order, 4)
-
-    tails: dict[tuple[str, str, bool | None], str] = {}
-    head = '{\n  "records": [\n'
-    for entry in doc["records"]:
-        profile = ",\n".join([order_text(tuple(order)) for order in entry["profile"]])
-        pne, ef1, verdict = entry["pne_factor"], entry["ef1_factor"], entry["bound_ok"]
-        tail = tails.get((pne["frac"], ef1["frac"], verdict))
-        if tail is None:
-            tail = tails[pne["frac"], ef1["frac"], verdict] = (
-                f'      "pne_factor": {_json_at(pne, 3)},\n'
-                f'      "ef1_factor": {_json_at(ef1, 3)},\n'
-                f'      "bound_ok": {_JSON_LITERALS[verdict]}\n    }}')
-        write(f'{head}    {{\n      "profile": [\n{profile}\n      ],\n{tail}')
-        head = ",\n"
-    write(f'\n  ],\n  "summary": {_json_at(doc["summary"], 1)}\n}}\n')
+SCAN_JSON = ScanFormat(
+    order=lambda order: "        " + _json_at(order, 4),
+    tail=lambda pne, ef1, verdict: (f'      "pne_factor": {_json_at(pne, 3)},\n'
+                                    f'      "ef1_factor": {_json_at(ef1, 3)},\n'
+                                    f'      "bound_ok": {_json_at(verdict, 3)}\n    }}'),
+    record=_json_record,
+    # Every scan has a record, so the head has been written before the end.
+    end=lambda summary: f'\n  ],\n  "summary": {_json_at(summary, 1)}\n}}\n',
+)

@@ -20,13 +20,13 @@ from hypothesis import strategies as st
 
 from rrfair import cli
 from rrfair.cli import (
+    fmt_frac,
     json_frac,
     main,
     print_best_response_report,
     print_certify_report,
     print_reproduce_report,
     print_run_report,
-    print_scan_report,
 )
 from rrfair.equilibria import NoApplicableBoundError, applicable_bound_rule, profile_space_scan
 from rrfair.fairness import UNBOUNDED
@@ -40,7 +40,7 @@ from rrfair.instances import (
     no_pne_instance,
     save,
 )
-from rrfair.scan_json import write_scan_json
+from rrfair.scan_json import SCAN_JSON
 from rrfair.valuations import Additive, Instance, SizeGuardError, Table
 
 F = Fraction
@@ -77,6 +77,23 @@ def fixture_paths(tmp_path):
     for name, path in paths.items():
         save(build_fixture(name), path)
     return paths
+
+
+def print_scan_report(doc):
+    """The reference text renderer of a `scan --json` document."""
+    for entry in doc["records"]:
+        profile = " | ".join("".join(map(str, order)) if len(order) <= 10 else str(list(order))
+                             for order in entry["profile"])
+        pne, ef1, verdict = entry["pne_factor"], entry["ef1_factor"], entry["bound_ok"]
+        tail = (f"  pne {fmt_frac(pne)}  ef1 {fmt_frac(ef1)}"
+                + ("" if verdict is None else f"  bound {'ok' if verdict else 'VIOLATED'}"))
+        print(f"profile {profile}{tail}")
+    summary = doc["summary"]
+    print(f"{summary['profiles']} profiles, pne_factor in "
+          f"[{fmt_frac(summary['min_pne_factor'])}, {fmt_frac(summary['max_pne_factor'])}], "
+          f"min ef1_factor {fmt_frac(summary['min_ef1_factor'])}, "
+          + (f"bound violations {summary['violations']} ({summary['bound_rule']})"
+             if summary["bound_rule"] is not None else "no certified bound"))
 
 
 def assert_text_renders_json(capsys, render, *argv):
@@ -182,6 +199,34 @@ def test_run_rejects_bad_inputs(capsys, tmp_path, no_pne_path):
     not_json.write_text("{", encoding="utf-8")
     code, _ = run_cli(capsys, "run", str(not_json))
     assert code == 2
+
+
+@pytest.mark.parametrize("where", ["document", "profile"])
+def test_non_utf8_input_exits_2_with_a_message(capsys, tmp_path, no_pne_path, where):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    argv = ["run", str(bad)] if where == "document" else ["run", no_pne_path, "--profile", str(bad)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "'utf-8' codec can't decode" in captured.err
+
+
+@pytest.mark.parametrize("raw", ["1e99999999", "1_000", "\u0663"])  # exponent, underscore, ٣
+@pytest.mark.parametrize("where", ["document", "param"])
+def test_rationals_outside_the_plain_forms_exit_2(capsys, tmp_path, where, raw):
+    if where == "document":
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"n": 1, "m": 1, "agents": [
+            {"class": "additive", "weights": [raw]}]}), encoding="utf-8")
+        argv = ["run", str(path)]
+    else:
+        argv = ["reproduce", "bluff-tightness", "--param", f"eps1={raw}"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"malformed rational {raw!r} (expected an integer, p/q or a plain decimal)" in (
+        captured.err)
 
 
 def test_run_single_agent_instance(capsys, tmp_path):
@@ -495,7 +540,7 @@ def test_streamed_scan_json_covers_each_record_form(inst, samples, shows):
     assert shows in assert_streamed_json_is_the_dumped_document(inst, samples, 0)
 
 
-def test_scan_json_writer_matches_json_dumps_beyond_what_scans_produce(monkeypatch):
+def test_scan_json_writer_matches_json_dumps_beyond_what_scans_produce():
     # No certified bound has been seen violated, so scans never print `false`.
     def entry(order, pne, ef1, bound_ok):
         return {"profile": [order, order[::-1]], "pne_factor": json_frac(pne),
@@ -504,10 +549,11 @@ def test_scan_json_writer_matches_json_dumps_beyond_what_scans_produce(monkeypat
     summary = {"profiles": 3, "min_pne_factor": json_frac(F(1, 3)), "bound_rule": None}
     records = [entry((0, 1), F(1, 3), F(1, 7), False), entry((1, 0), F(1), UNBOUNDED, True),
                entry(tuple(range(12)), F(2, 3), F(1, 7), None)]
-    out = io.StringIO()
-    monkeypatch.setattr(sys, "stdout", out)
-    write_scan_json({"records": iter(records), "summary": summary})
-    assert out.getvalue() == json.dumps({"records": records, "summary": summary}, indent=2) + "\n"
+    out = "".join(
+        SCAN_JSON.record(k, [SCAN_JSON.order(order) for order in e["profile"]],
+                         SCAN_JSON.tail(e["pne_factor"], e["ef1_factor"], e["bound_ok"]))
+        for k, e in enumerate(records)) + SCAN_JSON.end(summary)
+    assert out == json.dumps({"records": records, "summary": summary}, indent=2) + "\n"
 
 
 def test_scan_json_writes_each_record_before_pulling_the_next(monkeypatch, no_pne_path):

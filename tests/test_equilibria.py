@@ -18,7 +18,7 @@ from conftest import (
     reference_best_response,
     with_dummies_last,
 )
-from rrfair import equilibria
+from rrfair import equilibria, fairness
 from rrfair.equilibria import (
     NoApplicableBoundError,
     applicable_bound_rule,
@@ -413,8 +413,9 @@ def test_scan_runs_each_mechanism_search_and_score_once(monkeypatch):
 
         return wrapper
 
-    for name in ("deal", "round_robin", "best_response", "ef1_factor"):
+    for name in ("deal", "round_robin", "best_response", "pne_factor", "ef1_factor"):
         monkeypatch.setattr(equilibria, name, counting(name, getattr(equilibria, name)))
+    monkeypatch.setattr(fairness, "ef_factor", counting("ef_factor", fairness.ef_factor))
     monkeypatch.setattr(Profile, "__post_init__", counting("Profile", Profile.__post_init__))
     inst = no_pne_instance()
     records = list(profile_space_scan(inst))
@@ -432,6 +433,11 @@ def test_scan_runs_each_mechanism_search_and_score_once(monkeypatch):
     misses = {(i, orders[:i] + orders[i + 1:], alloc.bundles[i])
               for orders, alloc in allocations.items() for i in range(inst.n)}
     assert scan_calls["Profile"] <= len(misses) < 576
+    # The benchmark's traced run needs each of these spans to record calls:
+    # a new best response goes through `pne_factor` and so through the mechanism.
+    assert scan_calls["pne_factor"] >= 1
+    assert scan_calls["round_robin"] == scan_calls["pne_factor"]
+    assert scan_calls["ef_factor"] == scan_calls["ef1_factor"]
 
     calls.clear()
     evaluate_profile(inst, truthful_profile(inst))
