@@ -137,8 +137,12 @@ def parse_profile_file(path: str, m: int, n: int) -> Profile:
         raise InputError(f"profile {path!r} has {len(lines)} rankings, instance needs {n}")
     rankings = []
     for i, line in enumerate(lines):
+        tokens = line.split()
+        for tok in tokens:
+            if not (tok.isascii() and tok.isdigit()):  # int() also takes ٠, +1 and 1_0
+                raise InputError(f"profile {path!r}, line {i + 1}: malformed good {tok!r}")
         try:
-            order = tuple(int(tok) for tok in line.split())
+            order = tuple(map(int, tokens))
             rankings.append(Ranking(order))
         except ValueError as exc:
             raise InputError(f"profile {path!r}, line {i + 1}: {exc}") from None

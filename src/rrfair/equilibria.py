@@ -17,11 +17,12 @@ bound, and the search takes the smaller.  No bound prunes an optimum, so
 the value, the bundle and the lexicographically least optimal pick
 sequence are those of the exhaustive search.
 
-`ResponseMemo.score` is the one scoring loop: it builds each agent's row,
-her current value against her best-response value, once per key the row
-depends on, and takes the least ratio on the rows' int pairs.
-`pne_factor` scores one profile with it, and a scan shares one memo across
-all its profiles.
+`ResponseMemo.score` is the one scoring loop: it compares each agent's
+current and best-response values, `value_mask` ints on her oracle's scale,
+by cross-multiplication, and keeps the least ratio as a reduced int pair.
+`pne_factor` scores one profile with it and builds its report from the same
+ints; a scan shares one memo across all its profiles and builds no
+`Fraction` for a profile whose keys it has seen.
 """
 
 from __future__ import annotations
@@ -54,8 +55,6 @@ from .valuations import (
     mask_to_bundle,
 )
 
-_ONE = Fraction(1)
-
 
 @dataclass(frozen=True)
 class BestResponse:
@@ -83,56 +82,44 @@ class AgentEquilibrium(NamedTuple):
 
 
 Orders = tuple[tuple[int, ...], ...]  # one order of the goods per agent
-# An agent's equilibrium row: her ratio capped at 1 (an unbounded ratio
-# counts as 1) as a reduced int pair (p, q) and as a Fraction, and her entry.
-Row = tuple[int, int, Fraction, AgentEquilibrium]
 
 
 class ResponseMemo:
-    """Equilibrium rows, best-response values and fairness reports of one instance's profiles.
+    """Best-response values and fairness reports of one instance's profiles.
 
-    `rows` is keyed by (agent, the other agents' orders in agent order,
-    bundle mask) and `best` by (agent, others' orders): a row depends on
-    nothing else, and its best-response value not on the bundle.  `reports`
-    holds a scan's fairness reports, with their ef1 int pair, by the bundle
-    masks.
+    `best` is keyed by (agent, the other agents' orders in agent order),
+    the only things her best-response value depends on, and holds that
+    value times her oracle's `scale`, an int.  `reports` holds a scan's
+    fairness reports, with their ef1 int pair, by the bundle masks.
     """
 
     def __init__(self, inst: Instance) -> None:
         self.inst = inst
-        self.rows: dict[tuple[int, Orders, int], Row] = {}
-        self.best: dict[tuple[int, Orders], Fraction] = {}
+        self.best: dict[tuple[int, Orders], int] = {}
         self.reports: dict[tuple[int, ...], tuple[FairnessReport, tuple[int, int]]] = {}
 
-    def score(self, orders: Orders, masks: Sequence[int], respond: Callable[[int], Fraction]
-              ) -> tuple[tuple[AgentEquilibrium, ...], Fraction, int, int]:
-        """Each agent's row for the bundle masks the profile `orders` deals, and their minimum.
+    def score(self, orders: Orders, masks: Sequence[int], respond: Callable[[int], int]
+              ) -> tuple[int, int]:
+        """The least capped ratio of current to best-response value, as a reduced (p, q).
 
-        `respond(i)` gives agent i's best-response value; it is called only
-        for a new (agent, others) key.  Returns the agents' entries and the
-        least capped ratio, as a Fraction and as its reduced int pair (p, q),
-        found by cross-multiplying the rows' int pairs.
+        `masks` are the bundles the profile `orders` deals.  `respond(i)`
+        gives agent i's best-response value times her `scale`; it is called
+        only for a new (agent, others) key.  A zero best response, or a
+        current value that reaches it, counts as ratio 1.
         """
-        per_agent = []
-        p, q, factor = 1, 1, _ONE
+        p = q = 1
+        best = self.best
+        valuations = self.inst.valuations
         for i, mask in enumerate(masks):
-            others = orders[:i] + orders[i + 1:]
-            row = self.rows.get((i, others, mask))
-            if row is None:
-                best = self.best.get((i, others))
-                if best is None:
-                    best = self.best[i, others] = respond(i)
-                v = self.inst.valuations[i]
-                current = Fraction(v.value_mask(mask), v.scale)
-                ratio: Factor = UNBOUNDED if best == 0 else current / best
-                capped = ratio if ratio < 1 else _ONE
-                row = self.rows[i, others, mask] = (
-                    capped.numerator, capped.denominator, capped,
-                    AgentEquilibrium(i, current, best, ratio))
-            if row[0] * q < p * row[1]:
-                p, q, factor = row[0], row[1], row[2]
-            per_agent.append(row[3])
-        return tuple(per_agent), factor, p, q
+            key = (i, orders[:i] + orders[i + 1:])
+            top = best.get(key)
+            if top is None:
+                top = best[key] = respond(i)
+            current = valuations[i].value_mask(mask)
+            if current * q < p * top:
+                p, q = current, top
+        d = math.gcd(p, q)
+        return p // d, q // d
 
 
 @dataclass(frozen=True)
@@ -288,6 +275,7 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking]) -> 
                 break
         else:
             raise AssertionError("no pick reproduces the optimum")
+    del solve  # it refers to itself: free the search's tables now, not at the next gc pass
 
     return BestResponse(
         ranking=ranking_from_picks(picks, m),
@@ -311,30 +299,38 @@ def pne_factor(
     reachable bundles) imposes no constraint and counts as ratio 1.
 
     `allocation` is the mechanism's outcome on `profile`, when the caller
-    already has it.  Rows are read from `responses` (see `ResponseMemo.score`):
-    `best_response` runs only for a new (agent, others) key.  Pass one memo
-    across calls on the same instance to share the rows; without one, a
-    fresh memo serves this call alone.
+    already has it.  Best-response values are read from `responses` (see
+    `ResponseMemo.score`): `best_response` runs only for a new (agent,
+    others) key.  Pass one memo across calls on the same instance to share
+    them; without one, a fresh memo serves this call alone.
     """
     if allocation is None:
         allocation, _ = round_robin(inst, profile)
     if responses is None:
         responses = ResponseMemo(inst)
-    per_agent, factor, _, _ = responses.score(
-        tuple(r.order for r in profile.rankings),
-        [sum(1 << g for g in bundle) for bundle in allocation.bundles],
-        lambda i: best_response(inst, i, profile.others(i)).value)
-    return EquilibriumReport(per_agent, factor)
+    orders = tuple(r.order for r in profile.rankings)
+    masks = [sum(1 << g for g in bundle) for bundle in allocation.bundles]
+    p, q = responses.score(orders, masks, lambda i: int(
+        best_response(inst, i, profile.others(i)).value * inst.valuations[i].scale))
+    per_agent = []
+    for i, (v, mask) in enumerate(zip(inst.valuations, masks)):
+        current = Fraction(v.value_mask(mask), v.scale)
+        best = Fraction(responses.best[i, orders[:i] + orders[i + 1:]], v.scale)
+        ratio: Factor = UNBOUNDED if best == 0 else current / best
+        per_agent.append(AgentEquilibrium(i, current, best, ratio))
+    return EquilibriumReport(tuple(per_agent), Fraction(p, q))
 
 
 class ScanRecord(NamedTuple):
     orders: Orders
-    per_agent: tuple[AgentEquilibrium, ...]
-    pne_factor: Fraction
     fairness: FairnessReport
     # pne_factor and fairness.ef1_factor as reduced int pairs (p, q, p', q'),
     # an unbounded ef1 factor as (1, 0): equal keys mean equal factors.
     key: tuple[int, int, int, int]
+
+    @property
+    def pne_factor(self) -> Fraction:
+        return Fraction(self.key[0], self.key[1])
 
 
 @dataclass(frozen=True)
@@ -391,19 +387,19 @@ def profile_orders(
 def scan_one_profile(scan: ResponseMemo, orders: Orders) -> ScanRecord:
     """Evaluate a single scanned profile (equilibrium plus fairness).
 
-    The profile is dealt once; rows and the fairness report come from
-    `scan`.  Only a profile that needs a new best response builds a
-    `Profile`, on which `pne_factor` fills its rows.
+    The profile is dealt once; best-response values and the fairness
+    report come from `scan`.  Only a profile that needs a new best response
+    builds a `Profile`, on which `pne_factor` fills `scan.best`.
     """
     inst = scan.inst
     _, masks = deal(orders, inst.m)
 
-    def respond(i: int) -> Fraction:
+    def respond(i: int) -> int:
         # Routed through pne_factor for the benchmark's tracer, until ROADMAP item 1 lands.
         pne_factor(inst, Profile(tuple(map(Ranking, orders))), responses=scan)
         return scan.best[i, orders[:i] + orders[i + 1:]]
 
-    per_agent, factor, p, q = scan.score(orders, masks, respond)
+    pne = scan.score(orders, masks, respond)
     bundles = tuple(masks)
     fairness = scan.reports.get(bundles)
     if fairness is None:
@@ -411,7 +407,7 @@ def scan_one_profile(scan: ResponseMemo, orders: Orders) -> ScanRecord:
         ef1 = report.ef1_factor
         fairness = scan.reports[bundles] = (
             report, (1, 0) if ef1 == UNBOUNDED else (ef1.numerator, ef1.denominator))
-    return ScanRecord(orders, per_agent, factor, fairness[0], (p, q) + fairness[1])
+    return ScanRecord(orders, fairness[0], pne + fairness[1])
 
 
 def profile_space_scan(
@@ -424,11 +420,12 @@ def profile_space_scan(
     a seeded generator.  Both are deterministic.
 
     The scan deals each profile once and keeps a `ResponseMemo` for its
-    whole length: equilibrium rows by (agent, the other agents' orders,
-    bundle), with one best response per (agent, others), and fairness
-    reports by allocation.  All are pure functions of their keys, so the
-    records equal those of unshared evaluation; no search's own memo table
-    is kept.  An oversized exhaustive scan is refused when called.
+    whole length: one best-response value per (agent, the other agents'
+    orders) and one fairness report per allocation.  Both are pure
+    functions of their keys, so the records equal those of unshared
+    evaluation; nothing is kept per bundle, and no search's own memo table
+    is kept.  A record's `pne_factor` is read off its key.  An oversized
+    exhaustive scan is refused when called.
     """
     orders = profile_orders(inst, samples=samples, seed=seed)
     scan = ResponseMemo(inst)

@@ -27,7 +27,6 @@ from typing import Callable, Iterable, Sequence
 
 from .matching import max_weight_matching_value
 
-GoodId = int
 Bundle = frozenset[int]
 
 WORK_BUDGET = 10**7  # estimated steps; the one size guard of every exhaustive operation

@@ -195,6 +195,15 @@ def test_run_rejects_bad_inputs(capsys, tmp_path, no_pne_path):
     code, _ = run_cli(capsys, "run", no_pne_path, "--profile", str(bad_profile))
     assert code == 2
 
+    # Goods are ASCII digits only, although int() takes these forms too.
+    for good in ("٠", "+1", "1_0", "-0"):
+        bad_profile.write_text(f"0 1 2 3\n{good} 1 2 3\n", encoding="utf-8")
+        assert main(["run", no_pne_path, "--profile", str(bad_profile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: profile {str(bad_profile)!r}, line 2: malformed good {good!r}\n")
+
     not_json = tmp_path / "broken.json"
     not_json.write_text("{", encoding="utf-8")
     code, _ = run_cli(capsys, "run", str(not_json))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import itertools
 import math
 import random
 from collections import Counter
@@ -21,12 +23,14 @@ from conftest import (
 from rrfair import equilibria, fairness
 from rrfair.equilibria import (
     NoApplicableBoundError,
+    ResponseMemo,
     applicable_bound_rule,
     best_response,
     evaluate_profile,
     pne_factor,
     profile_orders,
     profile_space_scan,
+    scan_one_profile,
     search_states,
 )
 from rrfair.fairness import UNBOUNDED, ef1_factor
@@ -39,7 +43,7 @@ from rrfair.instances import (
     no_pne_instance,
     oxs_lower_bound_instance,
 )
-from rrfair.mechanism import Profile, Ranking, round_robin
+from rrfair.mechanism import Profile, Ranking, deal, round_robin
 from rrfair.profiles import bluff_profile, truthful_profile, truthful_ranking
 from rrfair.valuations import (
     OXS,
@@ -144,6 +148,20 @@ def test_best_response_guards():
     big = Instance(n=2, m=16, valuations=(Additive([1] * 16),) * 2)
     with pytest.raises(SizeGuardError):
         best_response(big, 0, {1: Ranking(tuple(range(16)))})
+
+
+def test_best_response_leaves_no_reference_cycle():
+    # The search's memo tables are freed when it returns, not at the next
+    # cyclic collection, so peak memory does not follow the collector's timing.
+    inst = generate(GeneratorSpec(valuation_class="oxs", n=2, m=8, seed=0))
+    others = truthful_profile(inst).others(1)
+    gc.disable()
+    try:
+        gc.collect()
+        assert best_response(inst, 1, others).explored_states > 1
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +293,9 @@ def test_partial_last_round_equals_dummy_padding(case):
     for record in profile_space_scan(small):
         report = pne_factor(padded, Profile(tuple(
             with_dummies_last(Ranking(order), padded.m) for order in record.orders)))
-        assert (record.per_agent, record.pne_factor) == (report.per_agent, report.pne_factor)
+        assert record.pne_factor == report.pne_factor
+        profile = Profile(tuple(map(Ranking, record.orders)))
+        assert pne_factor(small, profile).per_agent == report.per_agent
 
 
 def test_convex_tables_exercise_the_monotone_bound():
@@ -366,12 +386,11 @@ def test_sampled_scan_is_deterministic_per_seed():
 
 
 def unshared_scan(inst, *, samples=None, seed=0):
-    """Each profile's orders, rows, factor and fairness, with no memo shared between profiles."""
+    """Each profile's orders, equilibrium report and fairness, with no memo shared between profiles."""
     for orders in profile_orders(inst, samples=samples, seed=seed):
         profile = Profile(tuple(Ranking(order) for order in orders))
         alloc, _ = round_robin(inst, profile)
-        equilibrium = pne_factor(inst, profile)
-        yield orders, equilibrium.per_agent, equilibrium.pne_factor, ef1_factor(inst, alloc)
+        yield orders, pne_factor(inst, profile), ef1_factor(inst, alloc)
 
 
 @st.composite
@@ -392,15 +411,41 @@ def scan_cases(draw):
 def test_scan_memos_match_unshared_evaluation(case):
     inst, samples, scan_seed = case
     records = list(profile_space_scan(inst, samples=samples, seed=scan_seed))
-    assert [record[:4] for record in records] == list(
-        unshared_scan(inst, samples=samples, seed=scan_seed))
+    unshared = list(unshared_scan(inst, samples=samples, seed=scan_seed))
+    assert [(record.orders, record.pne_factor, record.fairness) for record in records] == [
+        (orders, equilibrium.pne_factor, report) for orders, equilibrium, report in unshared]
+    # Per-agent rows built from a memo a scan has warmed equal unshared rows,
+    # and reading them runs no search.
+    warm = ResponseMemo(inst)
     for record in records:
+        scan_one_profile(warm, record.orders)
+    searched = dict(warm.best)
+    for record, (orders, equilibrium, _) in zip(records, unshared):
+        rows = pne_factor(inst, Profile(tuple(map(Ranking, orders))), responses=warm).per_agent
+        assert rows == equilibrium.per_agent
         # The factor is the least ratio, an unbounded one counting as 1, and
         # the key spells out both factors as reduced int pairs.
         pne, ef1 = record.pne_factor, record.fairness.ef1_factor
-        assert pne == min([F(1), *(row.ratio for row in record.per_agent)])
+        assert pne == min([F(1), *(row.ratio for row in rows)])
         assert record.key == (pne.numerator, pne.denominator) + (
             (1, 0) if ef1 == UNBOUNDED else (ef1.numerator, ef1.denominator))
+    assert warm.best == searched
+
+
+def test_scan_memo_holds_one_value_per_best_response_key():
+    inst = no_pne_instance()
+    memo = ResponseMemo(inst)
+    allocations = set()
+    for orders in profile_orders(inst):
+        scan_one_profile(memo, orders)
+        allocations.add(tuple(deal(orders, inst.m)[1]))
+    # n (m!)^(n-1) best-response values, each an int on the agent's scale;
+    # one fairness report per allocation; nothing keyed by bundle.
+    orders = list(itertools.permutations(range(inst.m)))
+    assert memo.best.keys() == {(i, (order,)) for i in range(inst.n) for order in orders}
+    assert all(type(value) is int for value in memo.best.values())
+    assert memo.reports.keys() == allocations
+    assert vars(memo).keys() == {"inst", "best", "reports"}
 
 
 def test_scan_runs_each_mechanism_search_and_score_once(monkeypatch):
@@ -429,10 +474,9 @@ def test_scan_runs_each_mechanism_search_and_score_once(monkeypatch):
     # one score per distinct allocation.
     assert (scan_calls["deal"], scan_calls["best_response"], scan_calls["ef1_factor"]) == (
         576, 2 * 24, len(set(allocations.values())))
-    # A `Profile` is built only for a profile that misses a memoised row.
-    misses = {(i, orders[:i] + orders[i + 1:], alloc.bundles[i])
-              for orders, alloc in allocations.items() for i in range(inst.n)}
-    assert scan_calls["Profile"] <= len(misses) < 576
+    # A `Profile` is built, and `pne_factor` run on it, only for a profile
+    # with a new best-response key, and each build searches at least one key.
+    assert scan_calls["Profile"] == scan_calls["pne_factor"] <= scan_calls["best_response"]
     # The benchmark's traced run needs each of these spans to record calls:
     # a new best response goes through `pne_factor` and so through the mechanism.
     assert scan_calls["pne_factor"] >= 1
