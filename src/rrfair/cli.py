@@ -51,15 +51,7 @@ from .instances import (
 from .mechanism import Profile, Ranking, round_robin
 from .profiles import bluff_profile, truthful_profile
 from .scan_json import SCAN_JSON, ScanFormat
-from .valuations import (
-    Instance,
-    SizeGuardError,
-    is_additive,
-    is_cancelable,
-    is_monotone,
-    is_subadditive,
-    is_submodular,
-)
+from .valuations import CLASS_CHECKS, Instance, SizeGuardError
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -485,17 +477,6 @@ SCAN_TEXT = ScanFormat(
 
 # ---------------------------------------------------------------------------
 # certify
-
-
-# The class checks `certify` reports, in order.  Each returns a `ClassCheck`;
-# a failing `is_submodular` or `is_cancelable` names a witness.
-CLASS_CHECKS = {
-    "monotone": is_monotone,
-    "additive": is_additive,
-    "submodular": is_submodular,
-    "cancelable": is_cancelable,
-    "subadditive": is_subadditive,
-}
 
 
 def cmd_certify(args: argparse.Namespace) -> int:

@@ -454,31 +454,21 @@ def applicable_bound_rule(inst: Instance) -> BoundRule:
     submodular agents: a/2.  Submodular agents: a/3.  The formulas are
     ordered pointwise on (0, 1], so the first applicable rule is strongest.
 
-    Certification runs four exhaustive class checks per agent, so the
-    largest of their estimates is checked once, before the first check.
+    The rules are tried in that order, and each runs only the exhaustive
+    class checks it needs, stopping at the first agent that fails one: at
+    most four checks per agent.  The largest of their estimates is checked
+    once, before the first check.
     """
     check_subset_work(inst.m, "class certification for the bound rule",
                       "is_additive", "is_submodular", "is_cancelable", "is_subadditive")
-    checks = [
-        (
-            is_additive(v),
-            is_submodular(v),
-            is_cancelable(v),
-            is_subadditive(v),
-        )
-        for v in inst.valuations
-    ]
-    all_additive = all(c[0] for c in checks)
-    all_submodular = all(c[1] for c in checks)
-    all_subadd_cancelable = all(c[2] and c[3] for c in checks)
-
-    if all_additive and inst.n == 2:
+    agents = inst.valuations
+    if inst.n == 2 and all(is_additive(v) for v in agents):
         return BoundRule("alpha/(2-alpha) [two additive agents]", lambda a: a / (2 - a))
-    if all_subadd_cancelable:
+    if all(is_cancelable(v) and is_subadditive(v) for v in agents):
         return BoundRule("alpha/2 [subadditive cancelable agents]", lambda a: a / 2)
-    if all_submodular and inst.n == 2:
-        return BoundRule("alpha/2 [two submodular agents]", lambda a: a / 2)
-    if all_submodular:
+    if all(is_submodular(v) for v in agents):
+        if inst.n == 2:
+            return BoundRule("alpha/2 [two submodular agents]", lambda a: a / 2)
         return BoundRule("alpha/3 [submodular agents]", lambda a: a / 3)
     raise NoApplicableBoundError(
         "instance fits no certified class (additive / submodular / subadditive cancelable)"

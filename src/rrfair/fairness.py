@@ -48,17 +48,16 @@ def ef_factor(inst: Instance, alloc: Allocation) -> Factor:
     Pairs with v_i(A_j) = 0 impose no constraint; with no constrained pair
     at all (for example n = 1) the factor is UNBOUNDED.
     """
-    _check(inst, alloc)
+    masks = _masks(inst, alloc)
     worst: Factor = UNBOUNDED
-    for i in range(inst.n):
-        vi = inst.valuations[i]
-        own = vi.value(alloc.bundles[i])
-        for j in range(inst.n):
+    for i, vi in enumerate(inst.valuations):
+        own = vi.value_mask(masks[i])  # on v_i's scale, which cancels in each ratio
+        for j, mask in enumerate(masks):
             if j == i:
                 continue
-            envy = vi.value(alloc.bundles[j])
-            if envy > 0:
-                worst = min(worst, own / envy)
+            envy = vi.value_mask(mask)
+            if envy:
+                worst = min(worst, Fraction(own, envy))
     return worst
 
 
@@ -67,31 +66,26 @@ def ef1_factor(inst: Instance, alloc: Allocation) -> FairnessReport:
 
     The binding denominator for a pair (i, j) is the minimum of
     v_i(A_j - g) over g in A_j: the existential over the removed good makes
-    the cheapest remainder decisive.  Factors may exceed 1.
+    the cheapest remainder decisive, and ties go to the least good.  An
+    empty A_j or a zero remainder leaves the pair unbounded.  Factors may
+    exceed 1.
     """
-    _check(inst, alloc)
+    masks = _masks(inst, alloc)
     ratios: dict[tuple[int, int], Factor] = {}
     worst: Factor = UNBOUNDED
     worst_pair: tuple[int, int, int] | None = None
-    for i in range(inst.n):
-        vi = inst.valuations[i]
-        own = vi.value(alloc.bundles[i])
-        for j in range(inst.n):
+    for i, vi in enumerate(inst.valuations):
+        own = vi.value_mask(masks[i])  # on v_i's scale, which cancels in each ratio
+        for j, mask in enumerate(masks):
             if j == i:
                 continue
-            bundle = alloc.bundles[j]
-            if not bundle:
-                ratios[i, j] = UNBOUNDED
-                continue
-            removed, remainder = min(
-                ((g, vi.value(bundle - {g})) for g in sorted(bundle)),
-                key=lambda pair: (pair[1], pair[0]),
-            )
+            remainder, removed = min(
+                ((vi.value_mask(mask ^ (1 << g)), g) for g in alloc.bundles[j]),
+                default=(0, None))
             if remainder == 0:
                 ratios[i, j] = UNBOUNDED
                 continue
-            ratio = own / remainder
-            ratios[i, j] = ratio
+            ratio = ratios[i, j] = Fraction(own, remainder)
             if ratio < worst:
                 worst = ratio
                 worst_pair = (i, j, removed)
@@ -109,7 +103,9 @@ def ef1_from_perspective(
     return all(r >= alpha for r in report.ratios_of(agent).values())
 
 
-def _check(inst: Instance, alloc: Allocation) -> None:
+def _masks(inst: Instance, alloc: Allocation) -> list[int]:
+    """The bundles as bitmasks, once the allocation is checked to partition the goods."""
     if alloc.n != inst.n:
         raise ValueError(f"allocation has {alloc.n} bundles, instance has {inst.n} agents")
     alloc.validate_partition(inst.m)
+    return [sum(1 << g for g in bundle) for bundle in alloc.bundles]

@@ -471,6 +471,6 @@ def dumps(inst: Instance) -> str:
 def loads(text: str) -> Instance:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (RecursionError, ValueError) as exc:  # too deep, malformed, or an int too long
         raise SchemaError(f"not valid JSON: {exc}") from None
     return from_document(doc)

@@ -366,14 +366,15 @@ class ClassCheck:
         return self.holds
 
 
-def _integer_table(v: Valuation) -> list[int]:
+def _integer_table(v: Valuation, check: str) -> list[int]:
     """All 2^m values `scale * v(S)`, indexed by bitmask (also warms the oracle cache).
 
     Every test the class checks make (comparisons, differences, two-term sums)
     is invariant under scaling by a positive constant, so the checks give the
     verdicts and witnesses of the Fraction table, exactly, on plain ints.
-    Each caller has refused m and m·2^m under its own name first.
+    The work of `check` on v's m goods is refused first, under its name.
     """
+    check_subset_work(v.m, check, check)
     return [v.value_mask(mask) for mask in range(1 << v.m)]
 
 
@@ -388,8 +389,7 @@ def _set_bits(m: int) -> list[list[int]]:
 
 def is_monotone(v: Valuation) -> ClassCheck:
     """Exhaustive: every single-good marginal is non-negative."""
-    check_subset_work(v.m, "is_monotone", "is_monotone")
-    vals = _integer_table(v)
+    vals = _integer_table(v, "is_monotone")
     for mask in range(1 << v.m):
         for g in range(v.m):
             bit = 1 << g
@@ -400,8 +400,7 @@ def is_monotone(v: Valuation) -> ClassCheck:
 
 def is_additive(v: Valuation) -> ClassCheck:
     """Exhaustive: v(S) equals the sum of singleton values over S."""
-    check_subset_work(v.m, "is_additive", "is_additive")
-    vals = _integer_table(v)
+    vals = _integer_table(v, "is_additive")
     for mask in range(1, 1 << v.m):
         bit = mask & -mask
         if vals[mask] != vals[bit] + vals[mask ^ bit]:
@@ -421,8 +420,7 @@ def _ascending_submasks(mask: int):
 
 def is_submodular(v: Valuation) -> ClassCheck:
     """Exhaustive diminishing-returns check: v(g|S) >= v(g|T) for S subset of T, g outside T."""
-    check_subset_work(v.m, "is_submodular", "is_submodular")
-    vals = _integer_table(v)
+    vals = _integer_table(v, "is_submodular")
     bits = _set_bits(v.m)
     full = (1 << v.m) - 1
     for s_mask in range(1 << v.m):
@@ -441,8 +439,7 @@ def is_submodular(v: Valuation) -> ClassCheck:
 
 def is_cancelable(v: Valuation) -> ClassCheck:
     """Exhaustive: v(S+g) > v(T+g) implies v(S) > v(T), for all S, T and outside g."""
-    check_subset_work(v.m, "is_cancelable", "is_cancelable")
-    vals = _integer_table(v)
+    vals = _integer_table(v, "is_cancelable")
     bits = _set_bits(v.m)
     full = (1 << v.m) - 1
     for s_mask in range(1 << v.m):
@@ -464,11 +461,21 @@ def is_subadditive(v: Valuation) -> ClassCheck:
     The condition is symmetric in S and T, so each unordered pair is tested
     once (T from S upward).
     """
-    check_subset_work(v.m, "is_subadditive", "is_subadditive")
-    vals = _integer_table(v)
+    vals = _integer_table(v, "is_subadditive")
     for s_mask in range(1 << v.m):
         vs = vals[s_mask]
         for t_mask in range(s_mask, 1 << v.m):
             if vals[s_mask | t_mask] > vs + vals[t_mask]:
                 return ClassCheck(False)
     return ClassCheck(True)
+
+
+# The class checks `certify` reports, by printed name, in order.  Each returns
+# a `ClassCheck`; a failing `is_submodular` or `is_cancelable` names a witness.
+CLASS_CHECKS = {
+    "monotone": is_monotone,
+    "additive": is_additive,
+    "submodular": is_submodular,
+    "cancelable": is_cancelable,
+    "subadditive": is_subadditive,
+}

@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the library's search/matching code
 paths: matchings are enumerated edge by edge, best responses maximize
 over all m! explicit ranking deviations, and the reference class checks
-compare the oracle's Fraction values directly, with no integer scaling.
+compare the oracle's Fraction values directly, with no integer scaling;
+`eager_bound_rule_name` picks a bound rule from all of them at once, and
+`reference_fairness` scores envy from Fraction values, removal by removal.
 `reference_best_response` is the exhaustive Fraction pick-tree search the
 branch-and-bound search replaced, kept to compare bundles, rankings and
 state counts against.  `dummy_padded` builds the paper's padded instance,
@@ -13,12 +15,13 @@ which the partial-round mechanism must agree with.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from typing import Mapping
 
-from rrfair.equilibria import BestResponse, search_states
-from rrfair.mechanism import Profile, Ranking, ranking_from_picks, round_robin
+from rrfair.equilibria import BestResponse, NoApplicableBoundError, search_states
+from rrfair.mechanism import Allocation, Profile, Ranking, ranking_from_picks, round_robin
 from rrfair.valuations import ClassCheck, Instance, Table, Valuation, check_work
 
 
@@ -254,6 +257,27 @@ def reference_is_subadditive(v: Valuation) -> bool:
     return True
 
 
+def eager_bound_rule_name(inst: Instance) -> str:
+    """The bound rule's name from every reference check run on every agent first.
+
+    The eager order that `applicable_bound_rule` replaced by short-circuiting
+    rules; raises `NoApplicableBoundError` when no rule applies.
+    """
+    verdicts = [(reference_is_additive(v), reference_is_submodular(v),
+                 reference_is_cancelable(v) and reference_is_subadditive(v))
+                for v in inst.valuations]
+    additive, submodular, subadditive_cancelable = (all(column) for column in zip(*verdicts))
+    if additive and inst.n == 2:
+        return "alpha/(2-alpha) [two additive agents]"
+    if subadditive_cancelable:
+        return "alpha/2 [subadditive cancelable agents]"
+    if submodular and inst.n == 2:
+        return "alpha/2 [two submodular agents]"
+    if submodular:
+        return "alpha/3 [submodular agents]"
+    raise NoApplicableBoundError("no reference rule applies")
+
+
 def submodular_by_extension_bound(v: Valuation) -> bool:
     """Alternative submodularity characterization (Nemhauser-Wolsey):
 
@@ -270,6 +294,33 @@ def submodular_by_extension_bound(v: Valuation) -> bool:
             if vals[t_mask] > bound:
                 return False
     return True
+
+
+def reference_fairness(inst: Instance, alloc: Allocation) -> tuple:
+    """(pair ratios, EF1 factor, EF factor, worst pair) from Fraction values, removal by removal.
+
+    An unbounded pair or factor is `math.inf`; a pair removes the least good
+    among those leaving the least remainder, and the worst pair is the first
+    (i, j) in order whose ratio is the EF1 factor.
+    """
+    ratios: dict[tuple[int, int], Fraction | float] = {}
+    removed: dict[tuple[int, int], int] = {}
+    ef = math.inf
+    for i, v in enumerate(inst.valuations):
+        own = v.value(alloc.bundles[i])
+        for j, bundle in enumerate(alloc.bundles):
+            if j == i:
+                continue
+            if v.value(bundle) > 0:
+                ef = min(ef, own / v.value(bundle))
+            remainders = {g: v.value(bundle - {g}) for g in bundle}
+            least = min(remainders.values(), default=0)
+            ratios[i, j] = own / least if least else math.inf
+            removed[i, j] = min((g for g, r in remainders.items() if r == least), default=None)
+    ef1 = min(ratios.values(), default=math.inf)
+    worst = next(((i, j, removed[i, j]) for (i, j), r in ratios.items()
+                  if r == ef1 and r != math.inf), None)
+    return ratios, ef1, ef, worst
 
 
 def random_ranking(rng: random.Random, m: int) -> Ranking:

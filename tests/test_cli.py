@@ -221,6 +221,20 @@ def test_non_utf8_input_exits_2_with_a_message(capsys, tmp_path, no_pne_path, wh
     assert captured.err.startswith("error: ") and "'utf-8' codec can't decode" in captured.err
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 100_000 + "]" * 100_000,  # deeper than the JSON decoder recurses
+    '{"n": ' + "1" * 5000 + "}",    # longer than the int-string conversion limit
+], ids=["deep", "long-int"])
+@pytest.mark.parametrize("command", ["run", "certify"])
+def test_documents_the_json_decoder_cannot_read_exit_2(capsys, tmp_path, command, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot load instance {str(path)!r}: not valid JSON: ")
+
+
 @pytest.mark.parametrize("raw", ["1e99999999", "1_000", "\u0663"])  # exponent, underscore, ٣
 @pytest.mark.parametrize("where", ["document", "param"])
 def test_rationals_outside_the_plain_forms_exit_2(capsys, tmp_path, where, raw):

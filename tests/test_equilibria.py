@@ -16,11 +16,13 @@ from hypothesis import strategies as st
 from conftest import (
     brute_force_best_response,
     dummy_padded,
+    eager_bound_rule_name,
+    random_monotone_table_values,
     random_profile,
     reference_best_response,
     with_dummies_last,
 )
-from rrfair import equilibria, fairness
+from rrfair import cli, equilibria, fairness, valuations
 from rrfair.equilibria import (
     NoApplicableBoundError,
     ResponseMemo,
@@ -35,6 +37,7 @@ from rrfair.equilibria import (
 )
 from rrfair.fairness import UNBOUNDED, ef1_factor
 from rrfair.instances import (
+    FIXTURES,
     GENERATOR_CLASSES,
     GeneratorSpec,
     additive_tightness_instance,
@@ -507,6 +510,8 @@ def test_bound_rule_selection():
     assert applicable_bound_rule(oxs_lower_bound_instance()).name.startswith("alpha/3")
     three_additive = Instance(n=3, m=3, valuations=(Additive([1, 2, 3]),) * 3)
     assert applicable_bound_rule(three_additive).name.startswith("alpha/2 [subadditive")
+    one_coverage = generate(GeneratorSpec("submodular_table", 1, 6, 0))  # not cancelable
+    assert applicable_bound_rule(one_coverage).name.startswith("alpha/3")
 
 
 def test_bound_rule_error_when_nothing_certifies():
@@ -514,6 +519,69 @@ def test_bound_rule_error_when_nothing_certifies():
     inst = Instance(n=2, m=2, valuations=(superadditive, superadditive))
     with pytest.raises(NoApplicableBoundError):
         applicable_bound_rule(inst)
+
+
+@st.composite
+def bound_rule_instances(draw):
+    """n ≤ 4 agents on m ≤ 6 goods: generated ones and monotone tables, one kind or mixed."""
+    n, m = draw(st.sampled_from((1, 2, 3, 4))), draw(st.integers(min_value=1, max_value=6))
+    kinds = st.sampled_from(GENERATOR_CLASSES + ("monotone_table",))
+    first, same = draw(kinds), draw(st.booleans())
+    agents = []
+    for _ in range(n):
+        kind = first if same else draw(kinds)
+        agent_seed = draw(st.integers(min_value=0, max_value=10**6))
+        if kind == "monotone_table":
+            agents.append(Table(m, random_monotone_table_values(random.Random(agent_seed), m)))
+        else:
+            hi = draw(st.sampled_from((1, 3, 8)))
+            agents.append(generate(GeneratorSpec(kind, 1, m, agent_seed, (0, hi))).valuations[0])
+    return Instance(n, m, tuple(agents))
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None)
+@given(inst=bound_rule_instances())
+def test_bound_rule_matches_the_eager_reference(inst):
+    try:
+        expected = eager_bound_rule_name(inst)
+    except NoApplicableBoundError:
+        with pytest.raises(NoApplicableBoundError):
+            applicable_bound_rule(inst)
+    else:
+        assert applicable_bound_rule(inst).name == expected
+
+
+def test_bound_rule_runs_only_the_checks_its_rules_need(monkeypatch):
+    checks = ("is_monotone", "is_additive", "is_submodular", "is_cancelable", "is_subadditive")
+    log: list[tuple[str, object, bool]] = []  # (check, oracle, verdict), in call order
+
+    def logged(name, original):
+        def wrapper(v):
+            result = original(v)
+            log.append((name, v, bool(result)))
+            return result
+
+        return wrapper
+
+    for name in checks:  # wherever the package binds it, as the benchmark's tracer does
+        wrapper = logged(name, getattr(valuations, name))
+        for module in (valuations, equilibria):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    called = set()
+    for fixture in FIXTURES:
+        log.clear()
+        assert cli.main(["reproduce", fixture]) == 0
+        names = [name for name, _, _ in log]
+        called.update(names)
+        if fixture == "oxs-lower-bound":  # four agents: the two-additive rule cannot apply
+            assert "is_additive" not in names
+        for k, (name, v, _) in enumerate(log):
+            if name == "is_subadditive":
+                assert k and log[k - 1] == ("is_cancelable", v, True)
+    # Each check must record calls on a traced `reproduce` of the four fixtures.
+    assert called == set(checks)
 
 
 def bound_check(inst, profile):

@@ -6,10 +6,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from conftest import assert_unbounded
+from conftest import assert_unbounded, reference_fairness, value_table
 from rrfair.fairness import UNBOUNDED, ef1_factor, ef1_from_perspective, ef_factor
 from rrfair.instances import (
+    GENERATOR_CLASSES,
     GeneratorSpec,
     bluff_tightness_instance,
     generate,
@@ -17,7 +20,7 @@ from rrfair.instances import (
 )
 from rrfair.mechanism import Allocation, round_robin
 from rrfair.profiles import bluff_profile, truthful_profile
-from rrfair.valuations import Additive, Instance
+from rrfair.valuations import Additive, Instance, Table
 
 F = Fraction
 
@@ -101,6 +104,30 @@ def test_ef1_factor_rejects_non_partitions():
         ef1_factor(inst, Allocation((frozenset({0}), frozenset({0, 1}))))
     with pytest.raises(ValueError):
         ef1_factor(inst, Allocation((frozenset({0}), frozenset())))
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(GENERATOR_CLASSES),
+    n=st.integers(min_value=1, max_value=4),
+    m=st.integers(min_value=1, max_value=6),
+    instance_seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_fairness_matches_the_fraction_reference(kind, n, m, instance_seed):
+    # Each agent is a generated oracle over its own denominator, so the
+    # agents' scales differ; any partition, empty bundles included.
+    rng = random.Random(instance_seed)
+    agents = []
+    for v in generate(GeneratorSpec(kind, n, m, instance_seed, (0, 3))).valuations:
+        d = rng.randint(1, 12)
+        agents.append(Table(m, [x / d for x in value_table(v)]))
+    inst = Instance(n, m, tuple(agents))
+    owners = [rng.randrange(n) for _ in range(m)]
+    alloc = Allocation(tuple(frozenset(g for g in range(m) if owners[g] == i) for i in range(n)))
+    report = ef1_factor(inst, alloc)
+    assert (report.pair_ratios, report.ef1_factor, report.ef_factor, report.worst_pair) == (
+        reference_fairness(inst, alloc))
 
 
 # ---------------------------------------------------------------------------
