@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -471,6 +472,9 @@ def dumps(inst: Instance) -> str:
 def loads(text: str) -> Instance:
     try:
         doc = json.loads(text)
-    except (RecursionError, ValueError) as exc:  # too deep, malformed, or an int too long
+    except (RecursionError, json.JSONDecodeError) as exc:  # too deep or malformed
         raise SchemaError(f"not valid JSON: {exc}") from None
+    except ValueError:  # an integer over the interpreter's int-string conversion limit
+        raise SchemaError(f"not valid JSON: the document holds an integer of more than "
+                          f"{sys.get_int_max_str_digits():,} digits") from None
     return from_document(doc)

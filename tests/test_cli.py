@@ -233,6 +233,7 @@ def test_documents_the_json_decoder_cannot_read_exit_2(capsys, tmp_path, command
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot load instance {str(path)!r}: not valid JSON: ")
+    assert "set_int_max_str_digits" not in captured.err
 
 
 @pytest.mark.parametrize("raw", ["1e99999999", "1_000", "\u0663"])  # exponent, underscore, ٣

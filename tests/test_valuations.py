@@ -22,6 +22,7 @@ from conftest import (
     submodular_by_extension_bound,
     value_table,
 )
+from rrfair import valuations
 from rrfair.instances import (
     FIXTURES,
     GeneratorSpec,
@@ -35,10 +36,12 @@ from rrfair.valuations import (
     OXS,
     Additive,
     BudgetAdditive,
+    ClassCheck,
     Instance,
     SizeGuardError,
     Table,
     UnitDemand,
+    Valuation,
     as_fraction,
     is_additive,
     is_cancelable,
@@ -48,6 +51,20 @@ from rrfair.valuations import (
 )
 
 F = Fraction
+
+
+class Signed(Valuation):
+    """A bare value table that may hold negative values, outside every oracle class."""
+
+    def __init__(self, m: int, values: list[int]) -> None:
+        super().__init__(m, 1)
+        self.values = tuple(values)
+
+    def _value_mask(self, mask: int) -> int:
+        return self.values[mask]
+
+    def _key(self) -> tuple:
+        return self.m, self.values
 
 
 def cancelable_samples(seed: int, m: int, count: int):
@@ -347,6 +364,8 @@ def test_is_subadditive_examples():
     assert is_subadditive(UnitDemand([3, 1, 4]))
     assert is_subadditive(no_pne_instance().valuations[0])  # monotone submodular
     assert not is_subadditive(Table(2, [0, 1, 1, 3]))
+    # Submodular but negative: v({g1} | {g1}) = -1 > v({g1}) + v({g1}) = -2.
+    assert is_submodular(Signed(1, [0, -1])) and not is_subadditive(Signed(1, [0, -1]))
 
 
 def test_monotone_submodular_tables_are_subadditive():
@@ -454,6 +473,76 @@ def test_class_checks_match_fraction_reference_with_distinct_prime_denominators(
     table = Table(6, values)
     assert is_monotone(table)
     assert_checks_match_reference(table)
+
+
+@st.composite
+def tie_heavy_tables(draw):
+    """Bare value tables on m <= 6 goods, which no oracle class constrains.
+
+    Entries in {0, 1, 2}, as drawn or closed upward to be monotone, make ties
+    decide cancelability; wider entries are rarely monotone; signed entries
+    break the non-negativity that the subadditivity shortcut needs.
+    """
+    m = draw(st.integers(min_value=1, max_value=6))
+    kind = draw(st.sampled_from(["ties", "monotone_ties", "wide", "signed"]))
+    lo, hi = {"wide": (0, 9), "signed": (-2, 2)}.get(kind, (0, 2))
+    values = [0] + draw(st.lists(st.integers(min_value=lo, max_value=hi),
+                                 min_size=(1 << m) - 1, max_size=(1 << m) - 1))
+    if kind == "monotone_ties":
+        for mask in range(1, 1 << m):
+            values[mask] = max([values[mask]] + [values[mask ^ (1 << g)] for g in range(m)
+                                                 if mask >> g & 1])
+    return Signed(m, values) if kind == "signed" else Table(m, values)
+
+
+@seed(20230131)
+@settings(max_examples=300, deadline=None)
+@given(v=tie_heavy_tables())
+def test_fast_verdicts_and_witnesses_match_reference_on_tied_and_signed_tables(v):
+    assert is_submodular(v) == reference_is_submodular(v)
+    assert is_cancelable(v) == reference_is_cancelable(v)
+    assert bool(is_subadditive(v)) == reference_is_subadditive(v)
+
+
+class CountedReads(list):
+    """A value table that counts its reads by index."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def _no_witness_search(*args):
+    raise AssertionError("a check that holds searched for a witness")
+
+
+def nine_good_holding_checks():
+    """(oracle, check) pairs on 9 goods where the check holds."""
+    *additive, oxs = build_fixture("oxs-lower-bound").valuations  # the OXS agent is not cancelable
+    table = generate(GeneratorSpec("submodular_table", 1, 9, 0)).valuations[0]
+    oracles = [(f"additive{i}", v, (is_submodular, is_cancelable, is_subadditive))
+               for i, v in enumerate(additive)]
+    oracles += [(name, v, (is_submodular, is_subadditive)) for name, v in (("oxs", oxs), ("table", table))]
+    return [pytest.param(v, check, id=f"{name}-{check.__name__}")
+            for name, v, checks in oracles for check in checks]
+
+
+@pytest.mark.parametrize("v, check", nine_good_holding_checks())
+def test_a_check_that_holds_reads_m2_2m_values_and_searches_no_witness(monkeypatch, v, check):
+    tables: list[CountedReads] = []
+    integer_table = valuations._integer_table
+
+    def counted(oracle, name):
+        tables.append(CountedReads(integer_table(oracle, name)))
+        return tables[-1]
+
+    monkeypatch.setattr(valuations, "_integer_table", counted)
+    monkeypatch.setattr(valuations, "_ascending_submasks", _no_witness_search)
+    monkeypatch.setattr(valuations, "_set_bits", _no_witness_search)
+    assert check(v) == ClassCheck(True)
+    assert len(tables) == 1 and tables[0].reads <= v.m ** 2 << v.m
 
 
 # ---------------------------------------------------------------------------
