@@ -204,9 +204,10 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking]) -> 
 
     value = v.value_mask  # scale * v(mask), an int, cached by the oracle
 
-    # Single-bit masks, by decreasing singleton value and then ascending good:
+    # (single-bit mask, its value) by decreasing value and then ascending good:
     # the search tries promising picks first, so the incumbent rises early.
-    by_value = sorted((1 << g for g in range(m)), key=lambda bit: -value(bit))
+    singles = sorted(((1 << g, value(1 << g)) for g in range(m)), key=lambda single: -single[1])
+    by_value = [bit for bit, _ in singles]
 
     subadditive = v.subadditive_by_construction
 
@@ -217,11 +218,11 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking]) -> 
             return monotone
         k = (m - step + n - 1) // n
         total = value(bundle)
-        for bit in by_value:
+        for bit, single in singles:
             if not k:
                 break
             if avail & bit:
-                total += value(bit)
+                total += single
                 k -= 1
         return min(total, monotone)
 
@@ -395,7 +396,8 @@ def scan_one_profile(scan: ResponseMemo, orders: Orders) -> ScanRecord:
     _, masks = deal(orders, inst.m)
 
     def respond(i: int) -> int:
-        # Routed through pne_factor for the benchmark's tracer, until ROADMAP item 1 lands.
+        # Routed through pne_factor for the benchmark's tracer, until a stats recorder
+        # replaces it (ROADMAP items 2 and 3).
         pne_factor(inst, Profile(tuple(map(Ranking, orders))), responses=scan)
         return scan.best[i, orders[:i] + orders[i + 1:]]
 

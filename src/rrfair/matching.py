@@ -1,14 +1,13 @@
 """Exact maximum-weight bipartite matching over integer edge weights.
 
 Goods sit on the left, abstract slots on the right.  The matching value is
-computed by successive augmenting paths: each iteration finds the most
-profitable alternating path with a Bellman-Ford sweep over the residual
-graph and stops once no path has positive gain.  Because a best matching of
-cardinality c+1 never gains more per edge than one of cardinality c, the
-first non-positive path certifies optimality.  The weights are ints, never
-floats, so every comparison is exact.  `OXS` oracles pass the adjacency
-they build once, with weights `scale` times their rational edge weights
-(see `valuations.OXS`), and turn the int back into a value there.
+built up one good at a time: when a good joins an optimal matching of the
+goods before it, the optimum grows by exactly the best alternating path
+that starts at the new good, found by one label-correcting relaxation from
+that good alone (see `max_weight_matching_value`).  The weights are ints,
+never floats, so every comparison is exact.  `OXS` oracles pass the
+adjacency they build once, with weights `scale` times their rational edge
+weights (see `valuations.OXS`), and turn the int back into a value there.
 """
 
 from __future__ import annotations
@@ -26,89 +25,60 @@ def max_weight_matching_value(num_right: int, adjacency: Adjacency) -> int:
     non-negative int weights; zero-weight edges are allowed but never
     improve the value.  The caller validates the edges and collapses
     parallel ones to their heaviest copy.
+
+    Left nodes join one at a time.  Let M be an optimal matching of the
+    nodes before x, and M' one of those nodes plus x.  The symmetric
+    difference of M and M' splits into alternating paths and cycles.  A
+    component C without x is, on either side, a swap that keeps a matching
+    of the same nodes, so neither w(M ∩ C) < w(M' ∩ C) (else M Δ C beats M)
+    nor the reverse (else M' Δ C beats M'): the two sides weigh the same.
+    x is unmatched in M, so its component, if any, is a path that starts at
+    x with an edge of M' and alternates; it ends at a right node free in M,
+    or at a left node whose M edge is dropped.  Hence w(M') - w(M) is the
+    gain of the best alternating path from x, and applying any such path to
+    M gives a matching, so no path gains more.  The relaxation labels each
+    right node r with the best gain of a path from x whose last edge enters
+    r; a cycle through matched edges cannot gain, since M is optimal, so
+    the labels settle and their predecessors form a tree.  The path ends
+    best at a free r, with gain label(r), or at a taken r, with its matched
+    edge dropped: label(r) minus that edge's weight.
     """
-    num_left = len(adjacency)
-    match_left: list[int | None] = [None] * num_left   # left -> right
-    match_right: list[int | None] = [None] * num_right  # right -> left
+    owner: list[int | None] = [None] * num_right  # right -> matched left node
+    held = [0] * num_right                       # right -> weight of its matched edge
     total = 0
-
-    while True:
-        gain, path = _best_augmenting_path(adjacency, match_left, match_right, num_right)
-        if gain is None or gain <= 0:
-            return total
-        total += gain
-        for left, right in path:
-            match_left[left] = right
-            match_right[right] = left
-
-
-def _best_augmenting_path(
-    adjacency: Adjacency,
-    match_left: list[int | None],
-    match_right: list[int | None],
-    num_right: int,
-) -> tuple[int | None, list[tuple[int, int]]]:
-    """Maximum-gain alternating path from a free left node to a free right node.
-
-    Bellman-Ford over right nodes: dist[r] is the best gain of an alternating
-    path ending with an unmatched edge into r.  Starting from optimal
-    matchings the residual graph has no positive cycle, so the sweep settles.
-    """
-    num_left = len(adjacency)
-    dist: list[int | None] = [None] * num_right
-    # via[r] = (left node of the final edge into r, right node that left was matched to before)
-    via: list[tuple[int, int | None] | None] = [None] * num_right
-
-    for left in range(num_left):
-        if match_left[left] is None:
-            for right, weight in adjacency[left]:
-                if dist[right] is None or dist[right] < weight:
-                    dist[right] = weight
-                    via[right] = (left, None)
-
-    for _ in range(num_right):
-        changed = False
-        for right in range(num_right):
-            if dist[right] is None:
-                continue
-            left = match_right[right]
+    for x, row in enumerate(adjacency):
+        gain: list[int | None] = [None] * num_right
+        # via[r] = (left node of the last edge into r, the right node it leaves, edge weight)
+        via: list[tuple[int, int | None, int] | None] = [None] * num_right
+        queue = []
+        for right, weight in row:
+            gain[right] = weight
+            via[right] = (x, None, weight)
+            queue.append(right)
+        for right in queue:  # the list grows while it is read: a FIFO queue
+            left = owner[right]
             if left is None:
                 continue
-            # Drop the matched edge (left, right), pick up another edge of `left`.
-            base = dist[right] - _weight_of(adjacency, left, right)
+            # Move `left` off `right` to another of its edges; its own edge
+            # gives back gain[right] exactly, so it never relabels `right`.
+            base = gain[right] - held[right]  # type: ignore[operator]
             for nxt, weight in adjacency[left]:
-                if nxt == right:
-                    continue
                 candidate = base + weight
-                if dist[nxt] is None or dist[nxt] < candidate:
-                    dist[nxt] = candidate
-                    via[nxt] = (left, right)
-                    changed = True
-        if not changed:
-            break
-
-    end: int | None = None
-    for right in range(num_right):
-        if match_right[right] is None and dist[right] is not None:
-            if end is None or dist[end] < dist[right]:  # type: ignore[index]
-                end = right
-    if end is None:
-        return None, []
-
-    # Walk the predecessor chain collecting (left, right) re-pairings.
-    flips: list[tuple[int, int]] = []
-    current: int | None = end
-    while current is not None:
-        step = via[current]
-        assert step is not None
-        left, prev = step
-        flips.append((left, current))
-        current = prev
-    return dist[end], flips
-
-
-def _weight_of(adjacency: Adjacency, left: int, right: int) -> int:
-    for node, weight in adjacency[left]:
-        if node == right:
-            return weight
-    raise AssertionError(f"matched edge ({left}, {right}) missing from adjacency")
+                label = gain[nxt]
+                if label is None or label < candidate:
+                    gain[nxt] = candidate
+                    via[nxt] = (left, right, weight)
+                    queue.append(nxt)
+        best, end = 0, None
+        for right in queue:  # a free right node holds weight 0
+            ending = gain[right] - held[right]  # type: ignore[operator]
+            if ending > best:
+                best, end = ending, right
+        if end is None:
+            continue
+        total += best
+        while end is not None:
+            left, prev, weight = via[end]  # type: ignore[misc]
+            owner[end], held[end] = left, weight
+            end = prev
+    return total

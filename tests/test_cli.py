@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from rrfair import cli
+from rrfair import cli, valuations
 from rrfair.cli import (
     fmt_frac,
     json_frac,
@@ -638,6 +638,29 @@ def test_certify_json_and_guard_skips(capsys, tmp_path):
     for check in ("monotone", "additive", "submodular", "cancelable", "subadditive"):
         assert agent[check]["holds"] is None
         assert "skipped" in agent[check]
+
+
+def test_certify_checks_each_table_for_monotonicity_once(capsys, monkeypatch, tmp_path):
+    # Loading proves a table monotone, since `Instance` refuses one that is
+    # not, and certify reports that verdict instead of scanning it again.
+    checked = []
+    is_monotone = valuations.is_monotone
+
+    def counted(v):
+        checked.append(type(v).__name__)
+        return is_monotone(v)
+
+    monkeypatch.setattr(valuations, "is_monotone", counted)
+    monkeypatch.setitem(valuations.CLASS_CHECKS, "monotone", counted)
+    tables = generate(GeneratorSpec("submodular_table", 2, 4, 5)).valuations
+    path = tmp_path / "mixed.json"
+    save(Instance(n=3, m=4, valuations=(tables[0], Additive([1, 2, 3, 4]), tables[1])), path)
+    checked.clear()
+    code, out = run_cli(capsys, "certify", str(path), "--json")
+    assert code == 0
+    assert sorted(checked) == ["Additive", "Table", "Table"]  # the tables' at load
+    for agent in json.loads(out)["agents"]:
+        assert agent["monotone"] == {"holds": True, "witness": None}
 
 
 @pytest.mark.parametrize("m, agent", [

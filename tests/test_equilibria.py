@@ -308,6 +308,47 @@ def test_convex_tables_exercise_the_monotone_bound():
     assert sum(not is_subadditive(v) for v in tables) >= 8
 
 
+# Per search: explored states, value, ranking.  A faster oracle or bound
+# must leave them as they are; a change to what the bounds prune, or to the
+# order picks are tried in, moves the state counts.
+PINNED_SEARCHES = [
+    (57, 41, (4, 1, 2, 6, 8, 9, 3, 0, 5, 7, 10, 11, 12, 13)),
+    (36, 34, (7, 4, 1, 11, 9, 10, 13, 0, 2, 3, 5, 6, 8, 12)),
+    (34, 41, (8, 2, 4, 6, 13, 1, 3, 0, 5, 7, 9, 10, 11, 12)),
+    (36, 36, (0, 4, 10, 11, 1, 5, 12, 2, 3, 6, 7, 8, 9, 13)),
+    (16, 42, (0, 1, 2, 3, 4, 6, 8, 5, 7, 9, 10, 11, 12, 13)),
+    (32, 35, (0, 5, 10, 3, 11, 8, 9, 1, 2, 4, 6, 7, 12, 13)),
+    (16, 40, (0, 1, 6, 2, 9, 13, 4, 3, 5, 7, 8, 10, 11, 12)),
+    (111, 37, (4, 10, 5, 7, 1, 2, 9, 0, 3, 6, 8, 11, 12, 13)),
+    (19, 42, (6, 0, 1, 2, 4, 3, 8, 5, 7, 9, 10, 11, 12, 13)),
+    (352, 37, (0, 5, 7, 10, 11, 4, 6, 1, 2, 3, 8, 9, 12, 13)),
+    (21, 39, (0, 6, 8, 1, 13, 4, 9, 2, 3, 5, 7, 10, 11, 12)),
+    (442, 37, (0, 2, 4, 5, 10, 7, 9, 1, 3, 6, 8, 11, 12, 13)),
+    (18, 42, (0, 2, 8, 1, 6, 3, 4, 5, 7, 9, 10, 11, 12, 13)),
+    (50, 37, (4, 7, 10, 3, 5, 8, 11, 0, 1, 2, 6, 9, 12, 13)),
+    (18, 42, (0, 1, 2, 4, 9, 6, 8, 3, 5, 7, 10, 11, 12, 13)),
+    (261, 37, (7, 1, 5, 9, 10, 4, 6, 0, 2, 3, 8, 11, 12, 13)),
+]
+
+
+def test_search_work_is_pinned_on_an_additive_vs_oxs_instance():
+    # 2 x 14, drawn the way the benchmark's deep scan draws its documents.
+    rng = random.Random(16)
+    m = 14
+    weights = [rng.randint(0, 8) for _ in range(m)]
+    slots = rng.randint(m // 2, m)
+    edges = [(g, rng.randrange(slots), rng.randint(0, 8))
+             for g in range(m) for _ in range(rng.randint(1, 2))]
+    inst = Instance(2, m, (Additive(weights), OXS(m, edges)))
+    searches = []
+    for orders in profile_orders(inst, samples=8, seed=16):
+        for agent in range(2):
+            response = best_response(inst, agent, {1 - agent: Ranking(orders[1 - agent])})
+            searches.append((response.explored_states, response.value, response.ranking.order))
+    assert searches == PINNED_SEARCHES
+    assert sum(states for states, _, _ in searches) == 1519
+
+
 # ---------------------------------------------------------------------------
 # equilibrium factors
 
