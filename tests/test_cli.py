@@ -324,6 +324,56 @@ def test_reproduce_with_parameter_overrides(capsys):
     assert "expected 1000/1997 (~0.500751), got 1000/1997 (~0.500751)" in out
 
 
+MISMATCHES = {
+    "additive-tightness": (
+        ("--param", "delta=49/100", "--param", "beta=1"),
+        "reproduce additive-tightness with beta=1, delta=49/100\n"
+        "  pne_factor: expected 149/448 (~0.332589), got 149/448 (~0.332589) [ok]\n"
+        "  agent 2 -> 1 ef1 ratio: expected 149/649 (~0.229584), got 149/649 (~0.229584) [ok]\n"
+        "  bound alpha/(2-alpha): expected 149/747 (~0.199465), got 149/747 (~0.199465) [ok]\n"
+        "  ratio >= bound: expected 1, got 1 [ok]\n"
+        "  ratio < bound + 1/100: expected 1, got 0 [MISMATCH]\n"
+        "FAIL\n",
+        "first mismatch: ratio < bound + 1/100: expected 1, got 0\n",
+        "425c47bddb78c13eb1321084fd635ae9ff0137deabda93808aa591723ff8660f",
+    ),
+    "oxs-lower-bound": (
+        ("--param", "beta=51/100", "--param", "eps1=4/100", "--param", "eps2=3/100",
+         "--param", "eps3=2/100", "--param", "eps4=1/100"),
+        "reproduce oxs-lower-bound with beta=51/100, eps1=1/25, eps2=3/100, eps3=1/50, "
+        "eps4=1/100\n"
+        "  agent 4 best-response value: expected 53/50 (~1.06), got 53/50 (~1.06) [ok]\n"
+        "  pne_factor: expected 52/53 (~0.981132), got 52/53 (~0.981132) [ok]\n"
+        "  agent 4 -> 1 ef1 ratio: expected 104/203 (~0.512315), got 104/203 (~0.512315) [ok]\n"
+        "  bound alpha/3: expected 52/159 (~0.327044), got 52/159 (~0.327044) [ok]\n"
+        "  ratio >= alpha/3: expected 1, got 1 [ok]\n"
+        "  ratio < alpha/2 + 1/100: expected 1, got 0 [MISMATCH]\n"
+        "FAIL\n",
+        "first mismatch: ratio < alpha/2 + 1/100: expected 1, got 0\n",
+        "4edac8846dadcc557ad81ac54dee3898b4c78b91148aec17f47598477718c78f",
+    ),
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(MISMATCHES))
+def test_reproduce_mismatch_exits_1_naming_the_first_failing_row(capsys, fixture):
+    # Parameters that satisfy the constraints but leave the envy ratio over
+    # the bound + 1/100 window: every closed form still matches, the last row does not.
+    params, text, stderr, json_sha256 = MISMATCHES[fixture]
+    assert main(["reproduce", fixture, *params]) == cli.EXIT_MISMATCH
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (text, stderr)
+
+    assert main(["reproduce", fixture, *params, "--json"]) == cli.EXIT_MISMATCH
+    captured = capsys.readouterr()
+    assert captured.err == stderr
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == json_sha256
+    doc = json.loads(captured.out)
+    assert doc["pass"] is False
+    assert [row["match"] for row in doc["rows"]] == [True] * (len(doc["rows"]) - 1) + [False]
+    assert (doc["rows"][-1]["expected"]["frac"], doc["rows"][-1]["actual"]["frac"]) == ("1", "0")
+
+
 def test_reproduce_rejects_bad_parameters(capsys):
     code, _ = run_cli(capsys, "reproduce", "bluff-tightness", "--param", "eps1=0.5")
     assert code == 2
