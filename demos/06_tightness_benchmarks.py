@@ -2,51 +2,37 @@
 """The four benchmark constructions and what each one demonstrates.
 
 Each fixture is parameterized by exact rationals with validated strict
-inequalities; `rrfair reproduce <name>` checks the same numbers from the
+inequalities.  Its registry entry in `rrfair.FIXTURES` holds the builder and
+the closed forms; `rrfair reproduce <name>` checks the same rows from the
 command line.
 """
 
-from rrfair import (
-    FIXTURES,
-    Profile,
-    Ranking,
-    additive_tightness_instance,
-    evaluate_profile,
-    no_pne_instance,
-    oxs_lower_bound_instance,
-    truthful_ranking,
-)
+from rrfair import FIXTURES, build_fixture
+
+
+def show(name: str) -> None:
+    """Print each row of the fixture at its default parameters."""
+    fixture = FIXTURES[name]
+    params = fixture.parameters
+    print(f"\n{name}:", ", ".join(f"{k} = {v}" for k, v in params.items()) or "no parameters")
+    for quantity, closed_form, measured in fixture.rows(build_fixture(name), params):
+        print(f"  {quantity}: closed form {closed_form}, measured {measured}")
+
 
 print("available fixtures:", ", ".join(sorted(FIXTURES)))
 
+# no-pne: two submodular tables on four goods; no reported profile reaches
+# a factor above 3/4, so exact equilibria need not exist (see demo 05).
+show("no-pne")
+
+# bluff-tightness: an additive agent vs an OXS agent; the bluff profile's
+# equilibrium factor 1/(2 - eps1 - eps2) tends to 1/2, so 1/2 is tight.
+show("bluff-tightness")
+
 # additive-tightness: two additive agents; a half-good equilibrium whose
 # envy ratio sits exactly on the alpha/(2-alpha) bound.
-inst = additive_tightness_instance()  # delta = 1/1000, beta = 1/2
-profile = Profile((truthful_ranking(inst.valuations[0]), Ranking((4, 3, 0, 1, 2))))
-outcome = evaluate_profile(inst, profile)
-alpha = outcome.equilibrium.pne_factor
-ratio = outcome.fairness.pair_ratios[1, 0]
-print("\nadditive-tightness:")
-print("  equilibrium factor:", alpha)
-print("  agent 2's envy ratio towards agent 1:", ratio)
-print("  bound alpha/(2-alpha):", alpha / (2 - alpha), " ratio meets it:",
-      ratio >= alpha / (2 - alpha))
+show("additive-tightness")
 
 # oxs-lower-bound: three additive agents and one OXS agent; the OXS agent's
 # envy ratio stays near alpha/2, below which no general guarantee exists.
-inst = oxs_lower_bound_instance()  # eps = (6..1)/1000, beta = 3/5
-profile = Profile(
-    tuple(truthful_ranking(inst.valuations[i]) for i in range(3))
-    + (Ranking((2, 5, 7, 0, 1, 3, 4, 6, 8)),)
-)
-outcome = evaluate_profile(inst, profile)
-alpha = outcome.equilibrium.pne_factor
-ratio = outcome.fairness.pair_ratios[3, 0]
-print("\noxs-lower-bound:")
-print("  equilibrium factor:", alpha)
-print("  agent 4's envy ratio towards agent 1:", ratio)
-print("  alpha/3 <= ratio < alpha/2 + 1/100:",
-      alpha / 3 <= ratio < alpha / 2 + type(alpha)(1, 100))
-
-# no-pne: no reported profile reaches a factor above 3/4 (see demo 05).
-print("\nno-pne instance:", no_pne_instance().description)
+show("oxs-lower-bound")

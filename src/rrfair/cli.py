@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import json
 import sys
 from fractions import Fraction
@@ -159,6 +158,8 @@ def parse_params(pairs: Sequence[str]) -> dict[str, Fraction]:
         if not sep:
             raise InputError(f"--param expects NAME=VALUE, got {pair!r}")
         name = name.strip()
+        if name in out:
+            raise InputError(f"--param {name} given twice")
         try:
             out[name] = parse_fraction(raw.strip(), f"--param {name}")
         except SchemaError as exc:
@@ -288,93 +289,11 @@ def print_run_report(doc: dict[str, Any]) -> None:
 # reproduce
 
 
-# Every fixture parameter and its default, read from the builders' signatures.
-FIXTURE_DEFAULTS = {
-    name: {p.name: Fraction(p.default) for p in inspect.signature(builder).parameters.values()}
-    for name, builder in FIXTURES.items()
-}
-
-
-def build_named_fixture(name: str, params: dict[str, Fraction]) -> Instance:
-    """The fixture built with `params` over its defaults (argparse checks `name`)."""
-    defaults = FIXTURE_DEFAULTS[name]
-    unknown = set(params) - set(defaults)
-    if unknown:
-        raise InputError(f"fixture {name!r} takes parameters {tuple(defaults)}, "
-                         f"not {sorted(unknown)}")
-    try:
-        return build_fixture(name, **params)
-    except ConstraintError as exc:
-        raise InputError(str(exc)) from None
-
-
-def reproduction_rows(name: str, params: dict[str, Fraction]) -> list[tuple[str, Factor, Factor]]:
-    """(quantity, expected, actual) rows; expectations are closed forms in the parameters."""
-    inst = build_named_fixture(name, params)
-    values = {**FIXTURE_DEFAULTS[name], **params}
-
-    if name == "no-pne":
-        best = max(rec.pne_factor for rec in profile_space_scan(inst))
-        count = 24 * 24
-        return [
-            (f"max pne_factor over {count} profiles", Fraction(3, 4), best),
-        ]
-
-    if name == "bluff-tightness":
-        e1, e2, e3 = values["eps1"], values["eps2"], values["eps3"]
-        evaluation = evaluate_profile(inst, profile_from_source(inst, "bluff")[0])
-        assert evaluation.equilibrium is not None
-        return [
-            ("agent 2 best-response value", 2 - e1 - e2,
-             evaluation.equilibrium.per_agent[1].best_response_value),
-            ("pne_factor", 1 / (2 - e1 - e2), evaluation.equilibrium.pne_factor),
-            ("agent 2 -> 1 ef1 ratio", 1 / (2 - e1 - e3),
-             evaluation.fairness.pair_ratios[1, 0]),
-            ("ef1_factor", 1 / (2 - e1 - e3), evaluation.fairness.ef1_factor),
-        ]
-
-    if name == "additive-tightness":
-        d, b = values["delta"], values["beta"]
-        profile = Profile((truthful_profile(inst).rankings[0], Ranking((4, 3, 0, 1, 2))))
-        evaluation = evaluate_profile(inst, profile)
-        assert evaluation.equilibrium is not None
-        alpha = (1 + d) / (3 * b + Fraction(1, 2) + 2 * d)
-        ratio = (1 + d) / (6 * b + d)
-        bound = alpha / (2 - alpha)
-        return [
-            ("pne_factor", alpha, evaluation.equilibrium.pne_factor),
-            ("agent 2 -> 1 ef1 ratio", ratio, evaluation.fairness.pair_ratios[1, 0]),
-            ("bound alpha/(2-alpha)", bound,
-             applicable_bound_rule(inst)(evaluation.equilibrium.pne_factor)),
-            ("ratio >= bound", Fraction(1), Fraction(int(ratio >= bound))),
-            ("ratio < bound + 1/100", Fraction(1),
-             Fraction(int(evaluation.fairness.pair_ratios[1, 0] < bound + Fraction(1, 100)))),
-        ]
-
-    assert name == "oxs-lower-bound"
-    e1, e4, b = values["eps1"], values["eps4"], values["beta"]
-    agent4 = Ranking((2, 5, 7, 0, 1, 3, 4, 6, 8))
-    profile = Profile(truthful_profile(inst).rankings[:3] + (agent4,))
-    evaluation = evaluate_profile(inst, profile)
-    assert evaluation.equilibrium is not None
-    alpha = (1 + e1) / (2 * b + e1)
-    ratio = (1 + e1) / (4 * b - e4)
-    return [
-        ("agent 4 best-response value", 2 * b + e1,
-         evaluation.equilibrium.per_agent[3].best_response_value),
-        ("pne_factor", alpha, evaluation.equilibrium.pne_factor),
-        ("agent 4 -> 1 ef1 ratio", ratio, evaluation.fairness.pair_ratios[3, 0]),
-        ("bound alpha/3", alpha / 3,
-         applicable_bound_rule(inst)(evaluation.equilibrium.pne_factor)),
-        ("ratio >= alpha/3", Fraction(1), Fraction(int(ratio >= alpha / 3))),
-        ("ratio < alpha/2 + 1/100", Fraction(1),
-         Fraction(int(evaluation.fairness.pair_ratios[3, 0] < alpha / 2 + Fraction(1, 100)))),
-    ]
-
-
 def cmd_reproduce(args: argparse.Namespace) -> int:
     params = parse_params(args.param)
-    rows = reproduction_rows(args.fixture, params)
+    inst = build_fixture(args.fixture, **params)
+    fixture = FIXTURES[args.fixture]
+    rows = fixture.rows(inst, {**fixture.parameters, **params})
     doc = {
         "fixture": args.fixture,
         "parameters": {k: str(v) for k, v in sorted(params.items())},
@@ -529,7 +448,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if (args.valuation_class is None) == (args.fixture is None):
         raise InputError("choose one of --class / --fixture")
     if args.fixture is not None:
-        inst = build_named_fixture(args.fixture, parse_params(args.param))
+        inst = build_fixture(args.fixture, **parse_params(args.param))
     else:
         if args.param:
             raise InputError("--param only applies to --fixture")
@@ -674,7 +593,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, ConstraintError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SizeGuardError as exc:

@@ -2,22 +2,31 @@
 
 The four fixtures are exact constructions whose equilibrium and fairness
 numbers are known in closed form; their parameters are rationals with
-validated strict inequalities.  Generators produce random instances of a
-valuation class from a seed.  Instances serialize to a strict JSON document with
-"p/q" rationals; floats are rejected end to end.
+validated strict inequalities.  Each is one `FIXTURES` entry: its builder,
+whose signature holds the parameter defaults, and beside it the rows that
+`reproduce` prints, each closed form next to the measured value.
+`build_fixture` is the one way in by name.  Generators produce random
+instances of a valuation class from a seed.  Instances serialize to a
+strict JSON document with "p/q" rationals; floats are rejected end to end.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
+import math
 import random
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
+from .equilibria import applicable_bound_rule, evaluate_profile, profile_space_scan
+from .fairness import Factor
+from .mechanism import Profile, Ranking
+from .profiles import bluff_profile, truthful_profile
 from .valuations import (
     OXS,
     Additive,
@@ -40,6 +49,9 @@ class ConstraintError(ValueError):
 def _require(condition: bool, inequality: str) -> None:
     if not condition:
         raise ConstraintError(f"parameter constraint violated: requires {inequality}")
+
+
+Row = tuple[str, Factor, Factor]  # (quantity, closed form, measured value)
 
 
 def no_pne_instance() -> Instance:
@@ -73,6 +85,12 @@ def no_pne_instance() -> Instance:
         valuations=(table(pair_values_1), table(pair_values_2)),
         description="two agents, four goods; every profile leaves one agent at 3 vs 4",
     )
+
+
+def _no_pne_rows(inst: Instance, params: dict[str, Fraction]) -> list[Row]:
+    best = max(rec.pne_factor for rec in profile_space_scan(inst))
+    count = math.factorial(inst.m) ** inst.n
+    return [(f"max pne_factor over {count} profiles", Fraction(3, 4), best)]
 
 
 def bluff_tightness_instance(
@@ -114,6 +132,20 @@ def bluff_tightness_instance(
     )
 
 
+def _bluff_tightness_rows(inst: Instance, params: dict[str, Fraction]) -> list[Row]:
+    e1, e2, e3 = params["eps1"], params["eps2"], params["eps3"]
+    evaluation = evaluate_profile(inst, bluff_profile(inst))
+    assert evaluation.equilibrium is not None
+    return [
+        ("agent 2 best-response value", 2 - e1 - e2,
+         evaluation.equilibrium.per_agent[1].best_response_value),
+        ("pne_factor", 1 / (2 - e1 - e2), evaluation.equilibrium.pne_factor),
+        ("agent 2 -> 1 ef1 ratio", 1 / (2 - e1 - e3),
+         evaluation.fairness.pair_ratios[1, 0]),
+        ("ef1_factor", 1 / (2 - e1 - e3), evaluation.fairness.ef1_factor),
+    ]
+
+
 def additive_tightness_instance(
     delta: Fraction | int | str = Fraction(1, 1000),
     beta: Fraction | int | str = Fraction(1, 2),
@@ -135,6 +167,25 @@ def additive_tightness_instance(
         valuations=(agent1, agent2),
         description="two additive agents whose second agent scales the top goods by beta",
     )
+
+
+def _additive_tightness_rows(inst: Instance, params: dict[str, Fraction]) -> list[Row]:
+    d, b = params["delta"], params["beta"]
+    profile = Profile((truthful_profile(inst).rankings[0], Ranking((4, 3, 0, 1, 2))))
+    evaluation = evaluate_profile(inst, profile)
+    assert evaluation.equilibrium is not None
+    alpha = (1 + d) / (3 * b + Fraction(1, 2) + 2 * d)
+    ratio = (1 + d) / (6 * b + d)
+    bound = alpha / (2 - alpha)
+    return [
+        ("pne_factor", alpha, evaluation.equilibrium.pne_factor),
+        ("agent 2 -> 1 ef1 ratio", ratio, evaluation.fairness.pair_ratios[1, 0]),
+        ("bound alpha/(2-alpha)", bound,
+         applicable_bound_rule(inst)(evaluation.equilibrium.pne_factor)),
+        ("ratio >= bound", Fraction(1), Fraction(int(ratio >= bound))),
+        ("ratio < bound + 1/100", Fraction(1),
+         Fraction(int(evaluation.fairness.pair_ratios[1, 0] < bound + Fraction(1, 100)))),
+    ]
 
 
 def oxs_lower_bound_instance(
@@ -186,23 +237,58 @@ def oxs_lower_bound_instance(
     )
 
 
-FixtureBuilder = Callable[..., Instance]
+def _oxs_lower_bound_rows(inst: Instance, params: dict[str, Fraction]) -> list[Row]:
+    e1, e4, b = params["eps1"], params["eps4"], params["beta"]
+    agent4 = Ranking((2, 5, 7, 0, 1, 3, 4, 6, 8))
+    profile = Profile(truthful_profile(inst).rankings[:3] + (agent4,))
+    evaluation = evaluate_profile(inst, profile)
+    assert evaluation.equilibrium is not None
+    alpha = (1 + e1) / (2 * b + e1)
+    ratio = (1 + e1) / (4 * b - e4)
+    return [
+        ("agent 4 best-response value", 2 * b + e1,
+         evaluation.equilibrium.per_agent[3].best_response_value),
+        ("pne_factor", alpha, evaluation.equilibrium.pne_factor),
+        ("agent 4 -> 1 ef1 ratio", ratio, evaluation.fairness.pair_ratios[3, 0]),
+        ("bound alpha/3", alpha / 3,
+         applicable_bound_rule(inst)(evaluation.equilibrium.pne_factor)),
+        ("ratio >= alpha/3", Fraction(1), Fraction(int(ratio >= alpha / 3))),
+        ("ratio < alpha/2 + 1/100", Fraction(1),
+         Fraction(int(evaluation.fairness.pair_ratios[3, 0] < alpha / 2 + Fraction(1, 100)))),
+    ]
 
-FIXTURES: dict[str, FixtureBuilder] = {
-    "no-pne": no_pne_instance,
-    "bluff-tightness": bluff_tightness_instance,
-    "additive-tightness": additive_tightness_instance,
-    "oxs-lower-bound": oxs_lower_bound_instance,
+
+class Fixture(NamedTuple):
+    """A builder, whose signature holds the defaults, and its `rows(inst, all parameters)`."""
+
+    build: Callable[..., Instance]
+    rows: Callable[[Instance, dict[str, Fraction]], list[Row]]
+
+    @property
+    def parameters(self) -> dict[str, Fraction]:
+        """Each of the builder's parameters, in signature order, at its default."""
+        return {p.name: Fraction(p.default)
+                for p in inspect.signature(self.build).parameters.values()}
+
+
+FIXTURES: dict[str, Fixture] = {
+    "no-pne": Fixture(no_pne_instance, _no_pne_rows),
+    "bluff-tightness": Fixture(bluff_tightness_instance, _bluff_tightness_rows),
+    "additive-tightness": Fixture(additive_tightness_instance, _additive_tightness_rows),
+    "oxs-lower-bound": Fixture(oxs_lower_bound_instance, _oxs_lower_bound_rows),
 }
 
 
 def build_fixture(name: str, **params: Fraction | int | str) -> Instance:
-    """Build a named fixture, validating parameter constraints."""
-    try:
-        builder = FIXTURES[name]
-    except KeyError:
-        raise ValueError(f"unknown fixture {name!r}; known: {sorted(FIXTURES)}") from None
-    return builder(**params)
+    """Build a named fixture over its defaults, validating parameter names and constraints."""
+    fixture = FIXTURES.get(name)
+    if fixture is None:
+        raise ValueError(f"unknown fixture {name!r}; known: {sorted(FIXTURES)}")
+    unknown = set(params) - set(fixture.parameters)
+    if unknown:
+        raise ConstraintError(f"fixture {name!r} takes parameters {tuple(fixture.parameters)}, "
+                              f"not {sorted(unknown)}")
+    return fixture.build(**params)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +328,11 @@ def generate(spec: GeneratorSpec) -> Instance:
     `submodular_table` oracles are weighted-coverage functions tabulated
     over all subsets, which are monotone submodular by construction too.
     """
-    check_work(spec.m, f"generating {spec.m} goods")
-    if spec.valuation_class == "submodular_table":  # 2^m subsets, each covering ~3m
-        check_work(3 * spec.m << spec.m, f"generating a submodular_table on {spec.m} goods")
+    agents = f" for {spec.n} agents" if spec.n > 1 else ""
+    check_work(spec.n * spec.m, f"generating {spec.m} goods{agents}")
+    if spec.valuation_class == "submodular_table":  # per agent, 2^m subsets each covering ~3m
+        check_work(spec.n * (3 * spec.m << spec.m),
+                   f"generating a submodular_table on {spec.m} goods{agents}")
     rng = random.Random(spec.seed)
     lo, hi = spec.weight_range
     valuations: list[Valuation] = []

@@ -374,6 +374,15 @@ def test_reproduce_mismatch_exits_1_naming_the_first_failing_row(capsys, fixture
     assert (doc["rows"][-1]["expected"]["frac"], doc["rows"][-1]["actual"]["frac"]) == ("1", "0")
 
 
+@pytest.mark.parametrize("command", ["reproduce", "generate --fixture"])
+def test_a_repeated_parameter_exits_2_naming_it(capsys, command):
+    # Keeping the last value would blame `eps2 > eps1` on a silently overridden eps1.
+    argv = [*command.split(), "bluff-tightness", "--param", "eps1=1/100", "--param", " eps1=1/50"]
+    assert main(argv) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: --param eps1 given twice\n")
+
+
 def test_reproduce_rejects_bad_parameters(capsys):
     code, _ = run_cli(capsys, "reproduce", "bluff-tightness", "--param", "eps1=0.5")
     assert code == 2
@@ -403,8 +412,8 @@ def test_fixture_constraint_violations_exit_2_without_traceback(command, fixture
 
 
 FIXTURE_PARAMETERS = [(fixture, name, default)
-                      for fixture, defaults in cli.FIXTURE_DEFAULTS.items()
-                      for name, default in defaults.items()]
+                      for fixture, entry in FIXTURES.items()
+                      for name, default in entry.parameters.items()]
 
 
 @pytest.mark.parametrize("fixture, name, default", FIXTURE_PARAMETERS,
@@ -421,7 +430,7 @@ def test_each_fixture_parameter_at_its_default_reproduces_the_default_run(
 
 
 def test_fixture_parameters_are_the_flat_builder_arguments(capsys):
-    assert {fixture: tuple(defaults) for fixture, defaults in cli.FIXTURE_DEFAULTS.items()} == {
+    assert {fixture: tuple(entry.parameters) for fixture, entry in FIXTURES.items()} == {
         "no-pne": (),
         "bluff-tightness": ("eps1", "eps2", "eps3"),
         "additive-tightness": ("delta", "beta"),
@@ -784,6 +793,26 @@ def test_generate_to_an_unwritable_path_exits_2_without_traceback(tmp_path):
     assert result.stdout == ""
     assert result.stderr.startswith(f"error: cannot write {target!r}: ")
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--class", "additive", "--agents", "10000000", "--goods", "2"),
+     "generating 2 goods for 10000000 agents needs an estimated 20,000,000 steps"),
+    (("--class", "submodular_table", "--agents", "2", "--goods", "17"),
+     "generating a submodular_table on 17 goods for 2 agents needs an estimated "
+     "13,369,344 steps"),
+], ids=["per-good-storage", "submodular-table"])
+def test_generate_guards_the_agent_count_before_any_oracle_is_built(
+        capsys, monkeypatch, argv, message):
+    def unreachable(*args):
+        raise AssertionError("an oracle was built")
+
+    monkeypatch.setattr("rrfair.instances._generate_valuation", unreachable)
+    assert main(["generate", *argv]) == cli.EXIT_GUARD
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: size guard: {message}, "
+                            f"over the budget of {valuations.WORK_BUDGET:,}\n")
 
 
 def test_generate_argument_validation(capsys):
