@@ -2,7 +2,7 @@
 
 Subcommands: run, reproduce, scan, certify, generate, best-response.
 Exit codes: 0 success, 1 reproduction mismatch, 2 malformed input,
-3 size-guard refusal (an operation estimated over the work budget).
+3 size-guard refusal (estimated work, or a search's stored states, over the budget).
 
 The document format is zero-based; this layer renders goods as g1..gm and
 agents/rounds one-based, and prints every rational both exactly ("p/q") and
@@ -28,7 +28,6 @@ from .equilibria import (
     ProfileEvaluation,
     applicable_bound_rule,
     best_response,
-    check_search_work,
     evaluate_profile,
     profile_space_scan,
 )
@@ -115,25 +114,26 @@ def load_instance(path: str) -> Instance:
         raise InputError(f"cannot load instance {path!r}: {exc}") from None
 
 
+def integer(text: str, sign: str = "-") -> int:
+    """An int of ASCII digits after an optional `sign`: int() also takes ٢, +1, 1_0 and ' 1'."""
+    digits = text.removeprefix(sign)
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"malformed good {text!r}")  # argparse and --weights word their own
+    return int(text)
+
+
 def parse_profile_file(path: str, m: int, n: int) -> Profile:
     try:
-        lines = [
-            line.strip()
-            for line in Path(path).read_text(encoding="utf-8").splitlines()
-            if line.strip() and not line.lstrip().startswith("#")
-        ]
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read profile {path!r}: {exc}") from None
+    lines = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
     if len(lines) != n:
         raise InputError(f"profile {path!r} has {len(lines)} rankings, instance needs {n}")
     rankings = []
     for i, line in enumerate(lines):
-        tokens = line.split()
-        for tok in tokens:
-            if not (tok.isascii() and tok.isdigit()):  # int() also takes ٠, +1 and 1_0
-                raise InputError(f"profile {path!r}, line {i + 1}: malformed good {tok!r}")
         try:
-            order = tuple(map(int, tokens))
+            order = tuple(integer(tok, sign="") for tok in line.split())
             rankings.append(Ranking(order))
         except ValueError as exc:
             raise InputError(f"profile {path!r}, line {i + 1}: {exc}") from None
@@ -329,13 +329,13 @@ def print_reproduce_report(doc: dict[str, Any]) -> None:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    inst = load_instance(args.instance)
     if args.exhaustive and args.samples is not None:
         raise InputError("choose one of --exhaustive / --samples")
     if not args.exhaustive and args.samples is None:
         raise InputError("scan needs --exhaustive or --samples N")
     if args.samples is not None and args.samples < 1:
         raise InputError(f"--samples must be at least 1, got {args.samples}")
+    inst = load_instance(args.instance)
 
     # Built first, so an oversized scan is refused before the bound rule is certified.
     scanned = profile_space_scan(inst, samples=args.samples, seed=args.seed)
@@ -479,7 +479,7 @@ def _parse_weight_range(raw: str) -> tuple[int, int]:
     if not sep:
         raise InputError(f"--weights expects LO:HI, got {raw!r}")
     try:
-        return int(lo), int(hi)
+        return integer(lo), integer(hi)
     except ValueError:
         raise InputError(f"--weights expects integers, got {raw!r}") from None
 
@@ -493,7 +493,6 @@ def cmd_best_response(args: argparse.Namespace) -> int:
     if not 1 <= args.agent <= inst.n:
         raise InputError(f"--agent must be in 1..{inst.n}")
     agent = args.agent - 1
-    check_search_work(inst.m, inst.n, agent)  # before the reports are built
     profile, source = profile_from_source(inst, args.profile)
     response = best_response(inst, agent, profile.others(agent))
     alloc, _ = round_robin(inst, profile)
@@ -556,8 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
     scan = sub.add_parser("scan", help="evaluate many (or all) profiles of an instance")
     scan.add_argument("instance")
     scan.add_argument("--exhaustive", action="store_true")
-    scan.add_argument("--samples", type=int, default=None)
-    scan.add_argument("--seed", type=int, default=0)
+    scan.add_argument("--samples", type=integer, default=None)
+    scan.add_argument("--seed", type=integer, default=0)
     scan.add_argument("--json", action="store_true")
     scan.set_defaults(func=cmd_scan)
 
@@ -568,9 +567,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="emit an instance document (random or fixture)")
     gen.add_argument("--class", dest="valuation_class", default=None, choices=GENERATOR_CLASSES)
-    gen.add_argument("--agents", type=int, default=2)
-    gen.add_argument("--goods", type=int, default=4)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--agents", type=integer, default=2)
+    gen.add_argument("--goods", type=integer, default=4)
+    gen.add_argument("--seed", type=integer, default=0)
     gen.add_argument("--weights", default="0:8", metavar="LO:HI")
     gen.add_argument("--fixture", default=None, choices=sorted(FIXTURES))
     gen.add_argument("--param", action="append", default=[], metavar="NAME=VALUE")
@@ -579,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     br = sub.add_parser("best-response", help="exact best response of one agent")
     br.add_argument("instance")
-    br.add_argument("--agent", type=int, required=True, help="1-based agent index")
+    br.add_argument("--agent", type=integer, required=True, help="1-based agent index")
     br.add_argument("--profile", default="truthful",
                     help="bluff | truthful | path (others' reports; default: truthful)")
     br.add_argument("--json", action="store_true")

@@ -53,6 +53,7 @@ from .valuations import (
     is_subadditive,
     is_submodular,
     mask_to_bundle,
+    work_budget,
 )
 
 
@@ -135,35 +136,12 @@ class EquilibriumReport:
     pne_factor: Fraction
 
 
-def search_states(m: int, n: int, agent: int) -> int:
-    """A bound on the states a best-response search for `agent` expands.
-
-    At her k-th turn a state is her k goods and the k(n-1) + agent goods the
-    others took: C(m, k) C(m-k, k(n-1) + agent) of them, summed over her
-    turns, the steps agent, agent + n, ... below m.  A binomial C(x, y) with
-    min(y, x-y) > 64 exceeds 2^64 and is slow to compute, so the sum stops
-    there, below its true value.
-    """
-    total = 0
-    for k in range(len(range(agent, m, n))):
-        others = k * (n - 1) + agent
-        if min(k, m - k) > 64 or min(others, m - k - others) > 64:
-            return total + (1 << 64)
-        total += math.comb(m, k) * math.comb(m - k, others)
-    return total
-
-
-def check_search_work(m: int, n: int, agent: int) -> None:
-    """Refuse a best-response search for `agent` on m goods over the work budget."""
-    check_work(m * search_states(m, n, agent),  # m children per state
-               f"best_response for agent {agent + 1} of {n} on {m} goods")
-
-
 def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking]) -> BestResponse:
     """Maximize `agent`'s true value over all ranking deviations.
 
-    Requires the search within the work budget.  Ties in value resolve
-    toward the lexicographically least pick sequence.
+    Ties in value resolve toward the lexicographically least pick sequence.
+    Each state stored charges m steps; the search refuses with
+    `SizeGuardError`, returning nothing, before the charge passes the budget.
 
     When n does not divide m the last round is partial.  The paper pads
     instead, with dummy goods that are worth nothing and that the others rank
@@ -184,9 +162,10 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking]) -> 
     """
     if set(others) != set(range(inst.n)) - {agent}:
         raise ValueError("`others` must cover exactly the agents other than `agent`")
-    check_search_work(inst.m, inst.n, agent)
 
     m, n = inst.m, inst.n
+    budget = work_budget()
+    most = budget // m  # states stored, m children each
     v = inst.valuations[agent]
     order_of = {i: others[i].order for i in others}
     full = (1 << m) - 1
@@ -240,6 +219,10 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking]) -> 
             return hit
         ub = upper.get(key)
         if ub is None:
+            if len(upper) >= most:
+                raise SizeGuardError(f"size guard: best_response for agent {agent + 1} of {n} on "
+                                     f"{m} goods stored {most:,} states ({most * m:,} steps) and "
+                                     f"needs another, over the budget of {budget:,}")
             ub = upper[key] = bound(avail, bundle, step)
         if ub <= need:
             return ub
@@ -257,26 +240,28 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking]) -> 
             upper[key] = best
         return best
 
-    avail0, step0 = advance(full, 0)
-    best_value = solve(avail0, 0, step0, -1)  # values are >= 0, so this is exact
+    try:
+        avail0, step0 = advance(full, 0)
+        best_value = solve(avail0, 0, step0, -1)  # values are >= 0, so this is exact
 
-    # Reconstruct the lexicographically least optimal pick sequence: the first
-    # child, in ascending good order, whose value reaches the target.
-    picks: list[int] = []
-    avail, bundle, step, target = avail0, 0, step0, best_value
-    while step < m:
-        mask = avail
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            next_avail, next_step = advance(avail ^ bit, step + 1)
-            if solve(next_avail, bundle | bit, next_step, target - 1) == target:
-                picks.append(bit.bit_length() - 1)
-                avail, bundle, step = next_avail, bundle | bit, next_step
-                break
-        else:
-            raise AssertionError("no pick reproduces the optimum")
-    del solve  # it refers to itself: free the search's tables now, not at the next gc pass
+        # Reconstruct the lexicographically least optimal pick sequence: the first
+        # child, in ascending good order, whose value reaches the target.
+        picks: list[int] = []
+        avail, bundle, step, target = avail0, 0, step0, best_value
+        while step < m:
+            mask = avail
+            while mask:
+                bit = mask & -mask
+                mask ^= bit
+                next_avail, next_step = advance(avail ^ bit, step + 1)
+                if solve(next_avail, bundle | bit, next_step, target - 1) == target:
+                    picks.append(bit.bit_length() - 1)
+                    avail, bundle, step = next_avail, bundle | bit, next_step
+                    break
+            else:
+                raise AssertionError("no pick reproduces the optimum")
+    finally:
+        del solve  # it refers to itself: free the search's tables now, not at the next gc pass
 
     return BestResponse(
         ranking=ranking_from_picks(picks, m),
@@ -348,7 +333,8 @@ def evaluate_profile(inst: Instance, profile: Profile) -> ProfileEvaluation:
     """Run the mechanism and score the outcome.
 
     The equilibrium report is skipped, with the guard's message as the
-    reason, when a best-response search exceeds the work budget.
+    reason, when a best-response search passes the work budget; the searches
+    before it are done by then.
     """
     alloc, _ = round_robin(inst, profile)
     fairness = ef1_factor(inst, alloc)

@@ -8,8 +8,9 @@ compare the oracle's Fraction values directly, with no integer scaling;
 `reference_fairness` scores envy from Fraction values, removal by removal.
 `reference_best_response` is the exhaustive Fraction pick-tree search the
 branch-and-bound search replaced, kept to compare bundles, rankings and
-state counts against.  `dummy_padded` builds the paper's padded instance,
-which the partial-round mechanism must agree with.
+state counts against; `search_states` bounds the states either search
+stores, and guards the reference up front.  `dummy_padded` builds the
+paper's padded instance, which the partial-round mechanism must agree with.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import random
 from fractions import Fraction
 from typing import Mapping
 
-from rrfair.equilibria import BestResponse, NoApplicableBoundError, search_states
+from rrfair.equilibria import BestResponse, NoApplicableBoundError
 from rrfair.mechanism import Allocation, Profile, Ranking, ranking_from_picks, round_robin
 from rrfair.valuations import ClassCheck, Instance, Table, Valuation, check_work
 
@@ -79,6 +80,24 @@ def brute_force_best_response(
         alloc, _ = round_robin(inst, Profile(tuple(rankings)))
         best = max(best, v.value(alloc.bundles[agent]))
     return best
+
+
+def search_states(m: int, n: int, agent: int) -> int:
+    """A bound on the states a best-response search for `agent` expands.
+
+    At her k-th turn a state is her k goods and the k(n-1) + agent goods the
+    others took: C(m, k) C(m-k, k(n-1) + agent) of them, summed over her
+    turns, the steps agent, agent + n, ... below m.  A binomial C(x, y) with
+    min(y, x-y) > 64 exceeds 2^64 and is slow to compute, so the sum stops
+    there, below its true value.
+    """
+    total = 0
+    for k in range(len(range(agent, m, n))):
+        others = k * (n - 1) + agent
+        if min(k, m - k) > 64 or min(others, m - k - others) > 64:
+            return total + (1 << 64)
+        total += math.comb(m, k) * math.comb(m - k, others)
+    return total
 
 
 def reference_best_response(inst: Instance, agent: int, others: Mapping[int, Ranking]) -> BestResponse:

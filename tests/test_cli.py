@@ -265,9 +265,10 @@ def test_run_single_agent_instance(capsys, tmp_path):
     assert "ef1_factor = unbounded" in out
 
 
-def test_run_guard_policy_exit(capsys, tmp_path):
+def test_run_guard_policy_exit(capsys, monkeypatch, tmp_path):
     from rrfair.valuations import Additive, Instance
 
+    monkeypatch.setattr(valuations, "WORK_BUDGET", 100)  # the first search stores 43 states
     big = Instance(n=3, m=15, valuations=(Additive([1] * 15),) * 3)
     path = tmp_path / "big.json"
     save(big, path)
@@ -492,6 +493,22 @@ def test_scan_argument_validation(capsys, no_pne_path):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --samples must be at least 1, got {samples}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ((), "scan needs --exhaustive or --samples N"),
+    (("--exhaustive", "--samples", "5"), "choose one of --exhaustive / --samples"),
+    (("--samples", "0"), "--samples must be at least 1, got 0"),
+], ids=["neither", "both", "zero"])
+def test_scan_checks_its_flags_before_reading_the_document(capsys, monkeypatch, argv, message):
+    def unreachable(path):
+        raise AssertionError("the document was read")
+
+    monkeypatch.setattr(cli, "load", unreachable)
+    assert main(["scan", "never-read.json", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_scan_exhaustive_guard(capsys, tmp_path):
@@ -824,6 +841,31 @@ def test_generate_argument_validation(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("generate", "--class", "additive", "--agents", "\u0662"),  # ٢
+    ("generate", "--class", "additive", "--goods", "1_0"),
+    ("generate", "--class", "additive", "--seed", "+1"),
+    ("scan", "x.json", "--samples", " 3"),
+    ("scan", "x.json", "--samples", "3", "--seed", "1 "),
+    ("best-response", "x.json", "--agent", "\uff11"),  # fullwidth 1
+], ids=["agents", "goods", "generate-seed", "samples", "scan-seed", "agent"])
+def test_integer_flags_take_ascii_digits_only(capsys, argv):
+    with pytest.raises(SystemExit) as exited:
+        main(list(argv))
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {argv[-2]}: invalid integer value: {argv[-1]!r}" in captured.err
+
+
+@pytest.mark.parametrize("weights", ["0:1_0", "\u0660:8", "+0:8", "0: 8"])
+def test_weights_take_ascii_digits_only(capsys, weights):
+    assert main(["generate", "--class", "additive", "--weights", weights]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --weights expects integers, got {weights!r}\n"
+
+
 # ---------------------------------------------------------------------------
 # best-response
 
@@ -858,33 +900,20 @@ def test_best_response_size_guard_exits_3_without_traceback(tmp_path):
     big = Instance(n=2, m=16, valuations=(Additive(list(range(16))),) * 2)
     path = tmp_path / "big.json"
     save(big, path)
+    # The search stores 4,107 states; a budget of 1,000 steps admits 62 of them.
+    patched = ("import sys; from rrfair import cli, valuations; "
+               "valuations.WORK_BUDGET = 1000; sys.exit(cli.main())")
     result = subprocess.run(
-        [sys.executable, "-m", "rrfair.cli", "best-response", str(path), "--agent", "1"],
+        [sys.executable, "-c", patched, "best-response", str(path), "--agent", "1"],
         capture_output=True,
         text=True,
         check=False,
     )
     assert result.returncode == 3
     assert result.stdout == ""
-    assert result.stderr.startswith("error: ")
-    assert "best_response for agent 1 of 2 on 16 goods needs an estimated 82,940,112 steps" \
-        in result.stderr
-    assert "Traceback" not in result.stderr
-
-
-def test_best_response_guard_refuses_before_the_profile_is_built(capsys, monkeypatch, tmp_path):
-    def unreachable(inst):
-        raise AssertionError("truthful_profile ran before the search guard")
-
-    monkeypatch.setattr(cli, "truthful_profile", unreachable)
-    path = tmp_path / "big.json"
-    save(Instance(n=2, m=16, valuations=(Additive(list(range(16))),) * 2), path)
-    assert main(["best-response", str(path), "--agent", "1"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: size guard: best_response for agent 1 of 2 on 16 goods needs an estimated "
-        "82,940,112 steps, over the budget of 10,000,000\n")
+    assert result.stderr == (
+        "error: size guard: best_response for agent 1 of 2 on 16 goods stored 62 states "
+        "(992 steps) and needs another, over the budget of 1,000\n")
 
 
 # ---------------------------------------------------------------------------

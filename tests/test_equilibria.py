@@ -20,6 +20,7 @@ from conftest import (
     random_monotone_table_values,
     random_profile,
     reference_best_response,
+    search_states,
     with_dummies_last,
 )
 from rrfair import cli, equilibria, fairness, valuations
@@ -33,7 +34,6 @@ from rrfair.equilibria import (
     profile_orders,
     profile_space_scan,
     scan_one_profile,
-    search_states,
 )
 from rrfair.fairness import UNBOUNDED, ef1_factor
 from rrfair.instances import (
@@ -144,12 +144,15 @@ def test_best_response_is_deterministic_and_lexicographic():
     assert first.ranking.order[0] == 2
 
 
-def test_best_response_guards():
+def test_best_response_guards(monkeypatch):
     inst = Instance(n=2, m=4, valuations=(Additive([1, 2, 3, 4]),) * 2)
     with pytest.raises(ValueError, match="others"):
         best_response(inst, 0, {})
+    monkeypatch.setattr(valuations, "WORK_BUDGET", 100)  # 6 states of 16 children
     big = Instance(n=2, m=16, valuations=(Additive([1] * 16),) * 2)
-    with pytest.raises(SizeGuardError):
+    with pytest.raises(SizeGuardError, match=r"^size guard: best_response for agent 1 of 2 on "
+                       r"16 goods stored 6 states \(96 steps\) and needs another, over the "
+                       r"budget of 100$"):
         best_response(big, 0, {1: Ranking(tuple(range(16)))})
 
 
@@ -165,6 +168,42 @@ def test_best_response_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def oxs_refusal() -> str:
+    """The refusal of a 2 x 8 OXS search that stores 28 states, under a budget of 12."""
+    inst = generate(GeneratorSpec(valuation_class="oxs", n=2, m=8, seed=0))
+    try:
+        best_response(inst, 1, truthful_profile(inst).others(1))
+    except SizeGuardError as exc:
+        return str(exc)
+    raise AssertionError("the search was not refused")
+
+
+def test_a_refused_search_refuses_identically_and_leaves_no_reference_cycle(monkeypatch):
+    monkeypatch.setattr(valuations, "WORK_BUDGET", 100)
+    gc.disable()
+    try:
+        gc.collect()
+        first = oxs_refusal()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert first == oxs_refusal() == (
+        "size guard: best_response for agent 2 of 2 on 8 goods stored 12 states (96 steps) "
+        "and needs another, over the budget of 100")
+
+
+@pytest.mark.parametrize("kind", ["additive", "oxs"])
+def test_best_response_returns_on_20_goods(kind):
+    # The up-front estimate, m * search_states, refused both agents' searches.
+    inst = generate(GeneratorSpec(valuation_class=kind, n=2, m=20, seed=0))
+    profile = truthful_profile(inst)
+    for agent in range(2):
+        assert 20 * search_states(20, 2, agent) > valuations.WORK_BUDGET
+        response = best_response(inst, agent, profile.others(agent))
+        assert response.value >= inst.valuations[agent].value(
+            round_robin(inst, profile)[0].bundles[agent])
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +291,30 @@ def test_search_states_bound_every_search(kind, n, m, instance_seed):
         bound = search_states(m, n, agent)
         assert best_response(inst, agent, others).explored_states <= bound
         assert reference_best_response(inst, agent, others).explored_states <= bound
+
+
+@seed(20261019)
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(GENERATOR_CLASSES),
+    n=st.integers(min_value=1, max_value=4),
+    m=st.integers(min_value=1, max_value=9),
+    instance_seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_the_stored_state_guard_admits_every_search_the_estimate_admitted(
+        kind, n, m, instance_seed):
+    # A stored state sits at one of the agent's turns, so the states stored
+    # never pass search_states: under a budget of exactly the old estimate,
+    # m * search_states, every search returns what it returns unguarded.
+    rng = random.Random(instance_seed)
+    inst = generate(GeneratorSpec(kind, n, m, instance_seed))
+    profile = random_profile(rng, n, m)
+    for agent in range(n):
+        others = profile.others(agent)
+        unguarded = best_response(inst, agent, others)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(valuations, "WORK_BUDGET", m * search_states(m, n, agent))
+            assert best_response(inst, agent, others) == unguarded
 
 
 # ---------------------------------------------------------------------------
@@ -672,9 +735,12 @@ def test_exact_equilibrium_of_two_additive_agents_gives_full_ef1():
 # shared evaluation plumbing
 
 
-def test_evaluate_profile_skips_equilibrium_beyond_guard():
+def test_evaluate_profile_skips_equilibrium_beyond_guard(monkeypatch):
+    monkeypatch.setattr(valuations, "WORK_BUDGET", 100)  # the first search stores 43 states
     inst = Instance(n=3, m=15, valuations=(Additive([1] * 15),) * 3)
     evaluation = evaluate_profile(inst, truthful_profile(inst))
     assert evaluation.equilibrium is None
-    assert "size guard" in evaluation.equilibrium_skipped
+    assert evaluation.equilibrium_skipped == (
+        "size guard: best_response for agent 1 of 3 on 15 goods stored 6 states (90 steps) "
+        "and needs another, over the budget of 100")
     assert evaluation.fairness is not None

@@ -1,4 +1,8 @@
-"""The one work budget: each exhaustive operation refuses just past its boundary."""
+"""The one work budget: each exhaustive operation refuses just past its boundary.
+
+An estimated operation is refused before any work; a best-response search
+is refused when storing one more state would pass the budget.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +11,7 @@ from typing import Callable
 
 import pytest
 
+from rrfair import valuations
 from rrfair.equilibria import (
     NoApplicableBoundError,
     applicable_bound_rule,
@@ -92,7 +97,6 @@ GUARDS = [
     ("is_cancelable on", 10, 11, class_check(is_cancelable), 11 * 4**10),
     ("class certification for the bound rule on", 10, 11, bound_rule, 11 * 4**10),
     ("an exhaustive scan of 2 agents and", 6, 7, exhaustive_scan, math.factorial(7) ** 2 * 7),
-    ("best_response for agent 1 of 2 on", 14, 16, two_agent_search, 82_940_112),
     ("generating a submodular_table on", 17, 18, generation, 3 * 18 * 2**18),
 ]
 
@@ -111,4 +115,19 @@ def test_each_guard_refuses_past_its_boundary_before_any_work(what, last, past, 
         assert v._cache == {0: 0}  # no value_mask miss: nothing was tabulated or searched
 
     _, run = build(last)
+    run()
+
+
+def test_best_response_refuses_once_its_stored_states_pass_the_budget(monkeypatch):
+    # The 2 x 16 search stores 204 states of 16 children each: a budget of
+    # 204 * 16 steps admits it, and one step less refuses the 204th state.
+    _, run = two_agent_search(16)
+    monkeypatch.setattr(valuations, "WORK_BUDGET", 204 * 16 - 1)
+    with pytest.raises(SizeGuardError) as refused:
+        run()
+    assert str(refused.value) == (
+        "size guard: best_response for agent 1 of 2 on 16 goods stored 203 states "
+        "(3,248 steps) and needs another, over the budget of 3,263"
+    )
+    monkeypatch.setattr(valuations, "WORK_BUDGET", 204 * 16)
     run()
