@@ -2,7 +2,7 @@
 
 Subcommands: run, reproduce, scan, certify, generate, best-response.
 Exit codes: 0 success, 1 reproduction mismatch, 2 malformed input,
-3 size-guard refusal (estimated work, or a search's stored states, over the budget).
+3 size-guard refusal (estimated or stored work over the budget, or a search too deep).
 
 The document format is zero-based; this layer renders goods as g1..gm and
 agents/rounds one-based, and prints every rational both exactly ("p/q") and

@@ -30,10 +30,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
+from . import valuations
 from .fairness import UNBOUNDED, Factor, FairnessReport, ef1_factor
 from .mechanism import (
     Allocation,
@@ -53,7 +55,6 @@ from .valuations import (
     is_subadditive,
     is_submodular,
     mask_to_bundle,
-    work_budget,
 )
 
 
@@ -142,6 +143,8 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking]) -> 
     Ties in value resolve toward the lexicographically least pick sequence.
     Each state stored charges m steps; the search refuses with
     `SizeGuardError`, returning nothing, before the charge passes the budget.
+    It recurses once per turn of `agent`, so it refuses up front when her
+    turns exceed half the recursion limit.
 
     When n does not divide m the last round is partial.  The paper pads
     instead, with dummy goods that are worth nothing and that the others rank
@@ -164,7 +167,12 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking]) -> 
         raise ValueError("`others` must cover exactly the agents other than `agent`")
 
     m, n = inst.m, inst.n
-    budget = work_budget()
+    what = f"best_response for agent {agent + 1} of {n} on {m} goods"
+    turns, deepest = len(range(agent, m, n)), sys.getrecursionlimit() // 2
+    if turns > deepest:  # `solve` recurses once per turn; the caller keeps the other half
+        raise SizeGuardError(f"size guard: {what} recurses {turns:,} turns deep, "
+                             f"over the {deepest:,} the recursion limit allows")
+    budget = valuations.WORK_BUDGET
     most = budget // m  # states stored, m children each
     v = inst.valuations[agent]
     order_of = {i: others[i].order for i in others}
@@ -220,9 +228,9 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking]) -> 
         ub = upper.get(key)
         if ub is None:
             if len(upper) >= most:
-                raise SizeGuardError(f"size guard: best_response for agent {agent + 1} of {n} on "
-                                     f"{m} goods stored {most:,} states ({most * m:,} steps) and "
-                                     f"needs another, over the budget of {budget:,}")
+                raise SizeGuardError(f"size guard: {what} stored {most:,} states "
+                                     f"({most * m:,} steps) and needs another, "
+                                     f"over the budget of {budget:,}")
             ub = upper[key] = bound(avail, bundle, step)
         if ub <= need:
             return ub

@@ -36,13 +36,9 @@ class SizeGuardError(ValueError):
     """An operation's work exceeds `WORK_BUDGET`; it returns no partial result.
 
     An estimated operation is refused before any of it is done, a
-    best-response search once the states it stores would pass the budget.
+    best-response search once the states it stores would pass the budget
+    (or up front, when it would recurse past half the recursion limit).
     """
-
-
-def work_budget() -> int:
-    """`WORK_BUDGET` when called, so that a patched budget applies."""
-    return WORK_BUDGET
 
 
 def check_work(work: int, what: str) -> None:

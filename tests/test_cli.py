@@ -894,6 +894,17 @@ def test_best_response_agent_validation(capsys, thm4_path):
     assert code == 2
 
 
+def test_best_response_too_deep_to_recurse_exits_3(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    save(Instance(n=1, m=1000, valuations=(Additive([1] * 1000),)), path)
+    assert main(["best-response", str(path), "--agent", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: size guard: best_response for agent 1 of 1 on 1000 goods recurses 1,000 turns "
+        "deep, over the 500 the recursion limit allows\n")
+
+
 def test_best_response_size_guard_exits_3_without_traceback(tmp_path):
     from rrfair.valuations import Additive, Instance
 

@@ -156,6 +156,31 @@ def test_best_response_guards(monkeypatch):
         best_response(big, 0, {1: Ranking(tuple(range(16)))})
 
 
+@pytest.mark.parametrize("n, m", [(1, 1000), (2, 2000)])
+def test_a_search_too_deep_to_recurse_is_refused_before_it_starts(n, m):
+    # `solve` recurses once per turn of the agent; its first descent stores one
+    # state per turn, so the budget alone would admit 1,000 turns.
+    inst = Instance(n=n, m=m, valuations=(Additive([1] * m),) * n)
+    message = (f"size guard: best_response for agent 1 of {n} on {m} goods recurses 1,000 turns "
+               "deep, over the 500 the recursion limit allows")
+    with pytest.raises(SizeGuardError) as refused:
+        best_response(inst, 0, truthful_profile(inst).others(0))
+    assert str(refused.value) == message
+    evaluation = evaluate_profile(inst, truthful_profile(inst))
+    assert evaluation.equilibrium is None
+    assert evaluation.equilibrium_skipped == message
+
+
+def test_the_deepest_admitted_search_reaches_its_last_turn(monkeypatch):
+    # 500 turns, under the test runner's own frames: the first descent reaches
+    # the last turn, and the budget, not the recursion limit, ends the search.
+    monkeypatch.setattr(valuations, "WORK_BUDGET", 600 * 500)
+    inst = Instance(n=1, m=500, valuations=(Additive([1] * 500),))
+    with pytest.raises(SizeGuardError, match=r"^size guard: best_response for agent 1 of 1 on "
+                       r"500 goods stored 600 states \(300,000 steps\) and needs another"):
+        best_response(inst, 0, {})
+
+
 def test_best_response_leaves_no_reference_cycle():
     # The search's memo tables are freed when it returns, not at the next
     # cyclic collection, so peak memory does not follow the collector's timing.
@@ -171,7 +196,7 @@ def test_best_response_leaves_no_reference_cycle():
 
 
 def oxs_refusal() -> str:
-    """The refusal of a 2 x 8 OXS search that stores 28 states, under a budget of 12."""
+    """The refusal of agent 2's search on a 2 x 8 OXS instance, under the patched budget."""
     inst = generate(GeneratorSpec(valuation_class="oxs", n=2, m=8, seed=0))
     try:
         best_response(inst, 1, truthful_profile(inst).others(1))
