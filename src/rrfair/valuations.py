@@ -20,8 +20,10 @@ its estimate exceeds the one `WORK_BUDGET`.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from typing import Callable, Iterable, Sequence
 
@@ -50,24 +52,24 @@ def check_work(work: int, what: str) -> None:
                              f"over the budget of {WORK_BUDGET:,}")
 
 
-# Estimated steps of each exhaustive class check on m goods: the worst case
-# of a failing check's witness search.  A check that holds costs about
-# m²·2^m, because submodularity, cancelability and subadditivity decide
-# "holds" first by a faster exact test and search only when it fails.
+# Estimated steps of each exhaustive class check on m goods.  Submodularity
+# and cancelability decide and name their witness in one pass of about
+# m²·2^m; a subadditivity check that its submodular shortcut cannot decide
+# tests every pair of subsets.
 CHECK_WORK: dict[str, Callable[[int], int]] = {
     "is_monotone": lambda m: m << m,
     "is_additive": lambda m: m << m,
-    "is_submodular": lambda m: 3**m * m,
+    "is_submodular": lambda m: m * m << m,
     "is_subadditive": lambda m: 4**m // 2,
-    "is_cancelable": lambda m: m * 4 ** (m - 1),
+    "is_cancelable": lambda m: m * m << m,
 }
 
 
 def check_subset_work(m: int, what: str, *checks: str) -> None:
     """Refuse `what` on m goods, which tabulates and then runs `checks`, cheapest first.
 
-    Storage per good (m) and tabulation (m·2^m) go first, so 3^m or 4^m is
-    only computed for an m they admit.
+    Storage per good (m) and tabulation (m·2^m) go first, so 4^m is only
+    computed for an m they admit.
     """
     what = f"{what} on {m} goods"
     check_work(m, what)
@@ -386,15 +388,6 @@ def _integer_table(v: Valuation, check: str) -> list[int]:
     return [v.value_mask(mask) for mask in range(1 << v.m)]
 
 
-def _set_bits(m: int) -> list[list[int]]:
-    """For each mask over m goods, the single-bit masks of its goods, ascending."""
-    bits: list[list[int]] = [[]]
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        bits.append([low, *bits[mask ^ low]])
-    return bits
-
-
 def is_monotone(v: Valuation) -> ClassCheck:
     """Exhaustive: every single-good marginal is non-negative."""
     vals = _integer_table(v, "is_monotone")
@@ -416,23 +409,16 @@ def is_additive(v: Valuation) -> ClassCheck:
     return ClassCheck(True)
 
 
-def _ascending_submasks(mask: int):
-    """All submasks of `mask` in increasing numeric order, starting at 0."""
-    sub = 0
-    while True:
-        yield sub
-        sub = (sub - mask) & mask
-        if sub == 0:
-            return
+def _pairwise_violators(vals: list[int], m: int) -> set[int]:
+    """The goods of every pair g < h with v(S+g) - v(S) < v(S+g+h) - v(S+h) for some S outside both.
 
-
-def _pairwise_submodular(vals: list[int], m: int) -> bool:
-    """v(S+g) - v(S) >= v(S+g+h) - v(S+h) for every S and goods g < h outside S.
-
-    For any set function this is equivalent to submodularity: v(g|S) >= v(g|T)
-    for S subset of T follows by adding T's extra goods to S one at a time.
-    The test takes m²·2^m steps.
+    v is submodular exactly when the set is empty: v(g|S) >= v(g|T) for S
+    subset of T follows by adding T's extra goods to S one at a time.  A
+    violation (S, T, g) fails one of those one-good steps, and that step is
+    a failing pair (g, h), so only goods in the set carry violations.  The
+    test takes m²·2^m steps.
     """
+    found: set[int] = set()
     for g in range(m):
         bit = 1 << g
         for h in range(g + 1, m):
@@ -440,65 +426,71 @@ def _pairwise_submodular(vals: list[int], m: int) -> bool:
             both = bit | other
             if any(vals[s | bit] - vals[s] < vals[s | both] - vals[s | other]
                    for s in range(1 << m) if not s & both):
-                return False
-    return True
+                found.update((g, h))
+    return found
 
 
 def is_submodular(v: Valuation) -> ClassCheck:
-    """Exhaustive diminishing-returns check: v(g|S) >= v(g|T) for S subset of T, g outside T."""
-    vals = _integer_table(v, "is_submodular")
-    if _pairwise_submodular(vals, v.m):
-        return ClassCheck(True)
-    bits = _set_bits(v.m)
-    full = (1 << v.m) - 1
-    for s_mask in range(1 << v.m):
-        complement = full ^ s_mask
-        vs = vals[s_mask]
-        # T = s_mask | extra is increasing in `extra` because the bits are disjoint.
-        for extra in _ascending_submasks(complement):
-            t_mask = s_mask | extra
-            vt = vals[t_mask]
-            for bit in bits[complement ^ extra]:
-                if vals[s_mask | bit] - vs < vals[t_mask | bit] - vt:
-                    g = bit.bit_length() - 1
-                    return ClassCheck(False, (mask_to_bundle(s_mask), mask_to_bundle(t_mask), g))
-    return ClassCheck(True)
+    """Exhaustive diminishing-returns check: v(g|S) >= v(g|T) for S subset of T, g outside T.
 
-
-def _sorted_cancelable(vals: list[int], m: int) -> bool:
-    """Cancelability, decided by sorting the sets without g by (v(S), -v(S+g)) for each g.
-
-    The check holds for g exactly when v(S+g) never decreases along that
-    order: then v(S) < v(T) gives v(S+g) <= v(T+g) and sets of equal value
-    have equal v(S+g), while a decrease between neighbours is a violation.
-    The test takes about m²·2^m steps.
+    Decided by `_pairwise_violators`.  For each of its goods g, the gains
+    d(S) = v(S+g) - v(S) get their superset maximum U(S), the largest d(T)
+    over the supersets T of S without g; S starts a violation for g exactly
+    when d(S) < U(S).  The least such S over every g is the witness's S, and
+    its T and g are the first in (T mask, g) order.  About m²·2^m steps.
     """
-    for g in range(m):
+    vals = _integer_table(v, "is_submodular")
+    m, size = v.m, 1 << v.m
+    first = size
+    for g in _pairwise_violators(vals, m):
         bit = 1 << g
-        order = sorted((vals[s], -vals[s | bit]) for s in range(1 << m) if not s & bit)
-        if any(a[1] < b[1] for a, b in zip(order, order[1:])):
-            return False
-    return True
+        gain = [vals[s | bit] - vals[s] for s in range(size)]  # 0 on the sets holding g
+        top = gain[:]
+        for h in range(m):
+            step = 1 << h
+            if h != g:  # top[s] = max(top[s], top[s | step]) for every s without h
+                for low in range(0, size, 2 * step):
+                    high = low + step
+                    top[low:high] = map(max, top[low:high], top[high:high + step])
+        first = next((s for s in range(first) if not s & bit and gain[s] < top[s]), first)
+    if first == size:
+        return ClassCheck(True)
+    gain = [vals[first | 1 << g] - vals[first] for g in range(m)]
+    t_mask, g = next((t, g) for t in range(first, size) if t & first == first
+                     for g in range(m) if not t >> g & 1 and gain[g] < vals[t | 1 << g] - vals[t])
+    return ClassCheck(False, (mask_to_bundle(first), mask_to_bundle(t_mask), g))
 
 
 def is_cancelable(v: Valuation) -> ClassCheck:
-    """Exhaustive: v(S+g) > v(T+g) implies v(S) > v(T), for all S, T and outside g."""
+    """Exhaustive: v(S+g) > v(T+g) implies v(S) > v(T), for all S, T and outside g.
+
+    For each g the sets without g are sorted by (v(T), -v(T+g)).  g carries
+    no violation exactly when v(T+g) never decreases along that order: then
+    v(S) < v(T) gives v(S+g) <= v(T+g) and sets of equal value have equal
+    v(S+g).  Otherwise S violates for g exactly when v(S+g) exceeds the least
+    v(T+g) over the sets from v(S)'s first place in the order onward.  The
+    least such S over every g is the witness's S, and its T and g are the
+    first in (T mask, g) order.  About m²·2^m steps.
+    """
     vals = _integer_table(v, "is_cancelable")
-    if _sorted_cancelable(vals, v.m):
+    m, size = v.m, 1 << v.m
+    first = size
+    for g in range(m):
+        bit = 1 << g
+        order = sorted((vals[t], -vals[t | bit]) for t in range(size) if not t & bit)
+        if not any(a[1] < b[1] for a, b in zip(order, order[1:])):
+            continue
+        keys = [key for key, _ in order]
+        low = list(accumulate((-neg for _, neg in reversed(order)), min))[::-1]
+        first = next((s for s in range(first) if not s & bit
+                      and vals[s | bit] > low[bisect_left(keys, vals[s])]), first)
+    if first == size:
         return ClassCheck(True)
-    bits = _set_bits(v.m)
-    full = (1 << v.m) - 1
-    for s_mask in range(1 << v.m):
-        vs = vals[s_mask]
-        for t_mask in range(1 << v.m):
-            vt = vals[t_mask]
-            if vs > vt:
-                continue  # the implication's conclusion cannot fail
-            for bit in bits[full ^ (s_mask | t_mask)]:
-                if vals[s_mask | bit] > vals[t_mask | bit]:
-                    g = bit.bit_length() - 1
-                    return ClassCheck(False, (mask_to_bundle(s_mask), mask_to_bundle(t_mask), g))
-    return ClassCheck(True)
+    vs = vals[first]
+    t_mask, g = next((t, g) for t in range(size) if vs <= vals[t]
+                     for g in range(m) if not (first | t) >> g & 1
+                     and vals[first | 1 << g] > vals[t | 1 << g])
+    return ClassCheck(False, (mask_to_bundle(first), mask_to_bundle(t_mask), g))
 
 
 def is_subadditive(v: Valuation) -> ClassCheck:
@@ -506,12 +498,12 @@ def is_subadditive(v: Valuation) -> ClassCheck:
 
     A non-negative submodular v is subadditive, because
     v(S | T) <= v(S) + v(T) - v(S & T) <= v(S) + v(T); so the check holds
-    when no value is negative and `_pairwise_submodular` holds.  Otherwise
-    every pair is tested; the condition is symmetric in S and T, so each
-    unordered pair once (T from S upward).
+    when no value is negative and `_pairwise_violators` finds none.
+    Otherwise every pair is tested; the condition is symmetric in S and T,
+    so each unordered pair once (T from S upward).
     """
     vals = _integer_table(v, "is_subadditive")
-    if min(vals) >= 0 and _pairwise_submodular(vals, v.m):
+    if min(vals) >= 0 and not _pairwise_violators(vals, v.m):
         return ClassCheck(True)
     for s_mask in range(1 << v.m):
         vs = vals[s_mask]

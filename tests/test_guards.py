@@ -38,8 +38,8 @@ from rrfair.valuations import (
 class Tangled(Valuation):
     """Worth 1 on {g1}, 2 on all goods and 0 elsewhere, for any m without a table.
 
-    Every class check meets a violation within about m·2^m steps, far below
-    its own estimate, so a check just inside its boundary ends quickly.
+    Every class check fails on it, so each check's failing path, witness and
+    all, runs just inside its boundary.
     """
 
     def __init__(self, m: int) -> None:
@@ -92,10 +92,10 @@ GUARDS = [
     ("a table on", 19, 20, table, 20 * 2**20),
     ("is_monotone on", 19, 20, class_check(is_monotone), 20 * 2**20),
     ("is_additive on", 19, 20, class_check(is_additive), 20 * 2**20),
-    ("is_submodular on", 12, 13, class_check(is_submodular), 3**13 * 13),
+    ("is_submodular on", 15, 16, class_check(is_submodular), 16 * 16 * 2**16),
     ("is_subadditive on", 12, 13, class_check(is_subadditive), 4**13 // 2),
-    ("is_cancelable on", 10, 11, class_check(is_cancelable), 11 * 4**10),
-    ("class certification for the bound rule on", 10, 11, bound_rule, 11 * 4**10),
+    ("is_cancelable on", 15, 16, class_check(is_cancelable), 16 * 16 * 2**16),
+    ("class certification for the bound rule on", 12, 13, bound_rule, 4**13 // 2),
     ("an exhaustive scan of 2 agents and", 6, 7, exhaustive_scan, math.factorial(7) ** 2 * 7),
     ("generating a submodular_table on", 17, 18, generation, 3 * 18 * 2**18),
 ]

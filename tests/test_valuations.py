@@ -42,6 +42,7 @@ from rrfair.valuations import (
     Table,
     UnitDemand,
     Valuation,
+    _pairwise_violators,
     as_fraction,
     is_additive,
     is_cancelable,
@@ -504,6 +505,54 @@ def test_fast_verdicts_and_witnesses_match_reference_on_tied_and_signed_tables(v
     assert bool(is_subadditive(v)) == reference_is_subadditive(v)
 
 
+@st.composite
+def perturbed_tables(draw):
+    """A generated coverage or additive table on m <= 6 goods with one entry raised or lowered.
+
+    The first violation then sits around the changed set, more often above
+    the empty set than in a random table.
+    """
+    m = draw(st.integers(min_value=1, max_value=6))
+    cls = draw(st.sampled_from(["submodular_table", "additive"]))
+    v = generate(GeneratorSpec(cls, 1, m, draw(st.integers(min_value=0, max_value=999)))).valuations[0]
+    values = [v.value_mask(mask) for mask in range(1 << m)]
+    values[draw(st.integers(min_value=1, max_value=(1 << m) - 1))] += draw(st.sampled_from([-2, -1, 1, 2]))
+    return Signed(m, values)
+
+
+@seed(20230131)
+@settings(max_examples=300, deadline=None)
+@given(v=perturbed_tables())
+def test_verdicts_and_witnesses_match_reference_where_the_first_violation_is_deep(v):
+    assert is_submodular(v) == reference_is_submodular(v)
+    assert is_cancelable(v) == reference_is_cancelable(v)
+    assert bool(is_subadditive(v)) == reference_is_subadditive(v)
+
+
+@pytest.mark.parametrize("m", [13, 14, 15])
+def test_failing_checks_on_13_to_15_goods_name_violations(m):
+    """A coverage table with one entry raised fails both checks; each witness is checked directly."""
+    v = generate(GeneratorSpec("submodular_table", 1, m, 0)).valuations[0]
+    values = [v.value_mask(mask) for mask in range(1 << m)]
+    values[(1 << m) - 1 - 0b101] += 1  # the set of every good but 0 and 2
+    w = Signed(m, values)
+
+    def value(bundle, g=None):
+        return w.value_mask(sum(1 << h for h in bundle) | (0 if g is None else 1 << g))
+
+    submodular = is_submodular(w)
+    assert not submodular
+    s, t, g = submodular.witness
+    assert s <= t and g not in t
+    assert value(s, g) - value(s) < value(t, g) - value(t)
+
+    cancelable = is_cancelable(w)
+    assert not cancelable
+    s, t, g = cancelable.witness
+    assert g not in s | t
+    assert value(s) <= value(t) and value(s, g) > value(t, g)
+
+
 class CountedReads(list):
     """A value table that counts its reads by index."""
 
@@ -538,11 +587,22 @@ def test_a_check_that_holds_reads_m2_2m_values_and_searches_no_witness(monkeypat
         tables.append(CountedReads(integer_table(oracle, name)))
         return tables[-1]
 
+    violators: list[set[int]] = []
+
+    def pairwise(vals, m):
+        violators.append(_pairwise_violators(vals, m))
+        return violators[-1]
+
     monkeypatch.setattr(valuations, "_integer_table", counted)
-    monkeypatch.setattr(valuations, "_ascending_submasks", _no_witness_search)
-    monkeypatch.setattr(valuations, "_set_bits", _no_witness_search)
+    # Submodularity and subadditivity decide by the pairwise test alone, and
+    # the failing paths (cancelability's suffix minima and bisection, naming
+    # a witness) raise.
+    monkeypatch.setattr(valuations, "_pairwise_violators", pairwise)
+    for failing_path_only in ("accumulate", "bisect_left", "mask_to_bundle"):
+        monkeypatch.setattr(valuations, failing_path_only, _no_witness_search)
     assert check(v) == ClassCheck(True)
     assert len(tables) == 1 and tables[0].reads <= v.m ** 2 << v.m
+    assert violators == ([] if check is is_cancelable else [set()])
 
 
 # ---------------------------------------------------------------------------
