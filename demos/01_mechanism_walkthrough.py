@@ -8,6 +8,7 @@ between them, handing each the top-ranked good still on the table.
 from fractions import Fraction
 
 from rrfair import Additive, Instance, Profile, Ranking, round_robin
+from rrfair.mechanism import deal
 
 inst = Instance(
     n=2,
@@ -21,20 +22,22 @@ inst = Instance(
 # Agent 1 ranks by her true weights; agent 2 leads with her second-best good.
 profile = Profile((Ranking((0, 1, 2, 3)), Ranking((1, 0, 2, 3))))
 
-allocation, trace = round_robin(inst, profile)
+allocation = round_robin(inst, profile)
 
+# `deal` is the mechanism's core: pick k is made in round k // n by agent k % n.
+picks, _ = deal([r.order for r in profile.rankings], inst.m)
 print("pick sequence (round, agent, good are zero-based):")
-for step in trace.steps:
-    print(f"  round {step.round}: agent {step.agent} takes good {step.good}")
+for k, good in enumerate(picks):
+    print(f"  round {k // inst.n}: agent {k % inst.n} takes good {good}")
 
 print("\nfinal bundles and their true worth:")
 for agent, bundle in enumerate(allocation.bundles):
     value = inst.valuations[agent].value(bundle)
     print(f"  agent {agent}: {sorted(bundle)} worth {value}")
 
-# The trace also exposes, per agent, which goods were gone right before
-# each of her picks -- the raw material for the drift arguments used when
+# The picks also give, per agent, which goods were gone right before each
+# of her picks -- the raw material for the drift arguments used when
 # comparing runs against unilateral deviations.
 print("\ngoods allocated before each of agent 1's picks:", [
-    sorted(s) for s in trace.prefix_sets(1)
+    sorted(picks[:k]) for k in range(1, len(picks), inst.n)
 ])

@@ -45,8 +45,9 @@ superadditive = Table(2, [0, 1, 1, 3])
 check = is_submodular(superadditive)
 print("\nsuper-additive pair table is submodular?", bool(check))
 s, t, g = check.witness
+v = superadditive
 print(f"witness: adding good {g} to {sorted(s) or 'nothing'} gains "
-      f"{superadditive.marginal(g, s)}, but to {sorted(t)} gains {superadditive.marginal(g, t)}")
+      f"{v.value(s | {g}) - v.value(s)}, but to {sorted(t)} gains {v.value(t | {g}) - v.value(t)}")
 
 # Cancelable means strict comparisons survive adding a common good.
 # Budget-additive oracles always qualify; generic tables usually do not.

@@ -21,11 +21,10 @@ print(f"instance: {inst.n} agents, {inst.m} goods")
 
 # The bluff order is the sequence greedy-by-marginal picking would produce;
 # the bluff profile has everyone report exactly that order.
-order = bluff_order(inst)
-print("bluff order:", list(order.ranking.order))
+print("bluff order:", list(bluff_order(inst).order))
 
 profile = bluff_profile(inst)
-allocation, _ = round_robin(inst, profile)
+allocation = round_robin(inst, profile)
 for agent, bundle in enumerate(allocation.bundles):
     print(f"  agent {agent} gets {sorted(bundle)} worth {inst.valuations[agent].value(bundle)}")
 

@@ -17,7 +17,7 @@ from rrfair import (
 )
 
 inst = bluff_tightness_instance()
-allocation, _ = round_robin(inst, bluff_profile(inst))
+allocation = round_robin(inst, bluff_profile(inst))
 
 report = ef1_factor(inst, allocation)
 print("pair ratios (agent i towards agent j):")

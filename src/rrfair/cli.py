@@ -495,7 +495,7 @@ def cmd_best_response(args: argparse.Namespace) -> int:
     agent = args.agent - 1
     profile, source = profile_from_source(inst, args.profile)
     response = best_response(inst, agent, profile.others(agent))
-    alloc, _ = round_robin(inst, profile)
+    alloc = round_robin(inst, profile)
     current = inst.valuations[agent].value(alloc.bundles[agent])
     ratio: Factor = UNBOUNDED if response.value == 0 else current / response.value
     doc = {

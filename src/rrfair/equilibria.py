@@ -299,7 +299,7 @@ def pne_factor(
     them; without one, a fresh memo serves this call alone.
     """
     if allocation is None:
-        allocation, _ = round_robin(inst, profile)
+        allocation = round_robin(inst, profile)
     if responses is None:
         responses = ResponseMemo(inst)
     orders = tuple(r.order for r in profile.rankings)
@@ -344,7 +344,7 @@ def evaluate_profile(inst: Instance, profile: Profile) -> ProfileEvaluation:
     reason, when a best-response search passes the work budget; the searches
     before it are done by then.
     """
-    alloc, _ = round_robin(inst, profile)
+    alloc = round_robin(inst, profile)
     fairness = ef1_factor(inst, alloc)
     equilibrium = None
     skipped = None

@@ -1,4 +1,4 @@
-"""The round-robin picking mechanism and the pick traces of its runs.
+"""The round-robin picking mechanism.
 
 Agents report strict preference rankings; in fixed priority order (agent 0
 first) each agent repeatedly receives the top-ranked good still available,
@@ -7,6 +7,9 @@ partial: only agents 0..(m mod n)-1 pick in it.  The paper instead pads
 with dummy goods that everyone values at zero and ranks last; each agent
 then gets the same real goods, and the dummies fill the last round.
 
+A run's record is its pick sequence, `deal`'s list of goods: pick k is
+made in round k // n by agent k mod n.
+
 All indices here are zero-based: goods 0..m-1, agents 0..n-1, rounds
 0..k-1.  Presentation layers render them 1-based.
 """
@@ -14,7 +17,7 @@ All indices here are zero-based: goods 0..m-1, agents 0..n-1, rounds
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .valuations import Instance
 
@@ -33,13 +36,6 @@ class Ranking:
     @property
     def m(self) -> int:
         return len(self.order)
-
-    def top(self, available: AbstractSet[int]) -> int:
-        """Most preferred good among `available`."""
-        for g in self.order:
-            if g in available:
-                return g
-        raise ValueError("no ranked good is available")
 
 
 @dataclass(frozen=True)
@@ -95,41 +91,6 @@ class Allocation:
             raise ValueError(f"goods {missing} not allocated")
 
 
-class PickStep(NamedTuple):
-    round: int  # zero-based
-    agent: int  # zero-based
-    good: int
-
-
-@dataclass(frozen=True)
-class Trace:
-    """The pick sequence of one mechanism run, in execution order.
-
-    Pick k is made in round k // n by agent k mod n; `steps` spells that out.
-    The last round is partial when n does not divide the number of picks.
-    """
-
-    picks: tuple[int, ...]
-    n: int
-
-    @property
-    def steps(self) -> tuple[PickStep, ...]:
-        n = self.n
-        return tuple(PickStep(k // n, k % n, g) for k, g in enumerate(self.picks))
-
-    @property
-    def rounds(self) -> int:
-        return -(-len(self.picks) // self.n)
-
-    def prefix_sets(self, agent: int) -> tuple[frozenset[int], ...]:
-        """S_r for each round r in which `agent` picks: the goods allocated before that pick.
-
-        S_r collects the goods taken in the first r*n + agent steps.
-        """
-        return tuple(frozenset(self.picks[:step])
-                     for step in range(agent, len(self.picks), self.n))
-
-
 def deal(orders: Sequence[tuple[int, ...]], m: int) -> tuple[list[int], list[int]]:
     """The unchecked core of `round_robin`: the picks in order, and each agent's bundle mask.
 
@@ -152,12 +113,12 @@ def deal(orders: Sequence[tuple[int, ...]], m: int) -> tuple[list[int], list[int
     return picks, masks
 
 
-def round_robin(inst: Instance, profile: Profile) -> tuple[Allocation, Trace]:
+def round_robin(inst: Instance, profile: Profile) -> Allocation:
     """Run the mechanism on a reported profile.
 
     In each round, agents 0..n-1 in order receive the top good of their
     ranking among those still available, until all m goods are taken.
-    Deterministic; the trace records the picks in order.
+    Deterministic; `deal` gives the picks in order.
     """
     if profile.n != inst.n:
         raise ValueError(f"profile has {profile.n} rankings, instance has {inst.n} agents")
@@ -166,7 +127,7 @@ def round_robin(inst: Instance, profile: Profile) -> tuple[Allocation, Trace]:
 
     n = inst.n
     picks, _ = deal([r.order for r in profile.rankings], inst.m)
-    return Allocation(tuple(frozenset(picks[i::n]) for i in range(n))), Trace(tuple(picks), n)
+    return Allocation(tuple(frozenset(picks[i::n]) for i in range(n)))
 
 
 def ranking_from_picks(picks: Iterable[int], m: int) -> Ranking:

@@ -1,21 +1,20 @@
 """Constructive reporting strategies: truthful, bluff, and greedy responses.
 
-The bluff order is the sequence in which goods would be picked if the
-agents, in round-robin priority, each greedily took the good of largest
-marginal value to them; the bluff profile has every agent report that one
-order.  `greedy_response` runs the analogous greedy for a single agent
-against fixed reports of the others, and `deviation_renaming` reorders a
-deviation bundle for round-by-round comparison against a greedy bundle.
+All of them compare the oracles' scaled `value_mask` ints.  The bluff
+order is the pick sequence of one greedy round-robin run: pick j is made
+by agent j mod n, who takes the good of largest marginal value to her
+pile.  The bluff profile has every agent report that one order.
+`greedy_response` runs the same greedy for a single agent against fixed
+reports of the others, and `deviation_renaming` reorders a deviation
+bundle for round-by-round comparison against a greedy bundle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .mechanism import Profile, Ranking, ranking_from_picks
-from .valuations import Instance, Valuation
+from .valuations import Instance, Valuation, bundle_to_mask
 
 
 def truthful_ranking(v: Valuation) -> Ranking:
@@ -25,29 +24,42 @@ def truthful_ranking(v: Valuation) -> Ranking:
     valuations this is a faithful report; for other classes it is still
     well-defined but carries no optimality claim.
     """
-    return Ranking(tuple(sorted(range(v.m), key=lambda g: (-v.singleton(g), g))))
+    return Ranking(tuple(sorted(range(v.m), key=lambda g: (-v.value_mask(1 << g), g))))
 
 
 def truthful_profile(inst: Instance) -> Profile:
     return Profile(tuple(truthful_ranking(v) for v in inst.valuations))
 
 
-@dataclass(frozen=True)
-class BluffOrder:
-    """The greedy pick sequence and its provenance.
+def _greedy_picks(inst: Instance, others: Mapping[int, Ranking]) -> list[int]:
+    """The pick sequence of round-robin in which the agents outside `others` pick greedily.
 
-    Position j of `ranking.order` was chosen by agent j mod n; `bundles`
-    is the allocation the greedy accumulates, which equals the round-robin
-    outcome under the bluff profile.
+    Each agent in `others` takes her top available good.  Every other agent
+    takes the available good of the largest marginal value to her pile;
+    ties prefer the larger singleton value, then the smaller good id.  The
+    pile is fixed within a turn, so v(pile + g) ranks the goods as the
+    marginal value does.
     """
+    n = inst.n
+    taken = 0
+    piles = [0] * n
+    picks: list[int] = []
+    for k in range(inst.m):
+        i = k % n
+        if i in others:
+            pick = next(g for g in others[i].order if not taken >> g & 1)
+        else:
+            v, pile = inst.valuations[i], piles[i]
+            pick = max((g for g in range(inst.m) if not taken >> g & 1),
+                       key=lambda g: (v.value_mask(pile | 1 << g), v.value_mask(1 << g), -g))
+        taken |= 1 << pick
+        piles[i] |= 1 << pick
+        picks.append(pick)
+    return picks
 
-    ranking: Ranking
-    picked_by: tuple[int, ...]
-    bundles: tuple[frozenset[int], ...]
 
-
-def bluff_order(inst: Instance) -> BluffOrder:
-    """Greedy renaming of the goods.
+def bluff_order(inst: Instance) -> Ranking:
+    """Greedy renaming of the goods: the picks when every agent picks greedily.
 
     At step j, agent j mod n takes the unallocated good with the largest
     marginal value to her current pile.  Ties prefer the larger singleton
@@ -55,35 +67,12 @@ def bluff_order(inst: Instance) -> BluffOrder:
     order coincide, for cancelable valuations, with the order in which
     round-robin on the strict truthful profile hands out the goods.
     """
-    piles: list[set[int]] = [set() for _ in range(inst.n)]
-    remaining = set(range(inst.m))
-    order: list[int] = []
-    picked_by: list[int] = []
-    for j in range(inst.m):
-        agent = j % inst.n
-        v = inst.valuations[agent]
-        best: int | None = None
-        best_key: tuple[Fraction, Fraction] | None = None
-        for g in sorted(remaining):
-            key = (v.marginal(g, piles[agent]), v.singleton(g))
-            if best_key is None or key > best_key:
-                best, best_key = g, key
-        assert best is not None
-        piles[agent].add(best)
-        remaining.remove(best)
-        order.append(best)
-        picked_by.append(agent)
-    return BluffOrder(
-        ranking=Ranking(tuple(order)),
-        picked_by=tuple(picked_by),
-        bundles=tuple(frozenset(p) for p in piles),
-    )
+    return Ranking(tuple(_greedy_picks(inst, {})))
 
 
 def bluff_profile(inst: Instance) -> Profile:
     """Every agent reports the bluff order."""
-    ranking = bluff_order(inst).ranking
-    return Profile(tuple(ranking for _ in range(inst.n)))
+    return Profile((bluff_order(inst),) * inst.n)
 
 
 def deviation_renaming(
@@ -101,10 +90,11 @@ def deviation_renaming(
     remaining = set(y)
     if len(remaining) > len(x_order):
         raise ValueError(f"renaming needs |y| <= |x|; got {len(remaining)} > {len(x_order)}")
+    bundle_to_mask(remaining, v.m)  # rejects goods outside 0..m-1
     out: list[int] = []
     for j in range(len(remaining), 0, -1):
-        prefix = x_order[: j - 1]
-        pick = min(remaining, key=lambda g: (v.marginal(g, prefix), -g))
+        prefix = bundle_to_mask(x_order[: j - 1], v.m)
+        pick = min(remaining, key=lambda g: (v.value_mask(prefix | 1 << g), -g))
         remaining.remove(pick)
         out.append(pick)
     out.reverse()
@@ -116,24 +106,11 @@ def greedy_response(inst: Instance, agent: int, others: Mapping[int, Ranking]) -
 
     Simulates the mechanism with everyone else following `others`; whenever
     it is `agent`'s turn she takes the available good of maximum marginal
-    value to her pile (ties to the smallest id).  Returns a ranking that
-    lists her picks first, in pick order, completed with the remaining
-    goods ascending; replaying the mechanism with it yields exactly the
-    picked bundle.
+    value to her pile, with the tie-breaks of `bluff_order`.  Returns a
+    ranking that lists her picks first, in pick order, completed with the
+    remaining goods ascending; replaying the mechanism with it yields
+    exactly the picked bundle.
     """
     if set(others) != set(range(inst.n)) - {agent}:
         raise ValueError("`others` must cover exactly the agents other than `agent`")
-    v = inst.valuations[agent]
-    available = set(range(inst.m))
-    pile: set[int] = set()
-    picks: list[int] = []
-    for j in range(inst.m):
-        turn = j % inst.n
-        if turn == agent:
-            pick = min(available, key=lambda g: (-v.marginal(g, pile), g))
-            pile.add(pick)
-            picks.append(pick)
-            available.remove(pick)
-        else:
-            available.remove(others[turn].top(available))
-    return ranking_from_picks(picks, inst.m)
+    return ranking_from_picks(_greedy_picks(inst, others)[agent::inst.n], inst.m)

@@ -9,10 +9,10 @@ cancelability, and subadditivity.
 Each oracle fixes a positive integer `scale` at construction, the least
 common denominator of its weights, cap, edge weights or table entries.
 `value_mask(mask)`, the one cached primitive, is the int `scale * v(S)`;
-`value`, `marginal` and `singleton` build exact `Fraction`s from it, and
-scaled ints are made from Fractions in this module only.  Scaling by a
-positive constant keeps every comparison, tie and ratio, so the integer
-paths (class checks, OXS matching, the best-response search) give the
+`value` builds an exact `Fraction` from it, and scaled ints are made from
+Fractions in this module only.  Scaling by a positive constant keeps
+every comparison, tie and ratio, so the integer paths (class checks, OXS
+matching, the reporting strategies, the best-response search) give the
 results of the rational values.  Work over subsets is refused first when
 its estimate exceeds the one `WORK_BUDGET`.
 """
@@ -86,7 +86,7 @@ def as_fraction(x: int | str | Fraction) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def _bundle_mask(bundle: Iterable[int], m: int) -> int:
+def bundle_to_mask(bundle: Iterable[int], m: int) -> int:
     mask = 0
     for g in bundle:
         if not 0 <= g < m:
@@ -139,7 +139,7 @@ class Valuation(ABC):
 
     def value(self, bundle: Iterable[int]) -> Fraction:
         """v(bundle); exact and deterministic."""
-        return Fraction(self.value_mask(_bundle_mask(bundle, self.m)), self.scale)
+        return Fraction(self.value_mask(bundle_to_mask(bundle, self.m)), self.scale)
 
     def value_mask(self, mask: int) -> int:
         """`scale * v(S)` for the bundle S with bitmask `mask`, an int."""
@@ -147,18 +147,6 @@ class Valuation(ABC):
         if cached is None:
             cached = self._cache[mask] = self._value_mask(mask)
         return cached
-
-    def marginal(self, good: int, bundle: Iterable[int]) -> Fraction:
-        """v(bundle + good) - v(bundle); zero when good already belongs."""
-        if not 0 <= good < self.m:
-            raise ValueError(f"good {good} out of range [0, {self.m})")
-        mask = _bundle_mask(bundle, self.m)
-        return Fraction(self.value_mask(mask | (1 << good)) - self.value_mask(mask), self.scale)
-
-    def singleton(self, good: int) -> Fraction:
-        if not 0 <= good < self.m:
-            raise ValueError(f"good {good} out of range [0, {self.m})")
-        return Fraction(self.value_mask(1 << good), self.scale)
 
     @abstractmethod
     def _value_mask(self, mask: int) -> int:

@@ -11,6 +11,7 @@ branch-and-bound search replaced, kept to compare bundles, rankings and
 state counts against; `search_states` bounds the states either search
 stores, and guards the reference up front.  `dummy_padded` builds the
 paper's padded instance, which the partial-round mechanism must agree with.
+`prefix_sets` reads the paper's prefix sets S_r off a pick sequence.
 """
 
 from __future__ import annotations
@@ -29,6 +30,11 @@ from rrfair.valuations import ClassCheck, Instance, Table, Valuation, check_work
 def value_table(v: Valuation) -> list[Fraction]:
     """All 2^m subset values v(S) as Fractions, indexed by bitmask."""
     return [Fraction(v.value_mask(mask), v.scale) for mask in range(1 << v.m)]
+
+
+def prefix_sets(picks, n: int, agent: int) -> tuple[frozenset[int], ...]:
+    """S_r for each round r in which `agent` picks: the goods of the first r*n + agent picks."""
+    return tuple(frozenset(picks[:k]) for k in range(agent, len(picks), n))
 
 
 def dummy_padded(inst: Instance) -> Instance:
@@ -77,7 +83,7 @@ def brute_force_best_response(
     for perm in itertools.permutations(range(inst.m)):
         rankings = list(base)
         rankings[agent] = Ranking(perm)
-        alloc, _ = round_robin(inst, Profile(tuple(rankings)))
+        alloc = round_robin(inst, Profile(tuple(rankings)))
         best = max(best, v.value(alloc.bundles[agent]))
     return best
 
@@ -192,7 +198,7 @@ def enumerate_reachable_bundles(
 
     def advance(available: frozenset[int], step: int) -> tuple[frozenset[int], int]:
         while step < m and step % n != agent:
-            available = available - {others[step % n].top(available)}
+            available = available - {next(g for g in others[step % n].order if g in available)}
             step += 1
         return available, step
 

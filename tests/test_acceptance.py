@@ -13,7 +13,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from conftest import brute_force_best_response, brute_force_matching_value
+from conftest import brute_force_best_response, brute_force_matching_value, prefix_sets
 from rrfair.equilibria import (
     applicable_bound_rule,
     best_response,
@@ -29,7 +29,7 @@ from rrfair.instances import (
     no_pne_instance,
     oxs_lower_bound_instance,
 )
-from rrfair.mechanism import Profile, Ranking, round_robin
+from rrfair.mechanism import Profile, Ranking, deal, round_robin
 from rrfair.profiles import bluff_profile, greedy_response, truthful_profile, truthful_ranking
 from rrfair.valuations import OXS, is_submodular
 
@@ -103,7 +103,7 @@ def test_criterion_02_bluff_is_exact_equilibrium_for_cancelable():
 def test_criterion_03_truthful_round_robin_is_ef1_for_cancelable():
     with criterion(3, "truthful round-robin is fully EF1 on the same 200 instances"):
         for inst in cancelable_pool(200):
-            alloc, _ = round_robin(inst, truthful_profile(inst))
+            alloc = round_robin(inst, truthful_profile(inst))
             report = ef1_factor(inst, alloc)
             assert report.ef1_factor >= 1, inst.description
 
@@ -119,11 +119,11 @@ def test_criterion_04_bluff_is_half_equilibrium_for_submodular():
 def test_criterion_05_bluff_allocation_is_half_ef1_for_submodular():
     with criterion(5, "bluff allocation is 1/2-EF1 on the same 100 instances"):
         for inst in submodular_pool(100):
-            alloc, _ = round_robin(inst, bluff_profile(inst))
+            alloc = round_robin(inst, bluff_profile(inst))
             report = ef1_factor(inst, alloc)
             assert report.ef1_factor >= HALF, inst.description
         fixture = bluff_tightness_instance()
-        alloc, _ = round_robin(fixture, bluff_profile(fixture))
+        alloc = round_robin(fixture, bluff_profile(fixture))
         report = ef1_factor(fixture, alloc)
         assert report.pair_ratios[1, 0] == F(25, 49)
 
@@ -141,7 +141,7 @@ def test_criterion_06_greedy_response_is_half_ef1_from_own_perspective():
                 ranking = greedy_response(inst, agent, others)
                 rankings = [others.get(j) for j in range(inst.n)]
                 rankings[agent] = ranking
-                alloc, _ = round_robin(inst, Profile(tuple(rankings)))
+                alloc = round_robin(inst, Profile(tuple(rankings)))
                 assert ef1_from_perspective(inst, alloc, agent, HALF), inst.description
 
 
@@ -191,7 +191,7 @@ def test_criterion_09_tightness_fixtures_reproduce_exactly():
         # Two additive agents: delta = 1/1000, beta = 1/2.
         inst = additive_tightness_instance(F(1, 1000), F(1, 2))
         profile = Profile((truthful_ranking(inst.valuations[0]), Ranking((4, 3, 0, 1, 2))))
-        alloc, _ = round_robin(inst, profile)
+        alloc = round_robin(inst, profile)
         report = ef1_factor(inst, alloc)
         equilibrium = pne_factor(inst, profile)
         alpha = equilibrium.pne_factor
@@ -209,7 +209,7 @@ def test_criterion_09_tightness_fixtures_reproduce_exactly():
             tuple(truthful_ranking(inst.valuations[i]) for i in range(3))
             + (Ranking((2, 5, 7, 0, 1, 3, 4, 6, 8)),)
         )
-        alloc, _ = round_robin(inst, profile)
+        alloc = round_robin(inst, profile)
         report = ef1_factor(inst, alloc)
         equilibrium = pne_factor(inst, profile)
         alpha = equilibrium.pne_factor
@@ -265,14 +265,16 @@ def test_criterion_11_prefix_set_drift_laws_hold_under_deviations():
             base_profile = Profile(
                 tuple(Ranking(tuple(rng.sample(range(m), m))) for _ in range(n))
             )
-            alloc, base_trace = round_robin(inst, base_profile)
-            k = base_trace.rounds
+            alloc = round_robin(inst, base_profile)
+            base_picks, _ = deal([r.order for r in base_profile.rankings], m)
+            k = -(-m // n)  # rounds
             for agent in range(n):
-                base_prefixes = base_trace.prefix_sets(agent)
+                base_prefixes = prefix_sets(base_picks, n, agent)
                 for _ in range(100):
                     deviation = Ranking(tuple(rng.sample(range(m), m)))
-                    _, dev_trace = round_robin(inst, base_profile.replace(agent, deviation))
-                    dev_prefixes = dev_trace.prefix_sets(agent)
+                    dev_picks, _ = deal(
+                        [r.order for r in base_profile.replace(agent, deviation).rankings], m)
+                    dev_prefixes = prefix_sets(dev_picks, n, agent)
                     for r in range(k):
                         assert len(dev_prefixes[r] - base_prefixes[r]) <= r
                         moved = dev_prefixes[r] - dev_prefixes[0]

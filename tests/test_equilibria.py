@@ -73,7 +73,7 @@ def test_best_response_on_bluff_tightness():
     assert response.value == 2 - F(1, 100) - F(2, 100)
     assert response.bundle == {2, 3}
     # replay realizes the bundle
-    alloc, _ = round_robin(inst, profile.replace(1, response.ranking))
+    alloc = round_robin(inst, profile.replace(1, response.ranking))
     assert alloc.bundles[1] == response.bundle
 
 
@@ -106,7 +106,7 @@ def test_best_response_never_loses_to_the_current_report():
                 GeneratorSpec(valuation_class=cls, n=n, m=m, seed=rng.randrange(10**6))
             )
             profile = random_profile(rng, n, m)
-            alloc, _ = round_robin(inst, profile)
+            alloc = round_robin(inst, profile)
             for agent in range(n):
                 response = best_response(inst, agent, profile.others(agent))
                 assert response.value >= inst.valuations[agent].value(alloc.bundles[agent])
@@ -228,7 +228,7 @@ def test_best_response_returns_on_20_goods(kind):
         assert 20 * search_states(20, 2, agent) > valuations.WORK_BUDGET
         response = best_response(inst, agent, profile.others(agent))
         assert response.value >= inst.valuations[agent].value(
-            round_robin(inst, profile)[0].bundles[agent])
+            round_robin(inst, profile).bundles[agent])
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +521,7 @@ def unshared_scan(inst, *, samples=None, seed=0):
     """Each profile's orders, equilibrium report and fairness, with no memo shared between profiles."""
     for orders in profile_orders(inst, samples=samples, seed=seed):
         profile = Profile(tuple(Ranking(order) for order in orders))
-        alloc, _ = round_robin(inst, profile)
+        alloc = round_robin(inst, profile)
         yield orders, pne_factor(inst, profile), ef1_factor(inst, alloc)
 
 
@@ -601,7 +601,7 @@ def test_scan_runs_each_mechanism_search_and_score_once(monkeypatch):
     allocations = {}
     for record in records:
         allocations[record.orders] = round_robin(
-            inst, Profile(tuple(Ranking(order) for order in record.orders)))[0]
+            inst, Profile(tuple(Ranking(order) for order in record.orders)))
     # One deal per profile, one search per (agent, other agent's ranking),
     # one score per distinct allocation.
     assert (scan_calls["deal"], scan_calls["best_response"], scan_calls["ef1_factor"]) == (

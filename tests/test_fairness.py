@@ -27,7 +27,7 @@ F = Fraction
 
 def bluff_tightness_outcome():
     inst = bluff_tightness_instance()
-    alloc, _ = round_robin(inst, bluff_profile(inst))
+    alloc = round_robin(inst, bluff_profile(inst))
     return inst, alloc
 
 
@@ -92,7 +92,7 @@ def test_ef1_ratio_on_lower_bound_fixture():
         tuple(truthful_ranking(inst.valuations[i]) for i in range(3))
         + (Ranking((2, 5, 7, 0, 1, 3, 4, 6, 8)),)
     )
-    alloc, _ = round_robin(inst, profile)
+    alloc = round_robin(inst, profile)
     report = ef1_factor(inst, alloc)
     e1, e4, b = F(6, 1000), F(3, 1000), F(3, 5)
     assert report.pair_ratios[3, 0] == (1 + e1) / (4 * b - e4)
@@ -143,7 +143,7 @@ def test_truthful_round_robin_is_ef1_from_every_perspective():
             inst = generate(
                 GeneratorSpec(valuation_class=cls, n=n, m=m, seed=rng.randrange(10**6))
             )
-            alloc, _ = round_robin(inst, truthful_profile(inst))
+            alloc = round_robin(inst, truthful_profile(inst))
             for agent in range(n):
                 assert ef1_from_perspective(inst, alloc, agent, F(1))
 
@@ -187,6 +187,6 @@ def test_ef_implies_ef1():
         )
         from conftest import random_profile
 
-        alloc, _ = round_robin(inst, random_profile(rng, n, m))
+        alloc = round_robin(inst, random_profile(rng, n, m))
         report = ef1_factor(inst, alloc)
         assert report.ef1_factor >= report.ef_factor

@@ -1,4 +1,4 @@
-"""Round-robin execution, the partial last round, and trace bookkeeping."""
+"""Round-robin execution, the partial last round, and pick-sequence bookkeeping."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_profile
+from conftest import prefix_sets, random_profile
 from rrfair.instances import (
     additive_tightness_instance,
     bluff_tightness_instance,
@@ -18,7 +18,7 @@ from rrfair.instances import (
     no_pne_instance,
     oxs_lower_bound_instance,
 )
-from rrfair.mechanism import Profile, Ranking, round_robin
+from rrfair.mechanism import Profile, Ranking, deal, round_robin
 from rrfair.profiles import truthful_profile, truthful_ranking
 from rrfair.valuations import Additive, Instance
 
@@ -37,22 +37,20 @@ F = Fraction
 def test_partial_last_round_deals_every_good_once(n, m, sizes, rounds):
     inst = Instance(n=n, m=m, valuations=(Additive([1] * m),) * n)
     order = Ranking(tuple(range(m)))
-    alloc, trace = round_robin(inst, Profile((order,) * n))
+    alloc = round_robin(inst, Profile((order,) * n))
+    picks, _ = deal((order.order,) * n, m)
     alloc.validate_partition(m)
     assert tuple(len(b) for b in alloc.bundles) == sizes
-    assert trace.picks == tuple(range(m))
-    assert trace.rounds == rounds
-    assert trace.steps[-1].round == rounds - 1
+    assert picks == list(range(m))
+    assert (len(picks) - 1) // n == rounds - 1  # the round of the last pick
 
 
 def test_prefix_sets_stop_at_the_last_turn_each_agent_gets():
-    inst = Instance(n=3, m=4, valuations=(Additive([1, 1, 1, 1]),) * 3)
-    order = Ranking((0, 1, 2, 3))
-    _, trace = round_robin(inst, Profile((order,) * 3))
+    picks, _ = deal(((0, 1, 2, 3),) * 3, 4)
     # agent 1 picks in both rounds, agents 2 and 3 only in the first
-    assert trace.prefix_sets(0) == (frozenset(), frozenset({0, 1, 2}))
-    assert trace.prefix_sets(1) == (frozenset({0}),)
-    assert trace.prefix_sets(2) == (frozenset({0, 1}),)
+    assert prefix_sets(picks, 3, 0) == (frozenset(), frozenset({0, 1, 2}))
+    assert prefix_sets(picks, 3, 1) == (frozenset({0}),)
+    assert prefix_sets(picks, 3, 2) == (frozenset({0, 1}),)
 
 
 # ---------------------------------------------------------------------------
@@ -87,16 +85,16 @@ def test_round_robin_rejects_mismatched_inputs():
 def test_identical_bids_alternate_down_the_order():
     inst = bluff_tightness_instance()
     order = Ranking((0, 1, 2, 3, 4))
-    alloc, trace = round_robin(inst, Profile((order, order)))
+    alloc = round_robin(inst, Profile((order, order)))
     assert alloc.bundles[0] == {0, 2, 4}
     assert alloc.bundles[1] == {1, 3}
-    assert [s.good for s in trace.steps] == [0, 1, 2, 3, 4]
+    assert deal((order.order,) * 2, 5)[0] == [0, 1, 2, 3, 4]
 
 
 def test_additive_tightness_run():
     inst = additive_tightness_instance()
     profile = Profile((truthful_ranking(inst.valuations[0]), Ranking((4, 3, 0, 1, 2))))
-    alloc, _ = round_robin(inst, profile)
+    alloc = round_robin(inst, profile)
     assert alloc.bundles == (frozenset({0, 1, 2}), frozenset({3, 4}))
 
 
@@ -106,7 +104,7 @@ def test_oxs_lower_bound_run():
         tuple(truthful_ranking(inst.valuations[i]) for i in range(3))
         + (Ranking((2, 5, 7, 0, 1, 3, 4, 6, 8)),)
     )
-    alloc, _ = round_robin(inst, profile)
+    alloc = round_robin(inst, profile)
     assert alloc.bundles == (
         frozenset({0, 3, 4}),
         frozenset({1, 6}),
@@ -118,9 +116,9 @@ def test_oxs_lower_bound_run():
 def test_single_agent_takes_everything_in_ranking_order():
     inst = Instance(n=1, m=4, valuations=(Additive([1, 5, 2, 4]),))
     ranking = truthful_ranking(inst.valuations[0])
-    alloc, trace = round_robin(inst, Profile((ranking,)))
+    alloc = round_robin(inst, Profile((ranking,)))
     assert alloc.bundles[0] == frozenset(range(4))
-    assert tuple(s.good for s in trace.steps) == ranking.order
+    assert tuple(deal((ranking.order,), 4)[0]) == ranking.order
 
 
 # ---------------------------------------------------------------------------
@@ -135,38 +133,33 @@ def test_partition_positional_and_consistency_invariants(seed, n):
     m = n * k
     inst = generate(GeneratorSpec(valuation_class="additive", n=n, m=m, seed=seed))
     profile = random_profile(rng, n, m)
-    alloc, trace = round_robin(inst, profile)
+    alloc = round_robin(inst, profile)
+    picks, masks = deal([r.order for r in profile.rankings], m)
 
     alloc.validate_partition(m)  # partition law
-    assert len(trace.steps) == m
-
-    for idx, step in enumerate(trace.steps):
-        # positional law: agent i's r-th good arrives at step r*n + i
-        assert (step.round, step.agent) == divmod(idx, n)
+    assert len(picks) == m
 
     taken: set[int] = set()
-    for step in trace.steps:
-        # ranking consistency: the pick precedes everything still available
+    for idx, good in enumerate(picks):
+        # ranking consistency: pick idx, agent idx mod n's, precedes everything still available
         available = set(range(m)) - taken
-        order = profile.rankings[step.agent].order
+        order = profile.rankings[idx % n].order
         position = {g: p for p, g in enumerate(order)}
-        assert all(position[step.good] <= position[g] for g in available)
-        taken.add(step.good)
+        assert all(position[good] <= position[g] for g in available)
+        taken.add(good)
 
     for agent in range(n):
-        assert alloc.bundles[agent] == {
-            s.good for s in trace.steps if s.agent == agent
-        }
+        # positional law: agent i's r-th good arrives at pick r*n + i
+        assert alloc.bundles[agent] == set(picks[agent::n])
+        assert masks[agent] == sum(1 << g for g in picks[agent::n])
 
 
 def test_prefix_sets_views():
-    inst = Instance(n=2, m=6, valuations=(Additive([1] * 6),) * 2)
-    order = Ranking((0, 1, 2, 3, 4, 5))
-    _, trace = round_robin(inst, Profile((order, order)))
+    picks, _ = deal(((0, 1, 2, 3, 4, 5),) * 2, 6)
     # agent 1 (index 0): before her pick in rounds 0,1,2
-    assert trace.prefix_sets(0) == (frozenset(), frozenset({0, 1}), frozenset({0, 1, 2, 3}))
+    assert prefix_sets(picks, 2, 0) == (frozenset(), frozenset({0, 1}), frozenset({0, 1, 2, 3}))
     # agent 2 (index 1): one extra step each round
-    assert trace.prefix_sets(1) == (
+    assert prefix_sets(picks, 2, 1) == (
         frozenset({0}),
         frozenset({0, 1, 2}),
         frozenset({0, 1, 2, 3, 4}),
@@ -181,11 +174,12 @@ def deviation_prefix_invariants_hold(inst, profile, agent, deviation) -> bool:
     agent's base bundle contains more than 2r goods of that prefix beyond
     the shared round-0 prefix.
     """
-    alloc, base_trace = round_robin(inst, profile)
-    _, dev_trace = round_robin(inst, profile.replace(agent, deviation))
-    base = base_trace.prefix_sets(agent)
-    dev = dev_trace.prefix_sets(agent)
-    k = base_trace.rounds
+    alloc = round_robin(inst, profile)
+    base_picks, _ = deal([r.order for r in profile.rankings], inst.m)
+    dev_picks, _ = deal([r.order for r in profile.replace(agent, deviation).rankings], inst.m)
+    base = prefix_sets(base_picks, inst.n, agent)
+    dev = prefix_sets(dev_picks, inst.n, agent)
+    k = -(-inst.m // inst.n)  # rounds
     for r in range(k):
         if len(dev[r] - base[r]) > r:
             return False

@@ -16,7 +16,7 @@ from rrfair.instances import (
     generate,
     no_pne_instance,
 )
-from rrfair.mechanism import Profile, Ranking, round_robin
+from rrfair.mechanism import Profile, Ranking, deal, round_robin
 from rrfair.profiles import (
     bluff_order,
     bluff_profile,
@@ -50,19 +50,20 @@ def test_truthful_ranking_examples():
 
 
 def test_bluff_order_on_tightness_fixture():
-    bo = bluff_order(bluff_tightness_instance())
-    assert bo.ranking.order == (0, 1, 2, 3, 4)
-    assert bo.picked_by == (0, 1, 0, 1, 0)
-    assert bo.bundles == (frozenset({0, 2, 4}), frozenset({1, 3}))
+    inst = bluff_tightness_instance()
+    order = bluff_order(inst).order
+    assert order == (0, 1, 2, 3, 4)
+    assert round_robin(inst, bluff_profile(inst)).bundles == (
+        frozenset(order[0::2]), frozenset(order[1::2])) == (frozenset({0, 2, 4}), frozenset({1, 3}))
 
 
 def test_bluff_order_on_additive_tightness_fixture():
-    assert bluff_order(additive_tightness_instance()).ranking.order == (0, 1, 2, 3, 4)
+    assert bluff_order(additive_tightness_instance()).order == (0, 1, 2, 3, 4)
 
 
 def test_bluff_single_agent_is_descending_weight():
     inst = Instance(n=1, m=4, valuations=(Additive([1, 5, 2, 4]),))
-    assert bluff_order(inst).ranking.order == (1, 3, 2, 0)
+    assert bluff_order(inst).order == (1, 3, 2, 0)
 
 
 def test_bluff_profile_is_identical_rankings():
@@ -78,9 +79,9 @@ def test_bluff_allocation_equals_greedy_piles():
             inst = generate(
                 GeneratorSpec(valuation_class=cls, n=2, m=6, seed=rng.randrange(10**6))
             )
-            bo = bluff_order(inst)
-            alloc, _ = round_robin(inst, bluff_profile(inst))
-            assert alloc.bundles == bo.bundles
+            order = bluff_order(inst).order
+            alloc = round_robin(inst, bluff_profile(inst))
+            assert alloc.bundles == (frozenset(order[0::2]), frozenset(order[1::2]))
 
 
 def test_bluff_equals_truthful_allocation_for_cancelable_agents():
@@ -92,8 +93,8 @@ def test_bluff_equals_truthful_allocation_for_cancelable_agents():
             inst = generate(
                 GeneratorSpec(valuation_class=cls, n=n, m=m, seed=rng.randrange(10**6))
             )
-            bluff_alloc, _ = round_robin(inst, bluff_profile(inst))
-            truthful_alloc, _ = round_robin(inst, truthful_profile(inst))
+            bluff_alloc = round_robin(inst, bluff_profile(inst))
+            truthful_alloc = round_robin(inst, truthful_profile(inst))
             assert bluff_alloc == truthful_alloc, (cls, inst.description)
 
 
@@ -103,8 +104,8 @@ def test_bluff_equals_truthful_even_with_coarse_ties():
     inst = Instance(
         n=2, m=4, valuations=(UnitDemand([5, 1, 2, 0]), Additive([0, 0, 0, 1]))
     )
-    bluff_alloc, _ = round_robin(inst, bluff_profile(inst))
-    truthful_alloc, _ = round_robin(inst, truthful_profile(inst))
+    bluff_alloc = round_robin(inst, bluff_profile(inst))
+    truthful_alloc = round_robin(inst, truthful_profile(inst))
     assert bluff_alloc == truthful_alloc
     assert bluff_alloc.bundles == (frozenset({0, 2}), frozenset({1, 3}))
 
@@ -116,10 +117,10 @@ def test_bluff_allocation_equals_greedy_piles_on_partial_rounds():
             inst = generate(
                 GeneratorSpec(valuation_class=cls, n=n, m=m, seed=rng.randrange(10**6))
             )
-            bo = bluff_order(inst)
-            assert bo.picked_by == tuple(j % n for j in range(m))
-            alloc, _ = round_robin(inst, bluff_profile(inst))
-            assert alloc.bundles == bo.bundles, (cls, inst.description)
+            order = bluff_order(inst).order
+            alloc = round_robin(inst, bluff_profile(inst))
+            assert alloc.bundles == tuple(frozenset(order[i::n]) for i in range(n)), (
+                cls, inst.description)
 
 
 def test_bluff_equals_truthful_allocation_on_partial_rounds():
@@ -131,8 +132,8 @@ def test_bluff_equals_truthful_allocation_on_partial_rounds():
             inst = generate(
                 GeneratorSpec(valuation_class=cls, n=n, m=m, seed=rng.randrange(10**6))
             )
-            bluff_alloc, _ = round_robin(inst, bluff_profile(inst))
-            truthful_alloc, _ = round_robin(inst, truthful_profile(inst))
+            bluff_alloc = round_robin(inst, bluff_profile(inst))
+            truthful_alloc = round_robin(inst, truthful_profile(inst))
             assert bluff_alloc == truthful_alloc, (cls, inst.description)
 
 
@@ -177,24 +178,32 @@ def test_deviation_renaming_rejects_oversized_bundles():
         deviation_renaming((0,), {1, 2}, Additive([1, 1, 1]))
 
 
+@pytest.mark.parametrize("x_order, y", [((0, 1), {7}), ((0, 1), {-1}), ((5, 1), {0, 1})])
+def test_deviation_renaming_rejects_out_of_range_goods(x_order, y):
+    with pytest.raises(ValueError, match="out of range"):
+        deviation_renaming(x_order, y, Additive([1, 2]))
+
+
 def test_renamed_deviations_are_marginally_dominated_by_greedy_bundles():
     # For submodular agents: against the bluff bundle X (in pick order), any
     # reachable deviation bundle Y, renamed, satisfies
-    # v(x_j | prefix) >= v(y_j | prefix) for every j.
+    # v(prefix + x_j) - v(prefix) >= v(prefix + y_j) - v(prefix) for every j.
     rng = random.Random(31)
     cases = [("oxs", 2, 6), ("submodular_table", 2, 6), ("oxs", 2, 8), ("submodular_table", 3, 6)]
     for cls, n, m in cases:
         inst = generate(GeneratorSpec(valuation_class=cls, n=n, m=m, seed=rng.randrange(10**6)))
-        bo = bluff_order(inst)
+        order = bluff_order(inst).order
         profile = bluff_profile(inst)
         for agent in range(n):
             v = inst.valuations[agent]
-            x_order = [g for g, by in zip(bo.ranking.order, bo.picked_by) if by == agent]
+            x_order = order[agent::n]
             for y in enumerate_reachable_bundles(inst, agent, profile.others(agent)):
                 renamed = deviation_renaming(x_order, y, v)
                 for j, y_good in enumerate(renamed):
-                    prefix = x_order[:j]
-                    assert v.marginal(x_order[j], prefix) >= v.marginal(y_good, prefix)
+                    prefix = set(x_order[:j])
+                    base = v.value(prefix)
+                    assert (v.value(prefix | {x_order[j]}) - base
+                            >= v.value(prefix | {y_good}) - base)
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +214,10 @@ def test_greedy_response_on_tightness_fixture():
     inst = bluff_tightness_instance()
     others = {0: truthful_ranking(inst.valuations[0])}
     ranking = greedy_response(inst, 1, others)
-    # Picks g2 then (marginal ties 0) the smallest id g4; the last round is agent 1's alone.
+    # Picks g2, then g4 among the goods of marginal 0: it wins on its larger
+    # singleton, 1 - eps2 > 1 - eps3.  The last round is agent 1's alone.
     assert ranking.order[:2] == (1, 3)
-    alloc, _ = round_robin(inst, Profile((others[0], ranking)))
+    alloc = round_robin(inst, Profile((others[0], ranking)))
     assert alloc.bundles[1] == {1, 3}
     assert inst.valuations[1].value(alloc.bundles[1]) == 1
 
@@ -217,19 +227,37 @@ def test_greedy_response_additive_takes_best_available():
     rng = random.Random(0)
     others = {0: Ranking(tuple(rng.sample(range(6), 6)))}
     ranking = greedy_response(inst, 1, others)
-    alloc, trace = round_robin(inst, Profile((others[0], ranking)))
+    picks, _ = deal((others[0].order, ranking.order), 6)
     weights = inst.valuations[1].weights
     taken: set[int] = set()
-    for step in trace.steps:
-        if step.agent == 1:
+    for k, good in enumerate(picks):
+        if k % 2 == 1:
             available = set(range(6)) - taken
-            assert weights[step.good] == max(weights[g] for g in available)
-        taken.add(step.good)
+            assert weights[good] == max(weights[g] for g in available)
+        taken.add(good)
 
 
 def test_greedy_response_single_agent_is_greedy_marginal_order():
     inst = Instance(n=1, m=4, valuations=(Additive([1, 5, 2, 4]),))
     assert greedy_response(inst, 0, {}).order == (1, 3, 2, 0)
+
+
+def test_bluff_order_is_every_agents_greedy_response_to_the_others_bluff():
+    # Weights 0..1 and 0..2 make marginal ties common, so the tie-breaks of
+    # the two greedy runs must agree, not just their marginal values.
+    rng = random.Random(2021)
+    for cls in GENERATOR_CLASSES:
+        for weight_range in ((0, 1), (0, 2)):
+            for n in (1, 2, 3):
+                for _ in range(25):
+                    inst = generate(GeneratorSpec(cls, n, rng.randint(1, 7),
+                                                  rng.randrange(10**6), weight_range))
+                    order = bluff_order(inst)
+                    for i in range(n):
+                        others = {j: order for j in range(n) if j != i}
+                        response = greedy_response(inst, i, others)
+                        assert response.order[:len(order.order[i::n])] == order.order[i::n], (
+                            cls, inst.description, i)
 
 
 def test_greedy_response_replay_returns_the_picked_set():
@@ -248,5 +276,5 @@ def test_greedy_response_replay_returns_the_picked_set():
             ranking = greedy_response(inst, agent, others)
             rankings = [others.get(i) for i in range(n)]
             rankings[agent] = ranking
-            alloc, _ = round_robin(inst, Profile(tuple(rankings)))
+            alloc = round_robin(inst, Profile(tuple(rankings)))
             assert alloc.bundles[agent] == frozenset(ranking.order[: m // n])

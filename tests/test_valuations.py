@@ -123,12 +123,11 @@ def test_table_values_match_fixture_cases():
 def test_marginals():
     inst = no_pne_instance()
     v1 = inst.valuations[0]
-    assert v1.marginal(1, {0}) == 1  # v({g1,g2}) - v({g1}) = 3 - 2
-    assert v1.marginal(0, {0, 2}) == 0  # already owned
+    assert v1.value({0, 1}) - v1.value({0}) == 1  # v({g1,g2}) - v({g1}) = 3 - 2
+    assert v1.value({0, 2} | {0}) - v1.value({0, 2}) == 0  # already owned
     additive = Additive([5, 7, 11])
     for bundle in [set(), {0}, {0, 2}]:
-        if 1 not in bundle:
-            assert additive.marginal(1, bundle) == 7
+        assert additive.value(bundle | {1}) - additive.value(bundle) == 7
 
 
 def test_equality_is_per_class_and_equal_oracles_hash_equal():
@@ -157,9 +156,7 @@ def test_out_of_range_goods_are_rejected():
     with pytest.raises(ValueError):
         v.value({0, 5})
     with pytest.raises(ValueError):
-        v.marginal(2, set())
-    with pytest.raises(ValueError):
-        v.singleton(-1)
+        v.value({-1})
 
 
 def test_floats_are_rejected_everywhere():
@@ -350,9 +347,9 @@ def test_cancelable_singleton_domination_extends_to_sets():
         goods = range(v.m)
         for k in (1, 2, 3):
             for x in itertools.combinations(goods, k):
-                xs = sorted((v.singleton(g) for g in x), reverse=True)
+                xs = sorted((v.value({g}) for g in x), reverse=True)
                 for y in itertools.combinations(goods, k):
-                    ys = sorted((v.singleton(g) for g in y), reverse=True)
+                    ys = sorted((v.value({g}) for g in y), reverse=True)
                     if all(a >= b for a, b in zip(xs, ys)):
                         assert v.value(x) >= v.value(y)
 
