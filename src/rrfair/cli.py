@@ -33,7 +33,6 @@ from .equilibria import (
 )
 from .fairness import UNBOUNDED, Factor, FairnessReport
 from .instances import (
-    CLASS_NAMES,
     FIXTURES,
     GENERATOR_CLASSES,
     ConstraintError,
@@ -180,7 +179,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "instance": {
             "agents": inst.n,
             "goods": inst.m,
-            "classes": [CLASS_NAMES[type(v)] for v in inst.valuations],
+            "classes": [v.kind for v in inst.valuations],
             "description": inst.description,
         },
         "profile": {"source": source, "rankings": [list(r.order) for r in profile.rankings]},
@@ -402,7 +401,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
     doc: dict[str, list[dict[str, Any]]] = {"agents": []}
     for i, v in enumerate(inst.valuations):
-        entry: dict[str, Any] = {"agent": i + 1, "class": CLASS_NAMES[type(v)]}
+        entry: dict[str, Any] = {"agent": i + 1, "class": v.kind}
         for check_name, check in CLASS_CHECKS.items():
             if check_name == "monotone" and isinstance(v, Table):
                 # `Instance` refuses a table that is not monotone: report that verdict.

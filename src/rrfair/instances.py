@@ -7,7 +7,8 @@ whose signature holds the parameter defaults, and beside it the rows that
 `reproduce` prints, each closed form next to the measured value.
 `build_fixture` is the one way in by name.  Generators produce random
 instances of a valuation class from a seed.  Instances serialize to a
-strict JSON document with "p/q" rationals; floats are rejected end to end.
+strict JSON document: each agent is its oracle's `kind` and `fields`, one
+reader per field, with "p/q" rationals; floats are rejected end to end.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import inspect
 import json
 import math
 import random
-import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,6 +39,7 @@ from .valuations import (
     as_fraction,
     check_subset_work,
     check_work,
+    document_form,
 )
 
 
@@ -398,61 +399,22 @@ class SchemaError(ValueError):
     """An instance document violates the schema."""
 
 
-# The document's class name of each oracle type.
-CLASS_NAMES: dict[type, str] = {
-    Additive: "additive",
-    BudgetAdditive: "budget_additive",
-    UnitDemand: "unit_demand",
-    OXS: "oxs",
-    Table: "table",
-}
-
-_AGENT_FIELDS = {
-    "additive": {"class", "weights"},
-    "budget_additive": {"class", "weights", "cap"},
-    "unit_demand": {"class", "weights"},
-    "oxs": {"class", "edges"},
-    "table": {"class", "values"},
-}
-
-
-# The rational forms a document or a flag may spell: an integer, p/q, or a
-# plain decimal, in ASCII digits.  Exponents are refused: "1e99999999" would
-# make `Fraction` build a 10^99999999.
-_RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]*\.[0-9]+)")
+_CLASSES: dict[str, type[Valuation]] = {
+    cls.kind: cls for cls in (Additive, BudgetAdditive, UnitDemand, OXS, Table)}
 
 
 def parse_fraction(raw: Any, where: str) -> Fraction:
-    """An exact rational from an int or a string of the `_RATIONAL` forms, else `SchemaError`."""
-    if isinstance(raw, bool) or isinstance(raw, float):
-        raise SchemaError(f"{where}: only exact rationals are accepted, got {raw!r}")
-    if isinstance(raw, int):
-        return Fraction(raw)
-    if isinstance(raw, str):
-        if not _RATIONAL.fullmatch(raw):
-            raise SchemaError(f"{where}: malformed rational {raw!r} "
-                              "(expected an integer, p/q or a plain decimal)")
-        try:
-            return Fraction(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"{where}: malformed rational {raw!r} ({exc})") from None
-    raise SchemaError(f"{where}: expected a rational string, got {type(raw).__name__}")
+    """`as_fraction(raw)`, its refusal a `SchemaError` that names `where`."""
+    try:
+        return as_fraction(raw)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{where}: {exc}") from None
 
 
 def to_document(inst: Instance) -> dict:
     """JSON-compatible document; rationals as 'p/q' strings, goods zero-based."""
-    agents = []
-    for v in inst.valuations:
-        agent: dict = {"class": CLASS_NAMES[type(v)]}
-        if isinstance(v, (Additive, BudgetAdditive, UnitDemand)):
-            agent["weights"] = [str(w) for w in v.weights]
-        if isinstance(v, BudgetAdditive):
-            agent["cap"] = str(v.cap)
-        if isinstance(v, OXS):
-            agent["edges"] = [[g, label, str(w)] for g, label, w in v.edges]
-        if isinstance(v, Table):
-            agent["values"] = [str(x) for x in v.values]
-        agents.append(agent)
+    agents = [{"class": v.kind, **{name: document_form(getattr(v, name)) for name in v.fields}}
+              for v in inst.valuations]
     doc: dict = {"n": inst.n, "m": inst.m, "agents": agents}
     if inst.description:
         doc["description"] = inst.description
@@ -484,17 +446,20 @@ def from_document(doc: Any) -> Instance:
         where = f"agents[{i}]"
         if not isinstance(agent_doc, dict):
             raise SchemaError(f"{where}: must be an object")
-        cls = agent_doc.get("class")
-        if cls not in _AGENT_FIELDS:
-            raise SchemaError(f"{where}: unknown class {cls!r}")
-        unknown = set(agent_doc) - _AGENT_FIELDS[cls]
+        kind = agent_doc.get("class")
+        cls = _CLASSES.get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            raise SchemaError(f"{where}: unknown class {kind!r}")
+        names = {"class", *cls.fields}
+        unknown = set(agent_doc) - names
         if unknown:
             raise SchemaError(f"{where}: unknown fields {sorted(unknown)}")
-        missing = _AGENT_FIELDS[cls] - set(agent_doc)
+        missing = names - set(agent_doc)
         if missing:
             raise SchemaError(f"{where}: missing fields {sorted(missing)}")
-        try:
-            valuations.append(_agent_from_document(cls, agent_doc, m, where))
+        try:  # each field's reader, then the constructor, given m if it takes it
+            fields = [_READERS[name](agent_doc[name], m, where) for name in cls.fields]
+            valuations.append(cls(m, *fields) if cls in (OXS, Table) else cls(*fields))
         except (SchemaError, SizeGuardError):
             raise
         except (ValueError, TypeError) as exc:
@@ -506,39 +471,40 @@ def from_document(doc: Any) -> Instance:
         raise SchemaError(str(exc)) from None
 
 
-def _agent_from_document(cls: str, agent_doc: dict, m: int, where: str) -> Valuation:
-    if cls in ("additive", "budget_additive", "unit_demand"):
-        weights_doc = agent_doc["weights"]
-        if not isinstance(weights_doc, list) or len(weights_doc) != m:
-            raise SchemaError(f"{where}: 'weights' must list {m} rationals")
-        weights = [parse_fraction(w, f"{where}.weights[{g}]") for g, w in enumerate(weights_doc)]
-        if cls == "additive":
-            return Additive(weights)
-        if cls == "unit_demand":
-            return UnitDemand(weights)
-        return BudgetAdditive(weights, parse_fraction(agent_doc["cap"], f"{where}.cap"))
-    if cls == "oxs":
-        edges_doc = agent_doc["edges"]
-        if not isinstance(edges_doc, list):
-            raise SchemaError(f"{where}: 'edges' must be a list")
-        edges = []
-        for k, edge in enumerate(edges_doc):
-            if not isinstance(edge, list) or len(edge) != 3:
-                raise SchemaError(f"{where}.edges[{k}]: expected [good, slot, weight]")
-            good, label, weight = edge
-            if not isinstance(good, int) or isinstance(good, bool):
-                raise SchemaError(f"{where}.edges[{k}]: good must be an integer index")
-            if not isinstance(label, (int, str)) or isinstance(label, bool):
-                raise SchemaError(f"{where}.edges[{k}]: slot label must be int or string")
-            edges.append((good, label, parse_fraction(weight, f"{where}.edges[{k}]")))
-        return OXS(m, edges)
-    assert cls == "table"
+def _rationals(raw: Any, name: str, count: int, where: str) -> list[Fraction]:
+    if not isinstance(raw, list) or len(raw) != count:
+        raise SchemaError(f"{where}: {name!r} must list {count} rationals")
+    return [parse_fraction(x, f"{where}.{name}[{k}]") for k, x in enumerate(raw)]
+
+
+def _read_edges(raw: Any, m: int, where: str) -> list[tuple[int, int | str, Fraction]]:
+    if not isinstance(raw, list):
+        raise SchemaError(f"{where}: 'edges' must be a list")
+    edges = []
+    for k, edge in enumerate(raw):
+        if not isinstance(edge, list) or len(edge) != 3:
+            raise SchemaError(f"{where}.edges[{k}]: expected [good, slot, weight]")
+        good, label, weight = edge
+        if not isinstance(good, int) or isinstance(good, bool):
+            raise SchemaError(f"{where}.edges[{k}]: good must be an integer index")
+        if not isinstance(label, (int, str)) or isinstance(label, bool):
+            raise SchemaError(f"{where}.edges[{k}]: slot label must be int or string")
+        edges.append((good, label, parse_fraction(weight, f"{where}.edges[{k}]")))
+    return edges
+
+
+def _read_values(raw: Any, m: int, where: str) -> list[Fraction]:
     check_subset_work(m, f"the table of {where}")
-    values_doc = agent_doc["values"]
-    if not isinstance(values_doc, list) or len(values_doc) != 1 << m:
-        raise SchemaError(f"{where}: 'values' must list {1 << m} rationals")
-    values = [parse_fraction(x, f"{where}.values[{k}]") for k, x in enumerate(values_doc)]
-    return Table(m, values)
+    return _rationals(raw, "values", 1 << m, where)
+
+
+# The reader of each agent field: the raw value, m and the agent's place in, a value out.
+_READERS: dict[str, Callable[[Any, int, str], Any]] = {
+    "weights": lambda raw, m, where: _rationals(raw, "weights", m, where),
+    "cap": lambda raw, m, where: parse_fraction(raw, f"{where}.cap"),
+    "edges": _read_edges,
+    "values": _read_values,
+}
 
 
 def save(inst: Instance, path: str | Path) -> None:

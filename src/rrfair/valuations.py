@@ -2,9 +2,10 @@
 
 Goods are the integers 0..m-1; bundles are sets of goods.  Five oracle
 families are provided (additive, budget-additive, unit-demand, OXS via
-bipartite matching, and explicit tables), together with exhaustive
-class-membership checks: monotonicity, additivity, submodularity,
-cancelability, and subadditivity.
+bipartite matching, and explicit tables), each declaring its document name
+`kind` and its defining `fields`, together with exhaustive class-membership
+checks: monotonicity, additivity, submodularity, cancelability, and
+subadditivity.  `as_fraction` reads every rational in the document grammar.
 
 Each oracle fixes a positive integer `scale` at construction, the least
 common denominator of its weights, cap, edge weights or table entries.
@@ -19,6 +20,7 @@ its estimate exceeds the one `WORK_BUDGET`.
 
 from __future__ import annotations
 
+import re
 from abc import ABC, abstractmethod
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -77,13 +79,30 @@ def check_subset_work(m: int, what: str, *checks: str) -> None:
     check_work(max((CHECK_WORK[check](m) for check in checks), default=0), what)
 
 
+# The rational forms a string may spell: an integer, p/q, or a plain decimal, in ASCII
+# digits.  Exponents are refused: "1e99999999" would make `Fraction` build a 10^99999999.
+_RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]*\.[0-9]+)")
+
+
 def as_fraction(x: int | str | Fraction) -> Fraction:
-    """Coerce to an exact Fraction; floats are rejected to keep exactness."""
-    if isinstance(x, float):
-        raise TypeError(f"refusing float {x!r}; use Fraction, int, or 'p/q' string")
-    if isinstance(x, bool):
-        raise TypeError("booleans are not rational values")
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """An exact Fraction from an int, a Fraction or a string of the `_RATIONAL` forms."""
+    if isinstance(x, (bool, float)):  # refused to keep every value exact
+        raise TypeError(f"only exact rationals are accepted, got {x!r}")
+    if not isinstance(x, (int, str, Fraction)):
+        raise TypeError(f"expected a rational string, got {type(x).__name__}")
+    if isinstance(x, str) and not _RATIONAL.fullmatch(x):
+        raise ValueError(f"malformed rational {x!r} (expected an integer, p/q or a plain decimal)")
+    try:
+        return x if isinstance(x, Fraction) else Fraction(x)
+    except (ValueError, ZeroDivisionError) as exc:  # p/0, or more digits than int() reads
+        raise ValueError(f"malformed rational {x!r} ({exc})") from None
+
+
+def document_form(x: object) -> object:
+    """A field as an instance document writes it: a Fraction as "p/q", a tuple as a list."""
+    if isinstance(x, tuple):
+        return [document_form(y) for y in x]
+    return str(x) if isinstance(x, Fraction) else x
 
 
 def bundle_to_mask(bundle: Iterable[int], m: int) -> int:
@@ -125,8 +144,14 @@ class Valuation(ABC):
     repeated queries during searches and exhaustive checks are cheap.
     `subadditive_by_construction` states, per class, that v(S | T) <=
     v(S) + v(T) holds for every oracle of the class; searches rely on it.
+
+    Each oracle class declares `kind`, its document and report name, and
+    `fields`, the attributes besides m that define an oracle, in document
+    order; equality, hashing, `repr` and the instance codec read them.
     """
 
+    kind: str
+    fields: tuple[str, ...] = ()
     subadditive_by_construction = False
 
     def __init__(self, m: int, scale: int) -> None:
@@ -152,9 +177,9 @@ class Valuation(ABC):
     def _value_mask(self, mask: int) -> int:
         ...
 
-    @abstractmethod
     def _key(self) -> tuple:
-        """The fields that define the oracle; equality and hashing compare them."""
+        """What defines the oracle; equality and hashing compare it."""
+        return (self.m, *(getattr(self, name) for name in self.fields))
 
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and self._key() == other._key()
@@ -162,77 +187,65 @@ class Valuation(ABC):
     def __hash__(self) -> int:
         return hash((type(self).__name__, self._key()))
 
-
-def _check_weights(weights: Sequence[int | str | Fraction]) -> tuple[Fraction, ...]:
-    converted = tuple(as_fraction(w) for w in weights)
-    for g, w in enumerate(converted):
-        if w < 0:
-            raise ValueError(f"negative weight {w} for good {g}")
-    return converted
+    def __repr__(self) -> str:
+        fields = "".join(f", {name}={document_form(getattr(self, name))!r}" for name in self.fields)
+        return f"{type(self).__name__}(m={self.m}{fields})"
 
 
-class Additive(Valuation):
-    """v(S) = sum of per-good weights."""
+class _Weighted(Valuation):
+    """Non-negative weights, then a budget's cap, in one constructor; `_ints` scales the weights."""
 
     subadditive_by_construction = True
+    fields = ("weights",)
 
     def __init__(self, weights: Sequence[int | str | Fraction]) -> None:
-        self.weights = _check_weights(weights)
-        super().__init__(len(self.weights), _lcd(self.weights))
+        self._weigh(weights)
+
+    def _weigh(self, weights: Sequence[int | str | Fraction],
+               cap: int | str | Fraction | None = None) -> None:
+        self.weights = tuple(as_fraction(w) for w in weights)
+        for g, w in enumerate(self.weights):
+            if w < 0:
+                raise ValueError(f"negative weight {w} for good {g}")
+        rationals = self.weights
+        if cap is not None:
+            self.cap = as_fraction(cap)
+            if self.cap < 0:
+                raise ValueError(f"negative cap {self.cap}")
+            rationals += (self.cap,)
+        super().__init__(len(self.weights), _lcd(rationals))
         self._ints = tuple(_scaled(w, self.scale) for w in self.weights)
+
+
+class Additive(_Weighted):
+    """v(S) = sum of per-good weights."""
+
+    kind = "additive"
 
     def _value_mask(self, mask: int) -> int:
         return sum(self._ints[g] for g in _iter_bits(mask))
 
-    def _key(self) -> tuple:
-        return self.weights
 
-    def __repr__(self) -> str:
-        return f"Additive({list(map(str, self.weights))})"
-
-
-class BudgetAdditive(Valuation):
+class BudgetAdditive(_Weighted):
     """v(S) = min(cap, sum of weights)."""
 
-    subadditive_by_construction = True
+    kind, fields = "budget_additive", ("weights", "cap")
 
     def __init__(self, weights: Sequence[int | str | Fraction], cap: int | str | Fraction) -> None:
-        self.weights = _check_weights(weights)
-        self.cap = as_fraction(cap)
-        if self.cap < 0:
-            raise ValueError(f"negative cap {self.cap}")
-        super().__init__(len(self.weights), _lcd((*self.weights, self.cap)))
-        self._ints = tuple(_scaled(w, self.scale) for w in self.weights)
+        self._weigh(weights, cap)
         self._cap = _scaled(self.cap, self.scale)
 
     def _value_mask(self, mask: int) -> int:
         return min(self._cap, sum(self._ints[g] for g in _iter_bits(mask)))
 
-    def _key(self) -> tuple:
-        return self.weights, self.cap
 
-    def __repr__(self) -> str:
-        return f"BudgetAdditive({list(map(str, self.weights))}, cap={self.cap})"
-
-
-class UnitDemand(Valuation):
+class UnitDemand(_Weighted):
     """v(S) = best single good in S (0 on the empty set)."""
 
-    subadditive_by_construction = True
-
-    def __init__(self, weights: Sequence[int | str | Fraction]) -> None:
-        self.weights = _check_weights(weights)
-        super().__init__(len(self.weights), _lcd(self.weights))
-        self._ints = tuple(_scaled(w, self.scale) for w in self.weights)
+    kind = "unit_demand"
 
     def _value_mask(self, mask: int) -> int:
         return max((self._ints[g] for g in _iter_bits(mask)), default=0)
-
-    def _key(self) -> tuple:
-        return self.weights
-
-    def __repr__(self) -> str:
-        return f"UnitDemand({list(map(str, self.weights))})"
 
 
 class OXS(Valuation):
@@ -245,6 +258,7 @@ class OXS(Valuation):
     every good without an edge shares one empty row.
     """
 
+    kind, fields = "oxs", ("edges",)
     subadditive_by_construction = True
 
     def __init__(
@@ -283,11 +297,6 @@ class OXS(Valuation):
         rows = [adjacency[g] for g in _iter_bits(mask) if adjacency[g]]
         return max_weight_matching_value(self._slots, rows) if rows else 0
 
-    def _key(self) -> tuple:
-        return self.m, self.edges
-
-    def __repr__(self) -> str:
-        return f"OXS(m={self.m}, edges={len(self.edges)})"
 
 
 class Table(Valuation):
@@ -299,6 +308,8 @@ class Table(Valuation):
     eagerly wherever tables are put to use: `Instance` construction and
     document loading both reject non-monotone tables.
     """
+
+    kind, fields = "table", ("values",)
 
     def __init__(self, m: int, values: Sequence[int | str | Fraction]) -> None:
         check_subset_work(m, "a table")
@@ -315,12 +326,6 @@ class Table(Valuation):
 
     def _value_mask(self, mask: int) -> int:
         return self._ints[mask]
-
-    def _key(self) -> tuple:
-        return self.m, self.values
-
-    def __repr__(self) -> str:
-        return f"Table(m={self.m})"
 
 
 @dataclass(frozen=True)

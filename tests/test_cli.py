@@ -138,7 +138,7 @@ def test_json_carries_what_the_text_prints(capsys, fixture_paths):
 def test_rationals_beyond_float_range_print_without_decimals(tmp_path, command, as_json):
     path = tmp_path / "huge.json"
     huge = F(10**400, 3)  # neither it nor 10^400 fits a float
-    save(Instance(2, 2, (Additive([huge, 1]), Additive(["1e400", "1"]))), path)
+    save(Instance(2, 2, (Additive([huge, 1]), Additive([10**400, 1]))), path)
     result = subprocess.run(
         [sys.executable, "-m", "rrfair.cli", *command.split(), str(path),
          *(["--json"] if as_json else [])],
@@ -221,24 +221,36 @@ def test_non_utf8_input_exits_2_with_a_message(capsys, tmp_path, no_pne_path, wh
     assert captured.err.startswith("error: ") and "'utf-8' codec can't decode" in captured.err
 
 
-@pytest.mark.parametrize("text", [
-    "[" * 100_000 + "]" * 100_000,  # deeper than the JSON decoder recurses
-    '{"n": ' + "1" * 5000 + "}",    # longer than the int-string conversion limit
-], ids=["deep", "long-int"])
+def _agent_of_class(cls: object) -> str:
+    return json.dumps({"n": 1, "m": 1, "agents": [{"class": cls, "weights": ["1"]}]})
+
+
+@pytest.mark.parametrize("text, error", [
+    ("[" * 100_000 + "]" * 100_000, "not valid JSON: "),  # deeper than the JSON decoder recurses
+    ('{"n": ' + "1" * 5000 + "}", "not valid JSON: "),    # longer than the int-string limit
+    (_agent_of_class(["additive"]), "agents[0]: unknown class ['additive']\n"),
+    (_agent_of_class({}), "agents[0]: unknown class {}\n"),
+], ids=["deep", "long-int", "class-list", "class-object"])
 @pytest.mark.parametrize("command", ["run", "certify"])
-def test_documents_the_json_decoder_cannot_read_exit_2(capsys, tmp_path, command, text):
+def test_documents_that_cannot_load_exit_2(capsys, tmp_path, command, text, error):
     path = tmp_path / "bad.json"
     path.write_text(text, encoding="utf-8")
     assert main([command, str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: cannot load instance {str(path)!r}: not valid JSON: ")
+    assert captured.err.startswith(f"error: cannot load instance {str(path)!r}: {error}")
     assert "set_int_max_str_digits" not in captured.err
 
 
 @pytest.mark.parametrize("raw", ["1e99999999", "1_000", "\u0663"])  # exponent, underscore, ٣
-@pytest.mark.parametrize("where", ["document", "param"])
+@pytest.mark.parametrize("where", ["document", "param", "library"])
 def test_rationals_outside_the_plain_forms_exit_2(capsys, tmp_path, where, raw):
+    message = f"malformed rational {raw!r} (expected an integer, p/q or a plain decimal)"
+    if where == "library":
+        with pytest.raises(ValueError) as refused:
+            Additive([raw])
+        assert str(refused.value) == message
+        return
     if where == "document":
         path = tmp_path / "instance.json"
         path.write_text(json.dumps({"n": 1, "m": 1, "agents": [
@@ -249,8 +261,49 @@ def test_rationals_outside_the_plain_forms_exit_2(capsys, tmp_path, where, raw):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"malformed rational {raw!r} (expected an integer, p/q or a plain decimal)" in (
-        captured.err)
+    assert message in captured.err
+
+
+# id: (m, agent document, exit code, error); a load error follows "cannot load instance"
+_AGENT_ERRORS = {
+    "short-weights": (3, {"class": "additive", "weights": ["1", "2"]}, 2,
+                      "agents[0]: 'weights' must list 3 rationals"),
+    "weights-not-a-list": (3, {"class": "unit_demand", "weights": "1 2 3"}, 2,
+                           "agents[0]: 'weights' must list 3 rationals"),
+    "missing-cap": (3, {"class": "budget_additive", "weights": ["1", "2", "3"]}, 2,
+                    "agents[0]: missing fields ['cap']"),
+    "edges-not-a-list": (3, {"class": "oxs", "edges": {"0": "s"}}, 2,
+                         "agents[0]: 'edges' must be a list"),
+    "edge-not-a-triple": (3, {"class": "oxs", "edges": [[0, "s", "1"], [1, "s"]]}, 2,
+                          "agents[0].edges[1]: expected [good, slot, weight]"),
+    "string-good": (3, {"class": "oxs", "edges": [["0", "s", "1"]]}, 2,
+                    "agents[0].edges[0]: good must be an integer index"),
+    "boolean-good": (3, {"class": "oxs", "edges": [[True, "s", "1"]]}, 2,
+                     "agents[0].edges[0]: good must be an integer index"),
+    "list-label": (3, {"class": "oxs", "edges": [[0, ["s"], "1"]]}, 2,
+                   "agents[0].edges[0]: slot label must be int or string"),
+    "good-out-of-range": (3, {"class": "oxs", "edges": [[3, "s", "1"]]}, 2,
+                          "agents[0]: edge good 3 out of range [0, 3)"),
+    "short-values": (2, {"class": "table", "values": ["0", "1", "1"]}, 2,
+                     "agents[0]: 'values' must list 4 rationals"),
+    "table-40": (40, {"class": "table", "values": ["0"]}, 3,
+                 "size guard: the table of agents[0] on 40 goods needs an estimated "
+                 "43,980,465,111,040 steps, over the budget of 10,000,000"),
+    "unknown-class": (3, {"class": "xos", "edges": []}, 2, "agents[0]: unknown class 'xos'"),
+    "extra-field": (3, {"class": "additive", "weights": ["1", "2", "3"], "cap": "1"}, 2,
+                    "agents[0]: unknown fields ['cap']"),
+}
+
+
+@pytest.mark.parametrize("m, agent, code, error", _AGENT_ERRORS.values(), ids=_AGENT_ERRORS)
+def test_each_malformed_agent_field_exits_with_its_message(capsys, tmp_path, m, agent, code, error):
+    path = tmp_path / "agent.json"
+    path.write_text(json.dumps({"n": 1, "m": m, "agents": [agent]}), encoding="utf-8")
+    assert main(["run", str(path)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    where = "" if code == 3 else f"cannot load instance {str(path)!r}: "
+    assert captured.err == f"error: {where}{error}\n"
 
 
 def test_run_single_agent_instance(capsys, tmp_path):

@@ -174,6 +174,25 @@ def test_as_fraction_returns_a_fraction_unchanged():
     assert as_fraction("3/7") == as_fraction(F(6, 14)) == x
 
 
+def test_repr_prints_m_and_each_field_as_a_document_writes_it():
+    assert repr(Additive([2, F(1, 2)])) == "Additive(m=2, weights=['2', '1/2'])"
+    assert repr(UnitDemand([0])) == "UnitDemand(m=1, weights=['0'])"
+    assert repr(BudgetAdditive([1, 2], cap="3/2")) == (
+        "BudgetAdditive(m=2, weights=['1', '2'], cap='3/2')")
+    assert repr(OXS(3, [(0, "s", 1), (2, 7, F(1, 3))])) == (
+        "OXS(m=3, edges=[[0, 's', '1'], [2, 7, '1/3']])")
+    assert repr(Table(1, [0, 1])) == "Table(m=1, values=['0', '1'])"
+
+
+def test_oracles_are_equal_exactly_when_class_m_and_fields_are():
+    assert Additive([1, "1/2"]) == Additive(["1", F(1, 2)])
+    assert hash(Additive([1, "1/2"])) == hash(Additive(["1", F(1, 2)]))
+    assert Additive([1, 2]) != UnitDemand([1, 2])
+    assert BudgetAdditive([1, 2], 3) != BudgetAdditive([1, 2], 2)
+    assert OXS(2, [(0, "s", 1)]) != OXS(3, [(0, "s", 1)])
+    assert Table(1, [0, 1]) != Table(1, [0, 2])
+
+
 # ---------------------------------------------------------------------------
 # monotonicity / additivity
 
