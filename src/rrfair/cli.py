@@ -42,13 +42,12 @@ from .instances import (
     dumps,
     generate,
     load,
-    parse_fraction,
     save,
 )
 from .mechanism import Profile, Ranking, round_robin
 from .profiles import bluff_profile, truthful_profile
 from .scan_json import SCAN_JSON, ScanFormat
-from .valuations import CLASS_CHECKS, Instance, SizeGuardError, Table
+from .valuations import CLASS_CHECKS, Instance, SizeGuardError, Table, as_fraction
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -160,9 +159,9 @@ def parse_params(pairs: Sequence[str]) -> dict[str, Fraction]:
         if name in out:
             raise InputError(f"--param {name} given twice")
         try:
-            out[name] = parse_fraction(raw.strip(), f"--param {name}")
-        except SchemaError as exc:
-            raise InputError(str(exc)) from None
+            out[name] = as_fraction(raw.strip())
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"--param {name}: {exc}") from None
     return out
 
 

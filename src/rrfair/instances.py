@@ -7,8 +7,10 @@ whose signature holds the parameter defaults, and beside it the rows that
 `reproduce` prints, each closed form next to the measured value.
 `build_fixture` is the one way in by name.  Generators produce random
 instances of a valuation class from a seed.  Instances serialize to a
-strict JSON document: each agent is its oracle's `kind` and `fields`, one
-reader per field, with "p/q" rationals; floats are rejected end to end.
+strict JSON document: each agent is its oracle's `kind` and `fields`, with
+"p/q" rationals; floats are rejected end to end.  The reader checks only
+the document's shape (objects, known keys, a known class) and hands every
+value to the constructors, which judge it; their refusal names the agent.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .valuations import (
     UnitDemand,
     Valuation,
     as_fraction,
-    check_subset_work,
     check_work,
     document_form,
 )
@@ -403,14 +404,6 @@ _CLASSES: dict[str, type[Valuation]] = {
     cls.kind: cls for cls in (Additive, BudgetAdditive, UnitDemand, OXS, Table)}
 
 
-def parse_fraction(raw: Any, where: str) -> Fraction:
-    """`as_fraction(raw)`, its refusal a `SchemaError` that names `where`."""
-    try:
-        return as_fraction(raw)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{where}: {exc}") from None
-
-
 def to_document(inst: Instance) -> dict:
     """JSON-compatible document; rationals as 'p/q' strings, goods zero-based."""
     agents = [{"class": v.kind, **{name: document_form(getattr(v, name)) for name in v.fields}}
@@ -422,7 +415,7 @@ def to_document(inst: Instance) -> dict:
 
 
 def from_document(doc: Any) -> Instance:
-    """Validate a document and rebuild the instance (tables re-checked)."""
+    """Rebuild the instance of a document; `Instance` and the oracles judge its values."""
     if not isinstance(doc, dict):
         raise SchemaError("document must be a JSON object")
     unknown = set(doc) - {"n", "m", "agents", "description"}
@@ -431,80 +424,40 @@ def from_document(doc: Any) -> Instance:
     for key in ("n", "m", "agents"):
         if key not in doc:
             raise SchemaError(f"missing field {key!r}")
-    n, m = doc["n"], doc["m"]
-    if not isinstance(n, int) or not isinstance(m, int) or isinstance(n, bool) or isinstance(m, bool):
-        raise SchemaError("'n' and 'm' must be integers")
-    agents_doc = doc["agents"]
-    if not isinstance(agents_doc, list) or len(agents_doc) != n:
-        raise SchemaError(f"'agents' must be a list of {n} entries")
-    description = doc.get("description", "")
-    if not isinstance(description, str):
-        raise SchemaError("'description' must be a string")
-
-    valuations = []
-    for i, agent_doc in enumerate(agents_doc):
-        where = f"agents[{i}]"
-        if not isinstance(agent_doc, dict):
-            raise SchemaError(f"{where}: must be an object")
-        kind = agent_doc.get("class")
-        cls = _CLASSES.get(kind) if isinstance(kind, str) else None
-        if cls is None:
-            raise SchemaError(f"{where}: unknown class {kind!r}")
-        names = {"class", *cls.fields}
-        unknown = set(agent_doc) - names
-        if unknown:
-            raise SchemaError(f"{where}: unknown fields {sorted(unknown)}")
-        missing = names - set(agent_doc)
-        if missing:
-            raise SchemaError(f"{where}: missing fields {sorted(missing)}")
-        try:  # each field's reader, then the constructor, given m if it takes it
-            fields = [_READERS[name](agent_doc[name], m, where) for name in cls.fields]
-            valuations.append(cls(m, *fields) if cls in (OXS, Table) else cls(*fields))
-        except (SchemaError, SizeGuardError):
-            raise
-        except (ValueError, TypeError) as exc:
-            raise SchemaError(f"{where}: {exc}") from None
-
-    try:
-        return Instance(n=n, m=m, valuations=tuple(valuations), description=description)
-    except ValueError as exc:
+    if not isinstance(doc["agents"], list):
+        raise SchemaError("'agents' must be a list")
+    agents = (_agent(f"agents[{i}]", agent, doc["m"]) for i, agent in enumerate(doc["agents"]))
+    try:  # `Instance` checks n, m and the description before it builds the agents
+        return Instance(doc["n"], doc["m"], agents, doc.get("description", ""))
+    except (SchemaError, SizeGuardError):
+        raise
+    except (TypeError, ValueError) as exc:
         raise SchemaError(str(exc)) from None
 
 
-def _rationals(raw: Any, name: str, count: int, where: str) -> list[Fraction]:
-    if not isinstance(raw, list) or len(raw) != count:
-        raise SchemaError(f"{where}: {name!r} must list {count} rationals")
-    return [parse_fraction(x, f"{where}.{name}[{k}]") for k, x in enumerate(raw)]
-
-
-def _read_edges(raw: Any, m: int, where: str) -> list[tuple[int, int | str, Fraction]]:
-    if not isinstance(raw, list):
-        raise SchemaError(f"{where}: 'edges' must be a list")
-    edges = []
-    for k, edge in enumerate(raw):
-        if not isinstance(edge, list) or len(edge) != 3:
-            raise SchemaError(f"{where}.edges[{k}]: expected [good, slot, weight]")
-        good, label, weight = edge
-        if not isinstance(good, int) or isinstance(good, bool):
-            raise SchemaError(f"{where}.edges[{k}]: good must be an integer index")
-        if not isinstance(label, (int, str)) or isinstance(label, bool):
-            raise SchemaError(f"{where}.edges[{k}]: slot label must be int or string")
-        edges.append((good, label, parse_fraction(weight, f"{where}.edges[{k}]")))
-    return edges
-
-
-def _read_values(raw: Any, m: int, where: str) -> list[Fraction]:
-    check_subset_work(m, f"the table of {where}")
-    return _rationals(raw, "values", 1 << m, where)
-
-
-# The reader of each agent field: the raw value, m and the agent's place in, a value out.
-_READERS: dict[str, Callable[[Any, int, str], Any]] = {
-    "weights": lambda raw, m, where: _rationals(raw, "weights", m, where),
-    "cap": lambda raw, m, where: parse_fraction(raw, f"{where}.cap"),
-    "edges": _read_edges,
-    "values": _read_values,
-}
+def _agent(where: str, doc: Any, m: int) -> Valuation:
+    """The oracle of one agent document, every refusal of it naming `where`."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where}: must be an object")
+    kind = doc.get("class")
+    cls = _CLASSES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise SchemaError(f"{where}: unknown class {kind!r}")
+    names = {"class", *cls.fields}
+    unknown = set(doc) - names
+    if unknown:
+        raise SchemaError(f"{where}: unknown fields {sorted(unknown)}")
+    missing = names - set(doc)
+    if missing:
+        raise SchemaError(f"{where}: missing fields {sorted(missing)}")
+    fields = [doc[name] for name in cls.fields]
+    try:
+        return cls(m, *fields) if cls in (OXS, Table) else cls(*fields)
+    except SizeGuardError as exc:  # still a guard, now naming the agent
+        raise SizeGuardError(str(exc).replace("size guard: ", f"size guard: {where}: ", 1)) from None
+    except (TypeError, ValueError) as exc:  # "weights[2]: ..." reads "agents[0].weights[2]: ..."
+        field = str(exc).partition(":")[0].partition("[")[0]
+        raise SchemaError(f"{where}{'.' if field in cls.fields else ': '}{exc}") from None
 
 
 def save(inst: Instance, path: str | Path) -> None:

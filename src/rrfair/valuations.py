@@ -7,6 +7,9 @@ bipartite matching, and explicit tables), each declaring its document name
 checks: monotonicity, additivity, submodularity, cancelability, and
 subadditivity.  `as_fraction` reads every rational in the document grammar.
 
+The constructors and `Instance` alone judge what an instance may hold; a
+refusal of one entry names it (`weights[2]: ...`), and a document adds the agent.
+
 Each oracle fixes a positive integer `scale` at construction, the least
 common denominator of its weights, cap, edge weights or table entries.
 `value_mask(mask)`, the one cached primitive, is the int `scale * v(S)`;
@@ -23,11 +26,12 @@ from __future__ import annotations
 import re
 from abc import ABC, abstractmethod
 from bisect import bisect_left
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
-from typing import Callable, Iterable, Sequence
+from typing import Any
 
 from .matching import max_weight_matching_value
 
@@ -98,6 +102,38 @@ def as_fraction(x: int | str | Fraction) -> Fraction:
         raise ValueError(f"malformed rational {x!r} ({exc})") from None
 
 
+def _amount(x: int | str | Fraction) -> Fraction:
+    """A non-negative exact rational: a weight, a cap or a table value."""
+    value = as_fraction(x)
+    if value < 0:
+        raise ValueError(f"negative value {value}")
+    return value
+
+
+def _at(where: str, read: Callable[[Any], Any], raw: Any) -> Any:
+    """`read(raw)`, a refusal prefixed by `where`, the field or entry read."""
+    try:
+        return read(raw)
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"{where}: {exc}") from None
+
+
+def _listed(raw: Any, field: str) -> tuple:
+    """The entries of the list `field`; a string or a mapping is no such list."""
+    if isinstance(raw, (str, bytes, Mapping)) or not isinstance(raw, Iterable):
+        raise TypeError(f"{field}: expected a list, got {type(raw).__name__}")
+    return tuple(raw)
+
+
+def _entries(raw: Any, field: str, read: Callable[[Any], Any]) -> tuple:
+    """`read` of each entry of the list `field`, a refusal naming `field[k]`."""
+    return tuple(_at(f"{field}[{k}]", read, x) for k, x in enumerate(_listed(raw, field)))
+
+
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def document_form(x: object) -> object:
     """A field as an instance document writes it: a Fraction as "p/q", a tuple as a list."""
     if isinstance(x, tuple):
@@ -138,10 +174,12 @@ def _scaled(x: Fraction, scale: int) -> int:
 class Valuation(ABC):
     """Immutable, normalized (v(empty) = 0), non-decreasing value oracle.
 
-    `scale` is a positive integer with `scale * v(S)` integral for every S.
-    Subclasses implement `_value_mask`, that int for one bitmask, on the
-    integer copies their constructors make; `value_mask` memoizes it, so
-    repeated queries during searches and exhaustive checks are cheap.
+    m, checked first, is an int of at least 1 within the per-good budget.
+    `scale` is a positive integer with `scale * v(S)` integral for every S,
+    set after m by a subclass that reads its entries then.  Subclasses
+    implement `_value_mask`, that int for one bitmask, on the integer copies
+    their constructors make; `value_mask` memoizes it, so repeated queries
+    during searches and exhaustive checks are cheap.
     `subadditive_by_construction` states, per class, that v(S | T) <=
     v(S) + v(T) holds for every oracle of the class; searches rely on it.
 
@@ -154,7 +192,9 @@ class Valuation(ABC):
     fields: tuple[str, ...] = ()
     subadditive_by_construction = False
 
-    def __init__(self, m: int, scale: int) -> None:
+    def __init__(self, m: int, scale: int = 1) -> None:
+        if not _is_int(m):
+            raise TypeError(f"m must be an integer, got {type(m).__name__}")
         if m < 1:
             raise ValueError("a valuation needs at least one good")
         check_work(m, f"an oracle on {m} goods")
@@ -201,19 +241,12 @@ class _Weighted(Valuation):
     def __init__(self, weights: Sequence[int | str | Fraction]) -> None:
         self._weigh(weights)
 
-    def _weigh(self, weights: Sequence[int | str | Fraction],
-               cap: int | str | Fraction | None = None) -> None:
-        self.weights = tuple(as_fraction(w) for w in weights)
-        for g, w in enumerate(self.weights):
-            if w < 0:
-                raise ValueError(f"negative weight {w} for good {g}")
-        rationals = self.weights
-        if cap is not None:
-            self.cap = as_fraction(cap)
-            if self.cap < 0:
-                raise ValueError(f"negative cap {self.cap}")
-            rationals += (self.cap,)
-        super().__init__(len(self.weights), _lcd(rationals))
+    def _weigh(self, weights: Sequence[int | str | Fraction], *cap: int | str | Fraction) -> None:
+        self.weights = _entries(weights, "weights", _amount)
+        caps = tuple(_at("cap", _amount, x) for x in cap)
+        if caps:
+            (self.cap,) = caps
+        super().__init__(len(self.weights), _lcd(self.weights + caps))
         self._ints = tuple(_scaled(w, self.scale) for w in self.weights)
 
 
@@ -251,8 +284,9 @@ class UnitDemand(_Weighted):
 class OXS(Valuation):
     """v(S) = maximum-weight matching of S's goods to abstract slots.
 
-    Edges are (good, slot label, weight) triples; slot labels may be any
-    strings or integers.  OXS functions are monotone submodular.  The
+    Edges are (good, slot label, weight) triples, in any iterable: the good
+    an int in [0, m), the label any str or int (not a bool), the weight a
+    non-negative rational.  OXS functions are monotone submodular.  The
     matching runs on an adjacency built once: per good, (slot index,
     weight times `scale`) pairs, parallel edges collapsed to the heaviest;
     every good without an edge shares one empty row.
@@ -266,22 +300,28 @@ class OXS(Valuation):
         m: int,
         edges: Iterable[tuple[int, int | str, int | str | Fraction]],
     ) -> None:
-        normalized: list[tuple[int, int | str, Fraction]] = []
-        labels: dict[int | str, int] = {}
-        for good, label, weight in edges:
-            w = as_fraction(weight)
-            if w < 0:
-                raise ValueError(f"negative weight {w} on edge ({good}, {label!r})")
+        super().__init__(m)
+
+        def edge(raw: Any) -> tuple[int, int | str, Fraction]:
+            if not isinstance(raw, (tuple, list)) or len(raw) != 3:
+                raise TypeError("expected [good, slot, weight]")
+            good, label, weight = raw
+            if not _is_int(good):
+                raise TypeError("good must be an integer index")
             if not 0 <= good < m:
-                raise ValueError(f"edge good {good} out of range [0, {m})")
-            if label not in labels:
-                labels[label] = len(labels)
-            normalized.append((good, label, w))
-        self.edges = tuple(normalized)
+                raise ValueError(f"good {good} out of range [0, {m})")
+            if not isinstance(label, (int, str)) or isinstance(label, bool):
+                raise TypeError("slot label must be int or string")
+            return good, label, _amount(weight)
+
+        self.edges = _entries(edges, "edges", edge)
+        labels: dict[int | str, int] = {}
+        for _, label, _ in self.edges:
+            labels.setdefault(label, len(labels))
         self._slots = len(labels)
-        super().__init__(m, _lcd(w for _, _, w in normalized))
+        self.scale = _lcd(w for _, _, w in self.edges)
         heaviest: dict[tuple[int, int], int] = {}  # by (good, slot)
-        for good, label, w in normalized:
+        for good, label, w in self.edges:
             key, x = (good, labels[label]), _scaled(w, self.scale)
             if heaviest.get(key, -1) < x:
                 heaviest[key] = x
@@ -305,23 +345,22 @@ class Table(Valuation):
     Bit g of the index corresponds to good g.  The table must be normalized
     (entry 0 is 0) with non-negative values; monotonicity is not required of
     a bare table (so `is_monotone` can report on it) but is enforced
-    eagerly wherever tables are put to use: `Instance` construction and
-    document loading both reject non-monotone tables.
+    eagerly wherever tables are put to use: `Instance` construction, and so
+    document loading, rejects non-monotone tables.
     """
 
     kind, fields = "table", ("values",)
 
     def __init__(self, m: int, values: Sequence[int | str | Fraction]) -> None:
+        super().__init__(m)
         check_subset_work(m, "a table")
+        values = _listed(values, "values")
         if len(values) != 1 << m:
             raise ValueError(f"table needs {1 << m} entries for m = {m}, got {len(values)}")
-        self.values = tuple(as_fraction(v) for v in values)
+        self.values = _entries(values, "values", _amount)
         if self.values[0] != 0:
             raise ValueError("table is not normalized, value on the empty set must be 0")
-        for mask, value in enumerate(self.values):
-            if value < 0:
-                raise ValueError(f"negative value {value} for subset {sorted(_iter_bits(mask))}")
-        super().__init__(m, _lcd(self.values))
+        self.scale = _lcd(self.values)
         self._ints = tuple(_scaled(x, self.scale) for x in self.values)
 
     def _value_mask(self, mask: int) -> int:
@@ -332,8 +371,9 @@ class Table(Valuation):
 class Instance:
     """A fair-division instance: n agents, m goods, one valuation per agent.
 
-    Table valuations are checked for monotonicity eagerly here; the closed
-    forms are non-decreasing by construction.
+    n, m (ints of at least 1) and the description are checked before
+    `valuations`, any iterable of oracles, is read into a tuple.  Tables are
+    checked for monotonicity here; the closed forms are monotone by construction.
     """
 
     n: int
@@ -342,11 +382,18 @@ class Instance:
     description: str = ""
 
     def __post_init__(self) -> None:
+        if not (_is_int(self.n) and _is_int(self.m)):
+            raise TypeError("'n' and 'm' must be integers")
         if self.n < 1 or self.m < 1:
             raise ValueError("need at least one agent and one good")
+        if not isinstance(self.description, str):
+            raise TypeError("'description' must be a string")
+        object.__setattr__(self, "valuations", _listed(self.valuations, "valuations"))
         if len(self.valuations) != self.n:
             raise ValueError(f"expected {self.n} valuations, got {len(self.valuations)}")
         for i, v in enumerate(self.valuations):
+            if not isinstance(v, Valuation):
+                raise TypeError(f"agent {i} valuation must be a Valuation, got {type(v).__name__}")
             if v.m != self.m:
                 raise ValueError(f"agent {i} valuation covers {v.m} goods, instance has {self.m}")
             if isinstance(v, Table) and not is_monotone(v):

@@ -230,7 +230,13 @@ def _agent_of_class(cls: object) -> str:
     ('{"n": ' + "1" * 5000 + "}", "not valid JSON: "),    # longer than the int-string limit
     (_agent_of_class(["additive"]), "agents[0]: unknown class ['additive']\n"),
     (_agent_of_class({}), "agents[0]: unknown class {}\n"),
-], ids=["deep", "long-int", "class-list", "class-object"])
+    ('{"n": -1, "m": 1, "agents": []}', "need at least one agent and one good\n"),
+    ('{"n": 1, "m": -2, "agents": [{"class": "additive", "weights": []}]}',
+     "need at least one agent and one good\n"),
+    ('{"n": 1, "m": -2, "agents": [{"class": "table", "values": ["0"]}]}',
+     "need at least one agent and one good\n"),
+], ids=["deep", "long-int", "class-list", "class-object", "negative-n", "negative-m",
+        "negative-m-table"])
 @pytest.mark.parametrize("command", ["run", "certify"])
 def test_documents_that_cannot_load_exit_2(capsys, tmp_path, command, text, error):
     path = tmp_path / "bad.json"
@@ -246,18 +252,18 @@ def test_documents_that_cannot_load_exit_2(capsys, tmp_path, command, text, erro
 @pytest.mark.parametrize("where", ["document", "param", "library"])
 def test_rationals_outside_the_plain_forms_exit_2(capsys, tmp_path, where, raw):
     message = f"malformed rational {raw!r} (expected an integer, p/q or a plain decimal)"
-    if where == "library":
+    if where == "library":  # the constructor names the entry; a document adds the agent
         with pytest.raises(ValueError) as refused:
             Additive([raw])
-        assert str(refused.value) == message
+        assert str(refused.value) == f"weights[0]: {message}"
         return
     if where == "document":
         path = tmp_path / "instance.json"
         path.write_text(json.dumps({"n": 1, "m": 1, "agents": [
             {"class": "additive", "weights": [raw]}]}), encoding="utf-8")
-        argv = ["run", str(path)]
+        argv, message = ["run", str(path)], f"agents[0].weights[0]: {message}"
     else:
-        argv = ["reproduce", "bluff-tightness", "--param", f"eps1={raw}"]
+        argv, message = ["reproduce", "bluff-tightness", "--param", f"eps1={raw}"], f"--param eps1: {message}"
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -267,13 +273,13 @@ def test_rationals_outside_the_plain_forms_exit_2(capsys, tmp_path, where, raw):
 # id: (m, agent document, exit code, error); a load error follows "cannot load instance"
 _AGENT_ERRORS = {
     "short-weights": (3, {"class": "additive", "weights": ["1", "2"]}, 2,
-                      "agents[0]: 'weights' must list 3 rationals"),
+                      "agent 0 valuation covers 2 goods, instance has 3"),
     "weights-not-a-list": (3, {"class": "unit_demand", "weights": "1 2 3"}, 2,
-                           "agents[0]: 'weights' must list 3 rationals"),
+                           "agents[0].weights: expected a list, got str"),
     "missing-cap": (3, {"class": "budget_additive", "weights": ["1", "2", "3"]}, 2,
                     "agents[0]: missing fields ['cap']"),
     "edges-not-a-list": (3, {"class": "oxs", "edges": {"0": "s"}}, 2,
-                         "agents[0]: 'edges' must be a list"),
+                         "agents[0].edges: expected a list, got dict"),
     "edge-not-a-triple": (3, {"class": "oxs", "edges": [[0, "s", "1"], [1, "s"]]}, 2,
                           "agents[0].edges[1]: expected [good, slot, weight]"),
     "string-good": (3, {"class": "oxs", "edges": [["0", "s", "1"]]}, 2,
@@ -283,11 +289,11 @@ _AGENT_ERRORS = {
     "list-label": (3, {"class": "oxs", "edges": [[0, ["s"], "1"]]}, 2,
                    "agents[0].edges[0]: slot label must be int or string"),
     "good-out-of-range": (3, {"class": "oxs", "edges": [[3, "s", "1"]]}, 2,
-                          "agents[0]: edge good 3 out of range [0, 3)"),
+                          "agents[0].edges[0]: good 3 out of range [0, 3)"),
     "short-values": (2, {"class": "table", "values": ["0", "1", "1"]}, 2,
-                     "agents[0]: 'values' must list 4 rationals"),
+                     "agents[0]: table needs 4 entries for m = 2, got 3"),
     "table-40": (40, {"class": "table", "values": ["0"]}, 3,
-                 "size guard: the table of agents[0] on 40 goods needs an estimated "
+                 "size guard: agents[0]: a table on 40 goods needs an estimated "
                  "43,980,465,111,040 steps, over the budget of 10,000,000"),
     "unknown-class": (3, {"class": "xos", "edges": []}, 2, "agents[0]: unknown class 'xos'"),
     "extra-field": (3, {"class": "additive", "weights": ["1", "2", "3"], "cap": "1"}, 2,

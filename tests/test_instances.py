@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from rrfair.instances import (
     ConstraintError,
@@ -192,8 +195,10 @@ def test_load_rejects_malformed_documents():
         from_document(corrupted(extra=1))
     with pytest.raises(SchemaError, match="missing field"):
         from_document({"n": 1, "m": 2})
-    with pytest.raises(SchemaError, match="must be a list of"):
+    with pytest.raises(SchemaError, match="expected 2 valuations, got 0"):
         from_document(corrupted(agents=[]))
+    with pytest.raises(SchemaError, match="'agents' must be a list"):
+        from_document(corrupted(agents={}))
     with pytest.raises(SchemaError, match="not valid JSON"):
         loads("{")
 
@@ -235,5 +240,124 @@ def test_load_recertifies_table_monotonicity():
 def test_negative_weights_are_rejected():
     doc = to_document(additive_tightness_instance())
     doc["agents"][0]["weights"][0] = "-1"
-    with pytest.raises(SchemaError, match="negative weight"):
+    with pytest.raises(SchemaError) as refused:
         from_document(doc)
+    assert str(refused.value) == "agents[0].weights[0]: negative value -1"
+
+
+# Library calls a document cannot express, each refused by its constructor
+# with the message that names the entry (all but the last two built, or
+# crashed inside the interpreter, before the constructors judged their
+# entries).
+_REFUSED = {
+    "boolean-good": (lambda: OXS(2, [(True, "s", 1)]), "edges[0]: good must be an integer index"),
+    "float-good": (lambda: OXS(2, [(0.0, "s", 1)]), "edges[0]: good must be an integer index"),
+    "boolean-label": (lambda: OXS(2, [(0, True, 1)]), "edges[0]: slot label must be int or string"),
+    "tuple-label": (lambda: OXS(2, [(0, ("a", 1), 1)]), "edges[0]: slot label must be int or string"),
+    "float-label": (lambda: OXS(2, [(0, 1.5, 1)]), "edges[0]: slot label must be int or string"),
+    "none-label": (lambda: OXS(2, [(0, None, 1)]), "edges[0]: slot label must be int or string"),
+    "short-edge": (lambda: OXS(2, [(0, "s", 1), (0, "s")]), "edges[1]: expected [good, slot, weight]"),
+    "good-out-of-range": (lambda: OXS(2, [(2, "s", 1)]), "edges[0]: good 2 out of range [0, 2)"),
+    "weights-mapping": (lambda: Additive({"1": 0}), "weights: expected a list, got dict"),
+    "weights-string": (lambda: UnitDemand("12"), "weights: expected a list, got str"),
+    "negative-cap": (lambda: BudgetAdditive([1], -1), "cap: negative value -1"),
+    "negative-table-value": (lambda: Table(1, [0, -1]), "values[1]: negative value -1"),
+    "table-negative-m": (lambda: Table(-2, ["0"]), "a valuation needs at least one good"),
+    "oxs-string-m": (lambda: OXS("2", []), "m must be an integer, got str"),
+    "string-description": (lambda: Instance(1, 1, (Additive([1]),), description=3),
+                           "'description' must be a string"),
+    "boolean-n": (lambda: Instance(True, 1, (Additive([1]),)), "'n' and 'm' must be integers"),
+    "not-an-oracle": (lambda: Instance(1, 1, (1,)), "agent 0 valuation must be a Valuation, got int"),
+    "one-oracle-bare": (lambda: Instance(1, 1, Additive([1])), "valuations: expected a list, got Additive"),
+}
+
+
+@pytest.mark.parametrize("build, message", _REFUSED.values(), ids=_REFUSED)
+def test_constructors_refuse_what_a_document_cannot_express(build, message):
+    with pytest.raises((TypeError, ValueError)) as refused:
+        build()
+    assert str(refused.value) == message
+
+
+def test_an_instance_stores_its_valuations_as_a_tuple():
+    inst = Instance(1, 2, [OXS(2, ((g, "s", 1) for g in range(2)))])
+    assert isinstance(inst.valuations, tuple)
+    assert hash(inst) == hash(loads(dumps(inst)))
+    assert loads(dumps(inst)) == inst
+
+
+# Values of every type a caller might pass: a few that build, most refused.
+_JUNK = st.one_of(st.booleans(), st.floats(), st.none(), st.text(max_size=3),
+                  st.tuples(st.integers(0, 2)), st.lists(st.integers(0, 2), max_size=2),
+                  st.dictionaries(st.text(max_size=1), st.integers(0, 2), max_size=1),
+                  st.sampled_from([-1, Fraction(-1, 2), "-1", "1e3", " 1", "1/0", 10**400]))
+
+
+def _mostly(valid: st.SearchStrategy) -> st.SearchStrategy:
+    """`valid` eleven draws in twelve, else one of `_JUNK`."""
+    return st.integers(0, 11).flatmap(lambda k: _JUNK if k == 0 else valid)
+
+
+_ENTRY = _mostly(st.one_of(st.integers(0, 9), st.fractions(0, 9, max_denominator=6),
+                           st.sampled_from(["0", "1/2", "0.25", "7"])))
+_COUNT = _mostly(st.integers(1, 3))
+
+
+def _list_of(size: int) -> st.SearchStrategy:
+    """A list or tuple of `size` entries, or one of `_JUNK`."""
+    exact = st.lists(_ENTRY, min_size=size, max_size=size)
+    return _mostly(st.one_of(exact, exact.map(tuple)))
+
+
+@st.composite
+def _oracle_calls(draw, m: int):
+    """A thunk calling one of the five oracle constructors on drawn arguments."""
+    kind = draw(st.sampled_from(["additive", "budget_additive", "unit_demand", "oxs", "table"]))
+    goods = draw(_mostly(st.just(m)))
+    if kind in ("additive", "unit_demand"):
+        weights = draw(_list_of(m))
+        return lambda: (Additive if kind == "additive" else UnitDemand)(weights)
+    if kind == "budget_additive":
+        weights, cap = draw(_list_of(m)), draw(_ENTRY)
+        return lambda: BudgetAdditive(weights, cap)
+    if kind == "oxs":
+        triple = st.tuples(_mostly(st.integers(0, m - 1)),
+                           _mostly(st.one_of(st.integers(0, 3), st.text(max_size=2))), _ENTRY)
+        edges = draw(_mostly(st.lists(_mostly(st.one_of(triple, triple.map(list))), max_size=4)))
+        into = draw(st.sampled_from([list, tuple, iter]))  # iter: a one-pass iterable
+        return lambda: OXS(goods, into(edges) if isinstance(edges, list) else edges)
+    # monotone by construction: the value of a set grows with its size
+    levels = [0, *accumulate(draw(st.lists(st.fractions(0, 3, max_denominator=4),
+                                           min_size=m, max_size=m)))]
+    values = [draw(st.sampled_from([x, str(x)])) for x in
+              (levels[bin(mask).count("1")] for mask in range(1 << m))]
+    if draw(st.booleans()):
+        values[draw(st.integers(0, len(values) - 1))] = draw(_ENTRY)
+    values = draw(_mostly(st.sampled_from([values, tuple(values)])))
+    return lambda: Table(goods, values)
+
+
+@st.composite
+def _instance_calls(draw):
+    """A thunk building an `Instance` of drawn oracles from drawn n, m and description."""
+    n, m = draw(_COUNT), draw(_COUNT)
+    size = m if m in (1, 2, 3) and not isinstance(m, bool) else 2
+    count = n if n in (1, 2, 3) and not isinstance(n, bool) else 1
+    calls = [draw(_oracle_calls(size)) for _ in range(count)]
+    container = draw(st.sampled_from([tuple, list]))
+    description = draw(_mostly(st.text(max_size=5)))
+    return lambda: Instance(n, m, container(call() for call in calls), description)
+
+
+@seed(20221022)
+@settings(max_examples=400, deadline=None)
+@given(build=_instance_calls())
+def test_an_instance_either_is_refused_or_round_trips(build):
+    try:
+        inst = build()
+    except (TypeError, ValueError):
+        return
+    text = dumps(inst)
+    again = loads(text)
+    assert again == inst and hash(again) == hash(inst)
+    assert dumps(again) == text
