@@ -31,7 +31,6 @@ import itertools
 import math
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -58,8 +57,7 @@ from .valuations import (
 )
 
 
-@dataclass(frozen=True)
-class BestResponse:
+class BestResponse(NamedTuple):
     """An exact value-maximizing deviation for one agent.
 
     `ranking` lists the optimal picks first (lexicographically least among
@@ -124,8 +122,7 @@ class ResponseMemo:
         return p // d, q // d
 
 
-@dataclass(frozen=True)
-class EquilibriumReport:
+class EquilibriumReport(NamedTuple):
     """Per-agent deviation incentives and the profile's equilibrium factor.
 
     `pne_factor` is the largest a for which the profile is an a-approximate
@@ -327,8 +324,7 @@ class ScanRecord(NamedTuple):
         return Fraction(self.key[0], self.key[1])
 
 
-@dataclass(frozen=True)
-class ProfileEvaluation:
+class ProfileEvaluation(NamedTuple):
     """One profile pushed through the whole pipeline."""
 
     allocation: Allocation
@@ -428,8 +424,7 @@ def profile_space_scan(
     return (scan_one_profile(scan, profile) for profile in orders)
 
 
-@dataclass(frozen=True)
-class BoundRule:
+class BoundRule(NamedTuple):
     """The strongest equilibrium-to-fairness guarantee an instance certifies for."""
 
     name: str

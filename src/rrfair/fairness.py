@@ -9,9 +9,8 @@ infinity sentinel that compares correctly against any Fraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .mechanism import Allocation
 from .valuations import Instance
@@ -21,8 +20,7 @@ UNBOUNDED = math.inf
 Factor = Fraction | float  # a Fraction, or UNBOUNDED
 
 
-@dataclass(frozen=True)
-class FairnessReport:
+class FairnessReport(NamedTuple):
     """Per-ordered-pair envy ratios and the allocation-wide factors.
 
     `pair_ratios[(i, j)]` is v_i(A_i) / min over g in A_j of v_i(A_j - g):

@@ -15,12 +15,9 @@ value to the constructors, which judge it; their refusal names the agent.
 
 from __future__ import annotations
 
-import inspect
 import json
 import math
 import random
-import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -33,6 +30,7 @@ from .valuations import (
     OXS,
     Additive,
     BudgetAdditive,
+    Frozen,
     Instance,
     SizeGuardError,
     Table,
@@ -41,6 +39,7 @@ from .valuations import (
     as_fraction,
     check_work,
     document_form,
+    int_digit_limit,
 )
 
 
@@ -269,8 +268,9 @@ class Fixture(NamedTuple):
     @property
     def parameters(self) -> dict[str, Fraction]:
         """Each of the builder's parameters, in signature order, at its default."""
-        return {p.name: Fraction(p.default)
-                for p in inspect.signature(self.build).parameters.values()}
+        code = self.build.__code__
+        names = code.co_varnames[:code.co_argcount]  # the positional parameters come first
+        return dict(zip(names, map(Fraction, self.build.__defaults__ or ()), strict=True))
 
 
 FIXTURES: dict[str, Fixture] = {
@@ -300,26 +300,25 @@ def build_fixture(name: str, **params: Fraction | int | str) -> Instance:
 GENERATOR_CLASSES = ("additive", "budget_additive", "unit_demand", "oxs", "submodular_table")
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(Frozen):
     """Recipe for a seeded random instance of one valuation class."""
 
-    valuation_class: str
-    n: int
-    m: int
-    seed: int
-    weight_range: tuple[int, int] = (0, 8)
+    __slots__ = ("valuation_class", "n", "m", "seed", "weight_range")
 
-    def __post_init__(self) -> None:
-        if self.valuation_class not in GENERATOR_CLASSES:
-            raise ValueError(
-                f"unknown class {self.valuation_class!r}; known: {GENERATOR_CLASSES}"
-            )
-        if self.n < 1 or self.m < 1:
+    def __init__(self, valuation_class: str, n: int, m: int, seed: int,
+                 weight_range: tuple[int, int] = (0, 8)) -> None:
+        if valuation_class not in GENERATOR_CLASSES:
+            raise ValueError(f"unknown class {valuation_class!r}; known: {GENERATOR_CLASSES}")
+        if n < 1 or m < 1:
             raise ValueError("need at least one agent and one good")
-        lo, hi = self.weight_range
+        lo, hi = weight_range
         if not 0 <= lo <= hi:
-            raise ValueError(f"weight range {self.weight_range} must satisfy 0 <= lo <= hi")
+            raise ValueError(f"weight range {weight_range} must satisfy 0 <= lo <= hi")
+        object.__setattr__(self, "valuation_class", valuation_class)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "weight_range", weight_range)
 
 
 def generate(spec: GeneratorSpec) -> Instance:
@@ -483,5 +482,5 @@ def loads(text: str) -> Instance:
         raise SchemaError(f"not valid JSON: {exc}") from None
     except ValueError:  # an integer over the interpreter's int-string conversion limit
         raise SchemaError(f"not valid JSON: the document holds an integer of more than "
-                          f"{sys.get_int_max_str_digits():,} digits") from None
+                          f"{int_digit_limit():,} digits") from None
     return from_document(doc)

@@ -16,41 +16,40 @@ All indices here are zero-based: goods 0..m-1, agents 0..n-1, rounds
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .valuations import Instance
+from .valuations import Frozen, Instance
 
 
-@dataclass(frozen=True)
-class Ranking:
+class Ranking(Frozen):
     """A strict total order over all goods; position 0 is the favorite."""
 
-    order: tuple[int, ...]
+    __slots__ = ("order",)
 
-    def __post_init__(self) -> None:
-        m = len(self.order)
-        if sorted(self.order) != list(range(m)):
-            raise ValueError(f"ranking {self.order} is not a permutation of 0..{m - 1}")
+    def __init__(self, order: tuple[int, ...]) -> None:
+        m = len(order)
+        if sorted(order) != list(range(m)):
+            raise ValueError(f"ranking {order} is not a permutation of 0..{m - 1}")
+        object.__setattr__(self, "order", order)
 
     @property
     def m(self) -> int:
         return len(self.order)
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(Frozen):
     """One ranking per agent; the tuple index is the picking priority."""
 
-    rankings: tuple[Ranking, ...]
+    __slots__ = ("rankings",)
 
-    def __post_init__(self) -> None:
-        if not self.rankings:
+    def __init__(self, rankings: tuple[Ranking, ...]) -> None:
+        if not rankings:
             raise ValueError("a profile needs at least one agent")
-        m = self.rankings[0].m
-        for i, r in enumerate(self.rankings):
+        m = rankings[0].m
+        for i, r in enumerate(rankings):
             if r.m != m:
                 raise ValueError(f"ranking {i} covers {r.m} goods, expected {m}")
+        object.__setattr__(self, "rankings", rankings)
 
     @property
     def n(self) -> int:
@@ -69,8 +68,7 @@ class Profile:
         return {i: r for i, r in enumerate(self.rankings) if i != agent}
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(NamedTuple):
     """A partition of the goods into per-agent bundles."""
 
     bundles: tuple[frozenset[int], ...]

@@ -24,14 +24,14 @@ its estimate exceeds the one `WORK_BUDGET`.
 from __future__ import annotations
 
 import re
+import sys
 from abc import ABC, abstractmethod
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
-from typing import Any
+from typing import Any, NamedTuple
 
 from .matching import max_weight_matching_value
 
@@ -88,8 +88,32 @@ def check_subset_work(m: int, what: str, *checks: str) -> None:
 _RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]*\.[0-9]+)")
 
 
+def int_digit_limit() -> int:
+    """The most decimal digits of an int that `str` writes and `int` reads; 0 for no limit.
+
+    A document holds no longer int: `dumps` cannot write one, nor `loads`
+    read one.  CPython before 3.10.7 has no limit to read; 4,300, the
+    default since, stands in for it there.
+    """
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return 4300 if get is None else get()
+
+
+def _check_digits(x: int, what: str) -> None:
+    """Refuse `x`, named `what`, when it has more digits than a document can hold."""
+    # A limit is 0 (none) or at least 640 digits, and 2^1920 < 10^640: a shorter int fits any.
+    if x.bit_length() > 1920:
+        limit = int_digit_limit()
+        if limit and abs(x) >= 10**limit:
+            raise ValueError(f"{what} has more than {limit:,} digits, "
+                             f"more than a document can hold")
+
+
 def as_fraction(x: int | str | Fraction) -> Fraction:
-    """An exact Fraction from an int, a Fraction or a string of the `_RATIONAL` forms."""
+    """An exact Fraction from an int, a Fraction or a string of the `_RATIONAL` forms.
+
+    Its numerator and denominator are refused beyond `int_digit_limit` digits.
+    """
     if isinstance(x, (bool, float)):  # refused to keep every value exact
         raise TypeError(f"only exact rationals are accepted, got {x!r}")
     if not isinstance(x, (int, str, Fraction)):
@@ -97,9 +121,12 @@ def as_fraction(x: int | str | Fraction) -> Fraction:
     if isinstance(x, str) and not _RATIONAL.fullmatch(x):
         raise ValueError(f"malformed rational {x!r} (expected an integer, p/q or a plain decimal)")
     try:
-        return x if isinstance(x, Fraction) else Fraction(x)
+        value = x if isinstance(x, Fraction) else Fraction(x)
     except (ValueError, ZeroDivisionError) as exc:  # p/0, or more digits than int() reads
         raise ValueError(f"malformed rational {x!r} ({exc})") from None
+    _check_digits(value.numerator, "numerator")
+    _check_digits(value.denominator, "denominator")
+    return value
 
 
 def _amount(x: int | str | Fraction) -> Fraction:
@@ -312,6 +339,8 @@ class OXS(Valuation):
                 raise ValueError(f"good {good} out of range [0, {m})")
             if not isinstance(label, (int, str)) or isinstance(label, bool):
                 raise TypeError("slot label must be int or string")
+            if isinstance(label, int):
+                _check_digits(label, "slot label")
             return good, label, _amount(weight)
 
         self.edges = _entries(edges, "edges", edge)
@@ -367,8 +396,43 @@ class Table(Valuation):
         return self._ints[mask]
 
 
-@dataclass(frozen=True)
-class Instance:
+class Frozen:
+    """An immutable value whose fields are its `__slots__`, the constructor's parameters in order.
+
+    A subclass's `__init__` validates its arguments and then sets each field
+    once with `object.__setattr__`; assigning or deleting one later is
+    refused.  Equality (same type, equal fields), hashing, `repr` and
+    pickling read the fields, as `Valuation`'s read its `fields`.
+    """
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._key()
+
+
+class Instance(Frozen):
     """A fair-division instance: n agents, m goods, one valuation per agent.
 
     n, m (ints of at least 1) and the description are checked before
@@ -376,33 +440,34 @@ class Instance:
     checked for monotonicity here; the closed forms are monotone by construction.
     """
 
-    n: int
-    m: int
-    valuations: tuple[Valuation, ...]
-    description: str = ""
+    __slots__ = ("n", "m", "valuations", "description")
 
-    def __post_init__(self) -> None:
-        if not (_is_int(self.n) and _is_int(self.m)):
+    def __init__(self, n: int, m: int, valuations: Iterable[Valuation],
+                 description: str = "") -> None:
+        if not (_is_int(n) and _is_int(m)):
             raise TypeError("'n' and 'm' must be integers")
-        if self.n < 1 or self.m < 1:
+        if n < 1 or m < 1:
             raise ValueError("need at least one agent and one good")
-        if not isinstance(self.description, str):
+        if not isinstance(description, str):
             raise TypeError("'description' must be a string")
-        object.__setattr__(self, "valuations", _listed(self.valuations, "valuations"))
-        if len(self.valuations) != self.n:
-            raise ValueError(f"expected {self.n} valuations, got {len(self.valuations)}")
-        for i, v in enumerate(self.valuations):
+        valuations = _listed(valuations, "valuations")
+        if len(valuations) != n:
+            raise ValueError(f"expected {n} valuations, got {len(valuations)}")
+        for i, v in enumerate(valuations):
             if not isinstance(v, Valuation):
                 raise TypeError(f"agent {i} valuation must be a Valuation, got {type(v).__name__}")
-            if v.m != self.m:
-                raise ValueError(f"agent {i} valuation covers {v.m} goods, instance has {self.m}")
+            if v.m != m:
+                raise ValueError(f"agent {i} valuation covers {v.m} goods, instance has {m}")
             if isinstance(v, Table) and not is_monotone(v):
                 raise ValueError(f"agent {i} table is not monotone")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "valuations", valuations)
+        object.__setattr__(self, "description", description)
 
 
-@dataclass(frozen=True)
-class ClassCheck:
-    """Outcome of an exhaustive class-membership check.
+class ClassCheck(NamedTuple):
+    """Outcome of an exhaustive class-membership check; true when the class holds.
 
     When submodularity or cancelability fails, `witness` is the first
     violating (S, T, g) triple in (S bitmask, T bitmask, g) order, for

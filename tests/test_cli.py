@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import resource
 import subprocess
 import sys
@@ -65,6 +66,26 @@ def run_cli(capsys, *argv) -> tuple[int, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+# ---------------------------------------------------------------------------
+# start-up
+
+
+def test_cold_start_imports_neither_dataclasses_nor_inspect():
+    # Importing `dataclasses` also imports `inspect`, `ast`, `dis` and `tokenize`, and
+    # each dataclass execs its generated methods: about 15 ms of every command's start.
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, rrfair.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------------------

@@ -593,7 +593,7 @@ def test_scan_runs_each_mechanism_search_and_score_once(monkeypatch):
     for name in ("deal", "round_robin", "best_response", "pne_factor", "ef1_factor"):
         monkeypatch.setattr(equilibria, name, counting(name, getattr(equilibria, name)))
     monkeypatch.setattr(fairness, "ef_factor", counting("ef_factor", fairness.ef_factor))
-    monkeypatch.setattr(Profile, "__post_init__", counting("Profile", Profile.__post_init__))
+    monkeypatch.setattr(Profile, "__init__", counting("Profile", Profile.__init__))
     inst = no_pne_instance()
     records = list(profile_space_scan(inst))
     scan_calls = dict(calls)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from itertools import accumulate
 
@@ -34,6 +35,7 @@ from rrfair.valuations import (
     Instance,
     Table,
     UnitDemand,
+    int_digit_limit,
     is_additive,
     is_cancelable,
     is_monotone,
@@ -361,3 +363,38 @@ def test_an_instance_either_is_refused_or_round_trips(build):
     again = loads(text)
     assert again == inst and hash(again) == hash(inst)
     assert dumps(again) == text
+
+
+LIMIT = int_digit_limit()
+TOO_LONG = 10**LIMIT  # one digit over the limit
+
+
+@pytest.mark.skipif(not LIMIT, reason="this interpreter writes ints of any length")
+@pytest.mark.parametrize("build, where", [
+    (lambda: Additive([1, TOO_LONG]), "weights[1]: numerator"),
+    (lambda: Additive([F(1, TOO_LONG)]), "weights[0]: denominator"),
+    (lambda: UnitDemand(["0." + "0" * (LIMIT - 1) + "1"]),  # reads as 1/10^LIMIT
+     "weights[0]: denominator"),
+    (lambda: BudgetAdditive([1], -TOO_LONG), "cap: numerator"),
+    (lambda: Table(1, [0, F(TOO_LONG, 3)]), "values[1]: numerator"),
+    (lambda: OXS(1, [(0, "s", 1), (0, "s", TOO_LONG)]), "edges[1]: numerator"),
+    (lambda: OXS(1, [(0, TOO_LONG, 1)]), "edges[0]: slot label"),
+    (lambda: OXS(1, [(0, -TOO_LONG, 1)]), "edges[0]: slot label"),
+])
+def test_values_no_document_can_hold_fail_to_build(build, where):
+    with pytest.raises(ValueError) as exc_info:
+        build()
+    assert str(exc_info.value) == (
+        f"{where} has more than {LIMIT:,} digits, more than a document can hold")
+
+
+@pytest.mark.skipif(not LIMIT, reason="this interpreter writes ints of any length")
+def test_values_at_the_digit_limit_round_trip():
+    longest = TOO_LONG - 1
+    inst = Instance(2, 1, (Additive([F(longest, longest - 1)]), OXS(1, [(0, -longest, longest)])))
+    assert loads(dumps(inst)) == inst
+
+
+def test_the_digit_limit_falls_back_to_the_default_where_python_has_none(monkeypatch):
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    assert int_digit_limit() == 4300
