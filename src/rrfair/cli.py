@@ -19,7 +19,6 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
 from .equilibria import (
@@ -122,7 +121,8 @@ def integer(text: str, sign: str = "-") -> int:
 
 def parse_profile_file(path: str, m: int, n: int) -> Profile:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read profile {path!r}: {exc}") from None
     lines = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 import sys
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
@@ -424,6 +423,8 @@ def profile_orders(
         check_work(m << m, what)  # cheap, and below (m!)^n·m wherever it refuses
         check_work(math.factorial(m) ** n * m, what)
         return itertools.product(itertools.permutations(range(m)), repeat=n)
+    import random  # only a sampled scan draws
+
     rng = random.Random(seed)
     return (tuple(tuple(rng.sample(range(m), m)) for _ in range(n)) for _ in range(samples))
 

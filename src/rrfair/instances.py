@@ -4,28 +4,25 @@ The four fixtures are exact constructions whose equilibrium and fairness
 numbers are known in closed form; their parameters are rationals with
 validated strict inequalities.  Each is one `FIXTURES` entry: its builder,
 whose signature holds the parameter defaults, and beside it the rows that
-`reproduce` prints, each closed form next to the measured value.
-`build_fixture` is the one way in by name.  Generators produce random
-instances of a valuation class from a seed.  Instances serialize to a
-strict JSON document: each agent is its oracle's `kind` and `fields`, with
-"p/q" rationals; floats are rejected end to end.  The reader checks only
-the document's shape (objects, known keys, a known class) and hands every
-value to the constructors, which judge it; their refusal names the agent.
+`reproduce` prints, each closed form next to the measured value.  The
+rows import the modules they measure with when they run, so building a
+fixture or loading a document compiles only this module, `valuations`
+and `matching`.  `build_fixture` is the one way in by name.  Generators
+produce random instances of a valuation class from a seed.  Instances
+serialize to a strict JSON document: each agent is its oracle's `kind` and
+`fields`, with "p/q" rationals; floats are rejected end to end.  The
+reader checks only the document's shape (objects, known keys, a known
+class) and hands every value to the constructors, which judge it; their
+refusal names the agent.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import random
 from fractions import Fraction
-from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
-from .equilibria import applicable_bound_rule, evaluate_profile, profile_space_scan
-from .fairness import Factor
-from .mechanism import Profile, Ranking
-from .profiles import bluff_profile, truthful_profile
 from .valuations import (
     OXS,
     Additive,
@@ -42,6 +39,14 @@ from .valuations import (
     int_digit_limit,
 )
 
+if TYPE_CHECKING:
+    from os import PathLike
+    from random import Random
+
+    from .fairness import Factor
+
+    Row = tuple[str, Factor, Factor]  # (quantity, closed form, measured value)
+
 
 class ConstraintError(ValueError):
     """A fixture parameter violates its strict-inequality constraints."""
@@ -50,9 +55,6 @@ class ConstraintError(ValueError):
 def _require(condition: bool, inequality: str) -> None:
     if not condition:
         raise ConstraintError(f"parameter constraint violated: requires {inequality}")
-
-
-Row = tuple[str, Factor, Factor]  # (quantity, closed form, measured value)
 
 
 def no_pne_instance() -> Instance:
@@ -89,7 +91,9 @@ def no_pne_instance() -> Instance:
 
 
 def _no_pne_rows(inst: Instance, params: dict[str, Fraction]) -> list[Row]:
-    best = max(rec.pne_factor for rec in profile_space_scan(inst))
+    from . import equilibria
+
+    best = max(rec.pne_factor for rec in equilibria.profile_space_scan(inst))
     count = math.factorial(inst.m) ** inst.n
     return [(f"max pne_factor over {count} profiles", Fraction(3, 4), best)]
 
@@ -134,8 +138,10 @@ def bluff_tightness_instance(
 
 
 def _bluff_tightness_rows(inst: Instance, params: dict[str, Fraction]) -> list[Row]:
+    from . import equilibria, profiles
+
     e1, e2, e3 = params["eps1"], params["eps2"], params["eps3"]
-    evaluation = evaluate_profile(inst, bluff_profile(inst))
+    evaluation = equilibria.evaluate_profile(inst, profiles.bluff_profile(inst))
     assert evaluation.equilibrium is not None
     return [
         ("agent 2 best-response value", 2 - e1 - e2,
@@ -171,9 +177,12 @@ def additive_tightness_instance(
 
 
 def _additive_tightness_rows(inst: Instance, params: dict[str, Fraction]) -> list[Row]:
+    from . import equilibria, mechanism, profiles
+
     d, b = params["delta"], params["beta"]
-    profile = Profile((truthful_profile(inst).rankings[0], Ranking((4, 3, 0, 1, 2))))
-    evaluation = evaluate_profile(inst, profile)
+    profile = mechanism.Profile((profiles.truthful_profile(inst).rankings[0],
+                                 mechanism.Ranking((4, 3, 0, 1, 2))))
+    evaluation = equilibria.evaluate_profile(inst, profile)
     assert evaluation.equilibrium is not None
     alpha = (1 + d) / (3 * b + Fraction(1, 2) + 2 * d)
     ratio = (1 + d) / (6 * b + d)
@@ -182,7 +191,7 @@ def _additive_tightness_rows(inst: Instance, params: dict[str, Fraction]) -> lis
         ("pne_factor", alpha, evaluation.equilibrium.pne_factor),
         ("agent 2 -> 1 ef1 ratio", ratio, evaluation.fairness.pair_ratios[1, 0]),
         ("bound alpha/(2-alpha)", bound,
-         applicable_bound_rule(inst)(evaluation.equilibrium.pne_factor)),
+         equilibria.applicable_bound_rule(inst)(evaluation.equilibrium.pne_factor)),
         ("ratio >= bound", Fraction(1), Fraction(int(ratio >= bound))),
         ("ratio < bound + 1/100", Fraction(1),
          Fraction(int(evaluation.fairness.pair_ratios[1, 0] < bound + Fraction(1, 100)))),
@@ -239,10 +248,12 @@ def oxs_lower_bound_instance(
 
 
 def _oxs_lower_bound_rows(inst: Instance, params: dict[str, Fraction]) -> list[Row]:
+    from . import equilibria, mechanism, profiles
+
     e1, e4, b = params["eps1"], params["eps4"], params["beta"]
-    agent4 = Ranking((2, 5, 7, 0, 1, 3, 4, 6, 8))
-    profile = Profile(truthful_profile(inst).rankings[:3] + (agent4,))
-    evaluation = evaluate_profile(inst, profile)
+    agent4 = mechanism.Ranking((2, 5, 7, 0, 1, 3, 4, 6, 8))
+    profile = mechanism.Profile(profiles.truthful_profile(inst).rankings[:3] + (agent4,))
+    evaluation = equilibria.evaluate_profile(inst, profile)
     assert evaluation.equilibrium is not None
     alpha = (1 + e1) / (2 * b + e1)
     ratio = (1 + e1) / (4 * b - e4)
@@ -252,7 +263,7 @@ def _oxs_lower_bound_rows(inst: Instance, params: dict[str, Fraction]) -> list[R
         ("pne_factor", alpha, evaluation.equilibrium.pne_factor),
         ("agent 4 -> 1 ef1 ratio", ratio, evaluation.fairness.pair_ratios[3, 0]),
         ("bound alpha/3", alpha / 3,
-         applicable_bound_rule(inst)(evaluation.equilibrium.pne_factor)),
+         equilibria.applicable_bound_rule(inst)(evaluation.equilibrium.pne_factor)),
         ("ratio >= alpha/3", Fraction(1), Fraction(int(ratio >= alpha / 3))),
         ("ratio < alpha/2 + 1/100", Fraction(1),
          Fraction(int(evaluation.fairness.pair_ratios[3, 0] < alpha / 2 + Fraction(1, 100)))),
@@ -334,6 +345,8 @@ def generate(spec: GeneratorSpec) -> Instance:
     if spec.valuation_class == "submodular_table":  # per agent, 2^m subsets each covering ~3m
         check_work(spec.n * (3 * spec.m << spec.m),
                    f"generating a submodular_table on {spec.m} goods{agents}")
+    import random  # only generators draw; a document load never needs it
+
     rng = random.Random(spec.seed)
     lo, hi = spec.weight_range
     valuations: list[Valuation] = []
@@ -347,7 +360,7 @@ def generate(spec: GeneratorSpec) -> Instance:
     )
 
 
-def _generate_valuation(spec: GeneratorSpec, rng: random.Random, lo: int, hi: int) -> Valuation:
+def _generate_valuation(spec: GeneratorSpec, rng: Random, lo: int, hi: int) -> Valuation:
     m = spec.m
     cls = spec.valuation_class
     if cls == "additive":
@@ -370,7 +383,7 @@ def _generate_valuation(spec: GeneratorSpec, rng: random.Random, lo: int, hi: in
     return _coverage_table(rng, m, lo, hi)
 
 
-def _coverage_table(rng: random.Random, m: int, lo: int, hi: int) -> Table:
+def _coverage_table(rng: Random, m: int, lo: int, hi: int) -> Table:
     """Weighted-coverage oracle tabulated over all subsets (monotone submodular)."""
     universe = max(2, m + rng.randint(0, m))
     element_weight = [rng.randint(max(lo, 1), max(hi, 1)) for _ in range(universe)]
@@ -459,13 +472,15 @@ def _agent(where: str, doc: Any, m: int) -> Valuation:
         raise SchemaError(f"{where}{'.' if field in cls.fields else ': '}{exc}") from None
 
 
-def save(inst: Instance, path: str | Path) -> None:
-    Path(path).write_text(dumps(inst) + "\n", encoding="utf-8")
+def save(inst: Instance, path: str | PathLike[str]) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(dumps(inst) + "\n")
 
 
-def load(path: str | Path) -> Instance:
+def load(path: str | PathLike[str]) -> Instance:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except UnicodeDecodeError as exc:
         raise SchemaError(f"not UTF-8 text: {exc}") from None
     return loads(text)

@@ -17,8 +17,9 @@ common denominator of its weights, cap, edge weights or table entries.
 Fractions in this module only.  Scaling by a positive constant keeps
 every comparison, tie and ratio, so the integer paths (class checks, OXS
 matching, the reporting strategies, the best-response search) give the
-results of the rational values.  Work over subsets is refused first when
-its estimate exceeds the one `WORK_BUDGET`.
+results of the rational values.  The class checks tabulate an oracle
+once and share one pairwise pass on it.  Work over subsets is refused
+first when its estimate exceeds the one `WORK_BUDGET`.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def check_subset_work(m: int, what: str, *checks: str) -> None:
 
 # The rational forms a string may spell: an integer, p/q, or a plain decimal, in ASCII
 # digits.  Exponents are refused: "1e99999999" would make `Fraction` build a 10^99999999.
-_RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]*\.[0-9]+)")
+_RATIONAL = re.compile(r"[+-]?(?:(?P<p>[0-9]+)(?:/(?P<q>[0-9]+))?|[0-9]*\.[0-9]+)")
 
 
 def int_digit_limit() -> int:
@@ -118,12 +119,17 @@ def as_fraction(x: int | str | Fraction) -> Fraction:
         raise TypeError(f"only exact rationals are accepted, got {x!r}")
     if not isinstance(x, (int, str, Fraction)):
         raise TypeError(f"expected a rational string, got {type(x).__name__}")
-    if isinstance(x, str) and not _RATIONAL.fullmatch(x):
-        raise ValueError(f"malformed rational {x!r} (expected an integer, p/q or a plain decimal)")
-    try:
+    if not isinstance(x, str):
         value = x if isinstance(x, Fraction) else Fraction(x)
-    except (ValueError, ZeroDivisionError) as exc:  # p/0, or more digits than int() reads
-        raise ValueError(f"malformed rational {x!r} ({exc})") from None
+    elif (match := _RATIONAL.fullmatch(x)) is None:
+        raise ValueError(f"malformed rational {x!r} (expected an integer, p/q or a plain decimal)")
+    else:
+        p, q = match.group("p", "q")
+        try:  # an integer or p/q from the match's own digits; `Fraction` reads a decimal
+            value = (Fraction(x) if p is None
+                     else Fraction(-int(p) if x[0] == "-" else int(p), int(q) if q else 1))
+        except (ValueError, ZeroDivisionError) as exc:  # p/0, or more digits than int() reads
+            raise ValueError(f"malformed rational {x!r} ({exc})") from None
     _check_digits(value.numerator, "numerator")
     _check_digits(value.denominator, "denominator")
     return value
@@ -228,6 +234,8 @@ class Valuation(ABC):
         self.m = m
         self.scale = scale
         self._cache: dict[int, int] = {0: 0}
+        self._table: tuple[int, ...] | None = None  # the class checks' memos
+        self._violators: frozenset[int] | None = None
 
     def value(self, bundle: Iterable[int]) -> Fraction:
         """v(bundle); exact and deterministic."""
@@ -481,16 +489,19 @@ class ClassCheck(NamedTuple):
         return self.holds
 
 
-def _integer_table(v: Valuation, check: str) -> list[int]:
-    """All 2^m values `scale * v(S)`, indexed by bitmask (also warms the oracle cache).
+def _integer_table(v: Valuation, check: str) -> tuple[int, ...]:
+    """All 2^m values `scale * v(S)`, indexed by bitmask, tabulated once per oracle.
 
     Every test the class checks make (comparisons, differences, two-term sums)
     is invariant under scaling by a positive constant, so the checks give the
     verdicts and witnesses of the Fraction table, exactly, on plain ints.
-    The work of `check` on v's m goods is refused first, under its name.
+    The work of `check` on v's m goods is refused first, under its name, on
+    every call, tabulated or not.
     """
     check_subset_work(v.m, check, check)
-    return [v.value_mask(mask) for mask in range(1 << v.m)]
+    if v._table is None:
+        v._table = tuple(map(v.value_mask, range(1 << v.m)))
+    return v._table
 
 
 def is_monotone(v: Valuation) -> ClassCheck:
@@ -514,7 +525,7 @@ def is_additive(v: Valuation) -> ClassCheck:
     return ClassCheck(True)
 
 
-def _pairwise_violators(vals: list[int], m: int) -> set[int]:
+def _pairwise_violators(vals: Sequence[int], m: int) -> set[int]:
     """The goods of every pair g < h with v(S+g) - v(S) < v(S+g+h) - v(S+h) for some S outside both.
 
     v is submodular exactly when the set is empty: v(g|S) >= v(g|T) for S
@@ -535,10 +546,17 @@ def _pairwise_violators(vals: list[int], m: int) -> set[int]:
     return found
 
 
+def _violators(v: Valuation, vals: Sequence[int]) -> frozenset[int]:
+    """`_pairwise_violators` of v's table `vals`: one pass per oracle, shared by the checks."""
+    if v._violators is None:
+        v._violators = frozenset(_pairwise_violators(vals, v.m))
+    return v._violators
+
+
 def is_submodular(v: Valuation) -> ClassCheck:
     """Exhaustive diminishing-returns check: v(g|S) >= v(g|T) for S subset of T, g outside T.
 
-    Decided by `_pairwise_violators`.  For each of its goods g, the gains
+    Decided by `_violators`.  For each of its goods g, the gains
     d(S) = v(S+g) - v(S) get their superset maximum U(S), the largest d(T)
     over the supersets T of S without g; S starts a violation for g exactly
     when d(S) < U(S).  The least such S over every g is the witness's S, and
@@ -547,7 +565,7 @@ def is_submodular(v: Valuation) -> ClassCheck:
     vals = _integer_table(v, "is_submodular")
     m, size = v.m, 1 << v.m
     first = size
-    for g in _pairwise_violators(vals, m):
+    for g in _violators(v, vals):
         bit = 1 << g
         gain = [vals[s | bit] - vals[s] for s in range(size)]  # 0 on the sets holding g
         top = gain[:]
@@ -603,12 +621,12 @@ def is_subadditive(v: Valuation) -> ClassCheck:
 
     A non-negative submodular v is subadditive, because
     v(S | T) <= v(S) + v(T) - v(S & T) <= v(S) + v(T); so the check holds
-    when no value is negative and `_pairwise_violators` finds none.
+    when no value is negative and `_violators` finds none.
     Otherwise every pair is tested; the condition is symmetric in S and T,
     so each unordered pair once (T from S upward).
     """
     vals = _integer_table(v, "is_subadditive")
-    if min(vals) >= 0 and not _pairwise_violators(vals, v.m):
+    if min(vals) >= 0 and not _violators(v, vals):
         return ClassCheck(True)
     for s_mask in range(1 << v.m):
         vs = vals[s_mask]

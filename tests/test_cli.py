@@ -9,6 +9,7 @@ import json
 import math
 import os
 import resource
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -86,6 +87,92 @@ def test_cold_start_imports_neither_dataclasses_nor_inspect():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+# The names `rrfair` exports, by home module; the namespace test fails on a dropped or moved name.
+EXPORTS = {
+    "equilibria": {"BestResponse", "BoundRule", "EquilibriumReport", "NoApplicableBoundError",
+                   "ProfileEvaluation", "ScanRecord", "applicable_bound_rule", "best_response",
+                   "evaluate_profile", "pne_factor", "profile_space_scan"},
+    "fairness": {"UNBOUNDED", "FairnessReport", "ef1_factor", "ef1_from_perspective", "ef_factor"},
+    "instances": {"FIXTURES", "ConstraintError", "GeneratorSpec", "SchemaError",
+                  "additive_tightness_instance", "bluff_tightness_instance", "build_fixture",
+                  "generate", "load", "no_pne_instance", "oxs_lower_bound_instance", "save"},
+    "mechanism": {"Allocation", "Profile", "Ranking", "round_robin"},
+    "profiles": {"bluff_order", "bluff_profile", "deviation_renaming", "greedy_response",
+                 "truthful_profile", "truthful_ranking"},
+    "valuations": {"OXS", "Additive", "BudgetAdditive", "Bundle", "ClassCheck", "Instance",
+                   "SizeGuardError", "Table", "UnitDemand", "Valuation", "is_additive",
+                   "is_cancelable", "is_monotone", "is_subadditive", "is_submodular"},
+}
+
+COLD_START = """
+import json, sys
+
+def loaded():
+    return sorted(name[len("rrfair."):] for name in sys.modules if name.startswith("rrfair."))
+
+report = {}
+import rrfair
+report["import"] = loaded()
+if sys.argv[1] == "load":
+    rrfair.instances.load(sys.argv[2])
+    for name in rrfair.FIXTURES:
+        rrfair.build_fixture(name)
+else:
+    exports = json.loads(sys.argv[2])
+    report["all"] = sorted(rrfair.__all__)
+    report["dir"] = sorted(set(rrfair.__all__) - set(dir(rrfair)))
+    report["homes"] = {name: getattr(rrfair, name) is getattr(sys.modules["rrfair." + home], name)
+                       for home, names in exports.items() for name in names}
+    try:
+        rrfair.no_such_name
+    except AttributeError as exc:
+        report["unknown"] = str(exc)
+    namespace = {}
+    exec("from rrfair import *", namespace)
+    report["star"] = sorted(set(namespace) - {"__builtins__"})
+    report["submodules"] = {name: getattr(rrfair, name) is sys.modules["rrfair." + name]
+                            for name in ("matching", "scan_json", "cli")}  # `cli` imports the rest
+report["loaded"] = loaded()
+report["stdlib"] = sorted({"dataclasses", "inspect", "pathlib", "random"} & set(sys.modules))
+print(json.dumps(report))
+"""
+
+
+def cold_start(*args: str) -> dict:
+    """What a fresh `-S` interpreter reports running `COLD_START` with `args`."""
+    result = subprocess.run([sys.executable, "-S", "-c", COLD_START, *args],
+                            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+                            capture_output=True, text=True, check=False)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def test_loading_a_document_compiles_only_the_codec_and_the_oracles(tmp_path):
+    path = tmp_path / "every-class.json"
+    save(Instance(5, 3, [generate(GeneratorSpec(kind, 1, 3, 0)).valuations[0]
+                         for kind in GENERATOR_CLASSES]), path)
+    report = cold_start("load", str(path))
+    assert report["import"] == []  # `import rrfair` loads no submodule
+    assert report["loaded"] == ["instances", "matching", "valuations"]
+    assert report["stdlib"] == []
+
+
+def test_the_namespace_resolves_each_name_in_its_home_module():
+    homes = {home: sorted(names) for home, names in EXPORTS.items()}
+    report = cold_start("names", json.dumps(homes))
+    assert report["import"] == []
+    assert report["all"] == sorted(set().union(*EXPORTS.values()))  # today's set of names
+    assert report["dir"] == []  # `dir(rrfair)` lists every `__all__` name
+    assert all(report["homes"].values()), report["homes"]
+    assert report["unknown"] == "module 'rrfair' has no attribute 'no_such_name'"
+    assert report["star"] == report["all"]
+    assert all(report["submodules"].values()), report["submodules"]
+    # `perfbench/tracing.py` wraps the functions of these modules once `rrfair.cli` is imported
+    traced = runpy.run_path(str(REPO / "perfbench" / "tracing.py"))["TARGETS"]
+    assert set(traced) <= set(report["loaded"])
+    assert report["stdlib"] == []
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,7 @@ from conftest import (
     value_table,
 )
 from rrfair import valuations
+from rrfair.equilibria import applicable_bound_rule
 from rrfair.instances import (
     FIXTURES,
     GeneratorSpec,
@@ -33,6 +36,7 @@ from rrfair.instances import (
     oxs_lower_bound_instance,
 )
 from rrfair.valuations import (
+    CLASS_CHECKS,
     OXS,
     Additive,
     BudgetAdditive,
@@ -172,6 +176,66 @@ def test_as_fraction_returns_a_fraction_unchanged():
     x = F(3, 7)
     assert as_fraction(x) is x
     assert as_fraction("3/7") == as_fraction(F(6, 14)) == x
+
+
+GRAMMAR = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]*\.[0-9]+)")  # a document's rationals
+
+
+def reference_as_fraction(text: str) -> Fraction:
+    """`Fraction(str)` of a string behind the grammar, the digit limit and their messages."""
+    if not GRAMMAR.fullmatch(text):
+        raise ValueError(f"malformed rational {text!r} "
+                         f"(expected an integer, p/q or a plain decimal)")
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed rational {text!r} ({exc})") from None
+    limit = valuations.int_digit_limit()
+    for what, part in (("numerator", value.numerator), ("denominator", value.denominator)):
+        if limit and abs(part) >= 10**limit:
+            raise ValueError(f"{what} has more than {limit:,} digits, "
+                             f"more than a document can hold")
+    return value
+
+
+@st.composite
+def rational_strings(draw):
+    """Strings of the grammar (signs, leading zeros, p/q, p/0, decimals, ~4,300 digits) and not."""
+    def digits(min_size: int = 1) -> str:
+        zeros = draw(st.text("0", max_size=3))
+        body = draw(st.text("0123456789", min_size=min_size, max_size=6)
+                    | st.integers(4295, 4305).map(lambda k: "9" * k))
+        return zeros + body
+
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    form = draw(st.sampled_from(["integer", "p/q", "p/0", "decimal", "malformed"]))
+    if form == "integer":
+        return sign + digits()
+    if form == "p/q":
+        return f"{sign}{digits()}/{digits()}"
+    if form == "p/0":
+        return f"{sign}{digits()}/{draw(st.text('0', min_size=1, max_size=3))}"
+    if form == "decimal":
+        return f"{sign}{digits(0)}.{digits()}"
+    return sign + draw(st.sampled_from(
+        ["", "1e5", " 1", "1 ", "1_0", "\u0662", "1/", "/2", "1.", ".", "0x10", "+1", "1/2/3",
+         "1.5/2", "1/2.5", "inf", "nan", "1e99999999"]))
+
+
+def outcome(read, text: str) -> tuple:
+    """What `read(text)` gives: the value, or the refusal's type and message."""
+    try:
+        value = read(text)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return type(value), value.numerator, value.denominator
+
+
+@seed(20230131)
+@settings(max_examples=400, deadline=None)
+@given(text=rational_strings())
+def test_as_fraction_reads_a_string_as_fraction_does(text):
+    assert outcome(as_fraction, text) == outcome(reference_as_fraction, text)
 
 
 def test_repr_prints_m_and_each_field_as_a_document_writes_it():
@@ -583,19 +647,23 @@ def _no_witness_search(*args):
     raise AssertionError("a check that holds searched for a witness")
 
 
-def nine_good_holding_checks():
-    """(oracle, check) pairs on 9 goods where the check holds."""
+def nine_good_oracles() -> dict[str, Valuation]:
+    """Fresh oracles on 9 goods, which no class check has tabulated yet."""
     *additive, oxs = build_fixture("oxs-lower-bound").valuations  # the OXS agent is not cancelable
     table = generate(GeneratorSpec("submodular_table", 1, 9, 0)).valuations[0]
-    oracles = [(f"additive{i}", v, (is_submodular, is_cancelable, is_subadditive))
-               for i, v in enumerate(additive)]
-    oracles += [(name, v, (is_submodular, is_subadditive)) for name, v in (("oxs", oxs), ("table", table))]
-    return [pytest.param(v, check, id=f"{name}-{check.__name__}")
-            for name, v, checks in oracles for check in checks]
+    return {**{f"additive{i}": v for i, v in enumerate(additive)}, "oxs": oxs, "table": table}
 
 
-@pytest.mark.parametrize("v, check", nine_good_holding_checks())
-def test_a_check_that_holds_reads_m2_2m_values_and_searches_no_witness(monkeypatch, v, check):
+def nine_good_holding_checks():
+    """(oracle name, check) pairs on 9 goods where the check holds."""
+    checks = {"oxs": (is_submodular, is_subadditive), "table": (is_submodular, is_subadditive)}
+    return [pytest.param(name, check, id=f"{name}-{check.__name__}") for name in nine_good_oracles()
+            for check in checks.get(name, (is_submodular, is_cancelable, is_subadditive))]
+
+
+@pytest.mark.parametrize("name, check", nine_good_holding_checks())
+def test_a_check_that_holds_reads_m2_2m_values_and_searches_no_witness(monkeypatch, name, check):
+    v = nine_good_oracles()[name]
     tables: list[CountedReads] = []
     integer_table = valuations._integer_table
 
@@ -619,6 +687,58 @@ def test_a_check_that_holds_reads_m2_2m_values_and_searches_no_witness(monkeypat
     assert check(v) == ClassCheck(True)
     assert len(tables) == 1 and tables[0].reads <= v.m ** 2 << v.m
     assert violators == ([] if check is is_cancelable else [set()])
+
+
+@pytest.mark.parametrize("name", sorted(nine_good_oracles()))
+def test_the_checks_on_one_oracle_tabulate_it_once_and_share_one_pairwise_pass(monkeypatch, name):
+    alone = {check: check(nine_good_oracles()[name]) for check in CLASS_CHECKS.values()}
+    v = nine_good_oracles()[name]
+    charged: list[tuple[str, ...]] = []
+    passes: list[int] = []
+    reads = Counter()
+    check_subset_work, pairwise = valuations.check_subset_work, _pairwise_violators
+
+    def charge(m, what, *checks):
+        charged.append(checks)
+        check_subset_work(m, what, *checks)
+
+    def counted_pass(vals, m):
+        passes.append(m)
+        return pairwise(vals, m)
+
+    def value_mask(oracle, mask, original=Valuation.value_mask):
+        reads[mask] += 1
+        return original(oracle, mask)
+
+    monkeypatch.setattr(valuations, "check_subset_work", charge)
+    monkeypatch.setattr(valuations, "_pairwise_violators", counted_pass)
+    monkeypatch.setattr(Valuation, "value_mask", value_mask)
+    for check in CLASS_CHECKS.values():  # verdicts and witnesses as on a fresh oracle each
+        assert check(v) == alone[check]
+    assert charged == [(check.__name__,) for check in CLASS_CHECKS.values()]  # each its own
+    assert max(reads.values(), default=1) == 1  # a table was tabulated when its instance was built
+    assert len(passes) == 1
+
+
+def test_the_bound_rule_on_oxs_lower_bound_tabulates_each_agent_once(monkeypatch):
+    inst = build_fixture("oxs-lower-bound")
+    tables: list[int] = []
+    passes: list[int] = []
+    integer_table, pairwise = valuations._integer_table, _pairwise_violators
+
+    def counted_table(oracle, name):
+        table = integer_table(oracle, name)
+        tables.append(id(table))
+        return table
+
+    def counted_pass(vals, m):
+        passes.append(m)
+        return pairwise(vals, m)
+
+    monkeypatch.setattr(valuations, "_integer_table", counted_table)
+    monkeypatch.setattr(valuations, "_pairwise_violators", counted_pass)
+    assert applicable_bound_rule(inst).name == "alpha/3 [submodular agents]"
+    assert (len(tables), len(set(tables)), len(passes)) == (11, 4, 4)  # one table per agent
 
 
 # ---------------------------------------------------------------------------
