@@ -18,7 +18,6 @@ refusal names the agent.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
@@ -487,10 +486,14 @@ def load(path: str | PathLike[str]) -> Instance:
 
 
 def dumps(inst: Instance) -> str:
+    import json  # here and in `loads` only: building a fixture loads no JSON module
+
     return json.dumps(to_document(inst), indent=2)
 
 
 def loads(text: str) -> Instance:
+    import json
+
     try:
         doc = json.loads(text)
     except (RecursionError, json.JSONDecodeError) as exc:  # too deep or malformed

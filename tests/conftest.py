@@ -12,6 +12,8 @@ state counts against; `search_states` bounds the states either search
 stores, and guards the reference up front.  `dummy_padded` builds the
 paper's padded instance, which the partial-round mechanism must agree with.
 `prefix_sets` reads the paper's prefix sets S_r off a pick sequence.
+`reference_as_fraction` reads a document's rational with `Fraction(str)`, and
+`reference_table` reads a table entry by entry through it, with no fast path.
 """
 
 from __future__ import annotations
@@ -19,12 +21,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 from typing import Mapping
 
 from rrfair.equilibria import BestResponse, NoApplicableBoundError
 from rrfair.mechanism import Allocation, Profile, Ranking, ranking_from_picks, round_robin
-from rrfair.valuations import ClassCheck, Instance, Table, Valuation, check_work
+from rrfair.valuations import ClassCheck, Instance, Table, Valuation, check_work, int_digit_limit
 
 
 def value_table(v: Valuation) -> list[Fraction]:
@@ -217,6 +220,61 @@ def enumerate_reachable_bundles(
 
 def _goods(mask: int) -> list[int]:
     return [g for g in range(mask.bit_length()) if mask >> g & 1]
+
+
+GRAMMAR = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]*\.[0-9]+)")  # a document's rationals
+
+
+def _within_digit_limit(value: Fraction) -> Fraction:
+    """`value`, refused as a document refuses a numerator or denominator past the digit limit."""
+    limit = int_digit_limit()
+    for what, part in (("numerator", value.numerator), ("denominator", value.denominator)):
+        if limit and abs(part) >= 10**limit:
+            raise ValueError(f"{what} has more than {limit:,} digits, "
+                             f"more than a document can hold")
+    return value
+
+
+def reference_as_fraction(text: str) -> Fraction:
+    """`Fraction(str)` of a string behind the grammar, the digit limit and their messages."""
+    if not GRAMMAR.fullmatch(text):
+        raise ValueError(f"malformed rational {text!r} "
+                         f"(expected an integer, p/q or a plain decimal)")
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed rational {text!r} ({exc})") from None
+    return _within_digit_limit(value)
+
+
+def reference_table(values: list) -> tuple[tuple[Fraction, ...], int, tuple[int, ...]]:
+    """A `Table`'s (values, scale, _ints) from its entries, or the refusal it raises.
+
+    Each entry is read on its own as a non-negative Fraction: a string by
+    `reference_as_fraction`, an int or a Fraction as it is; a refused entry k
+    raises with the prefix "values[k]: ".  The scale is the least common
+    denominator, found after the empty set's entry is checked to be 0.
+    """
+    read = []
+    for k, x in enumerate(values):
+        try:
+            if isinstance(x, (bool, float)):
+                raise TypeError(f"only exact rationals are accepted, got {x!r}")
+            if isinstance(x, str):
+                value = reference_as_fraction(x)
+            elif isinstance(x, (int, Fraction)):
+                value = _within_digit_limit(Fraction(x))
+            else:
+                raise TypeError(f"expected a rational string, got {type(x).__name__}")
+            if value < 0:
+                raise ValueError(f"negative value {value}")
+        except (TypeError, ValueError) as exc:
+            raise type(exc)(f"values[{k}]: {exc}") from None
+        read.append(value)
+    if read[0] != 0:
+        raise ValueError("table is not normalized, value on the empty set must be 0")
+    scale = math.lcm(*(x.denominator for x in read))
+    return tuple(read), scale, tuple(x.numerator * scale // x.denominator for x in read)
 
 
 def reference_is_monotone(v: Valuation) -> bool:

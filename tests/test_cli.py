@@ -906,6 +906,36 @@ def test_certify_checks_each_table_for_monotonicity_once(capsys, monkeypatch, tm
         assert agent["monotone"] == {"holds": True, "witness": None}
 
 
+def test_certify_of_tables_runs_the_calls_the_benchmark_traces(capsys, monkeypatch, tmp_path):
+    # perfbench's certify-tables workload expects `valuations.is_monotone` and
+    # `Valuation.value_mask` to record calls.  certify takes a table's
+    # monotonicity from its load, so `Instance` is the one caller of the check,
+    # and the class checks tabulate each table through `value_mask`.
+    callers, masks = [], []
+    is_monotone, value_mask = valuations.is_monotone, valuations.Valuation.value_mask
+
+    def from_caller(v):
+        callers.append(type(sys._getframe(1).f_locals.get("self")).__name__)
+        return is_monotone(v)
+
+    def counted(oracle, mask):
+        masks.append(mask)
+        return value_mask(oracle, mask)
+
+    monkeypatch.setattr(valuations, "is_monotone", from_caller)
+    monkeypatch.setitem(valuations.CLASS_CHECKS, "monotone", from_caller)
+    monkeypatch.setattr(valuations.Valuation, "value_mask", counted)
+    path = tmp_path / "tables.json"
+    save(generate(GeneratorSpec("submodular_table", 2, 6, 0)), path)
+    callers.clear()
+    masks.clear()
+    code, out = run_cli(capsys, "certify", str(path), "--json")
+    assert code == 0
+    assert callers == ["Instance", "Instance"]  # once per agent, at load
+    assert sorted(set(masks)) == list(range(1 << 6))
+    assert [agent["monotone"]["holds"] for agent in json.loads(out)["agents"]] == [True, True]
+
+
 @pytest.mark.parametrize("m, agent", [
     (10**15, {"class": "table", "values": ["0"]}),
     (10**15, {"class": "oxs", "edges": []}),

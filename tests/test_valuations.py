@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import re
 from collections import Counter
 from fractions import Fraction
 
@@ -16,11 +15,13 @@ from hypothesis import strategies as st
 from conftest import (
     brute_force_matching_value,
     random_monotone_table_values,
+    reference_as_fraction,
     reference_is_additive,
     reference_is_cancelable,
     reference_is_monotone,
     reference_is_subadditive,
     reference_is_submodular,
+    reference_table,
     submodular_by_extension_bound,
     value_table,
 )
@@ -178,26 +179,6 @@ def test_as_fraction_returns_a_fraction_unchanged():
     assert as_fraction("3/7") == as_fraction(F(6, 14)) == x
 
 
-GRAMMAR = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]*\.[0-9]+)")  # a document's rationals
-
-
-def reference_as_fraction(text: str) -> Fraction:
-    """`Fraction(str)` of a string behind the grammar, the digit limit and their messages."""
-    if not GRAMMAR.fullmatch(text):
-        raise ValueError(f"malformed rational {text!r} "
-                         f"(expected an integer, p/q or a plain decimal)")
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed rational {text!r} ({exc})") from None
-    limit = valuations.int_digit_limit()
-    for what, part in (("numerator", value.numerator), ("denominator", value.denominator)):
-        if limit and abs(part) >= 10**limit:
-            raise ValueError(f"{what} has more than {limit:,} digits, "
-                             f"more than a document can hold")
-    return value
-
-
 @st.composite
 def rational_strings(draw):
     """Strings of the grammar (signs, leading zeros, p/q, p/0, decimals, ~4,300 digits) and not."""
@@ -238,6 +219,81 @@ def test_as_fraction_reads_a_string_as_fraction_does(text):
     assert outcome(as_fraction, text) == outcome(reference_as_fraction, text)
 
 
+# Table entries by the table's form: all unsigned digit strings (leading zeros,
+# and 577/578 digits on either side of the plain-integer read), all ints (on
+# either side of 2^1920), or a mix of every form a document or a caller spells.
+_DIGITS = st.builds(str.__add__, st.text("0", max_size=3),
+                    st.text("0123456789", min_size=1, max_size=5))
+TABLE_ENTRIES = {
+    "digits": _DIGITS | st.sampled_from(["9" * 577, "1" + "0" * 576, "9" * 578]),
+    "ints": st.integers(0, 10**6) | st.sampled_from([2**1920 - 1, 2**1920, 10**600]),
+    "mixed": _DIGITS | st.integers(0, 99) | st.builds(F, st.integers(0, 12), st.integers(1, 12))
+             | st.sampled_from(["+3", "-0", "+007", "3/4", "06/08", "0.5", ".25", "2.50"]),
+}
+TABLE_ZEROS = {"digits": ["0", "000"], "ints": [0],
+               "mixed": ["0", "-0", "+0", 0, F(0), "0/5", ".0"]}
+# Entries every table refuses, planted at entry k >= 1; entry 0 is refused when not 0.
+REFUSED_ENTRIES = ["\u0662", "\u00b2", "9" * 4301, True, 1.5, None, -1, "-3", "1/0", ""]
+
+
+@st.composite
+def table_entries(draw):
+    """(m, entries, form) of a normalized table of non-negative entries of one form."""
+    m = draw(st.integers(1, 3))
+    form = draw(st.sampled_from(sorted(TABLE_ENTRIES)))
+    rest = draw(st.lists(TABLE_ENTRIES[form], min_size=(1 << m) - 1, max_size=(1 << m) - 1))
+    return m, [draw(st.sampled_from(TABLE_ZEROS[form])), *rest], form
+
+
+def read_table(read, *args) -> tuple:
+    """(values, scale, ints) and the types of each, or the refusal's type and message."""
+    try:
+        values, scale, ints = read(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return values, scale, ints, {type(x) for x in values}, {type(x) for x in ints}
+
+
+def library_table(m: int, entries: list) -> tuple:
+    table = Table(m, entries)
+    return table.values, table.scale, table._ints
+
+
+@seed(20230131)
+@settings(max_examples=300, deadline=None)
+@given(case=table_entries())
+def test_table_reads_its_entries_as_the_fraction_reference_does(case):
+    m, entries, _ = case
+    got = read_table(library_table, m, entries)
+    assert got == read_table(reference_table, entries)
+    assert got[3:] == ({F}, {int})
+
+
+@seed(20230131)
+@settings(max_examples=300, deadline=None)
+@given(case=table_entries(), bad=st.sampled_from(REFUSED_ENTRIES), data=st.data())
+def test_table_refuses_an_entry_as_the_fraction_reference_does(case, bad, data):
+    m, entries, _ = case
+    k = data.draw(st.integers(1, (1 << m) - 1))
+    planted = [*entries[:k], bad, *entries[k + 1:]]
+    got = read_table(library_table, m, planted)
+    assert got == read_table(reference_table, planted)
+    assert got[1].startswith(f"values[{k}]: ")
+    unnormalized = [data.draw(st.sampled_from(["1", 1, "1/2"])), *entries[1:]]
+    got = read_table(library_table, m, unnormalized)
+    assert got == read_table(reference_table, unnormalized) == (
+        ValueError, "table is not normalized, value on the empty set must be 0")
+
+
+def test_plain_integer_tables_skip_the_per_entry_reader(monkeypatch):
+    read = []
+    amount = valuations._amount
+    monkeypatch.setattr(valuations, "_amount", lambda x: read.append(x) or amount(x))
+    mixed = Table(2, [0, "1", F(2), 3])
+    assert Table(2, ["0", "1", "02", "3"]) == Table(2, [0, 1, 2, 3]) == mixed
+    assert read == [0, "1", F(2), 3]  # only the mixed table is read entry by entry
+
+
 def test_repr_prints_m_and_each_field_as_a_document_writes_it():
     assert repr(Additive([2, F(1, 2)])) == "Additive(m=2, weights=['2', '1/2'])"
     assert repr(UnitDemand([0])) == "UnitDemand(m=1, weights=['0'])"
@@ -271,6 +327,30 @@ def test_is_monotone_examples():
 def test_instances_reject_non_monotone_tables():
     with pytest.raises(ValueError, match="not monotone"):
         Instance(n=1, m=2, valuations=(Table(2, [0, 2, 0, 1]),))
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_is_monotone_finds_a_lone_decrease_at_each_good(m):
+    # Across m = 1..8 every shape of slice is hit: strided at low bits, blocks at
+    # high bits, and one block at m = 1.
+    rng = random.Random(m)
+    for g in range(m):
+        bit = 1 << g
+        # v(T) = 8|T - g| + 4[g in T] + r(T), r in [0, 3] and r(empty) = 0, as every
+        # oracle's value_mask assumes: every marginal is positive...
+        values = [8 * (t & ~bit).bit_count() + 4 * (t >> g & 1) + (t and rng.randint(0, 3))
+                  for t in range(1 << m)]
+        rising = Signed(m, values)
+        s = rng.choice([t for t in range(1 << m) if not t & bit])
+        values[s | bit] = values[s] - 1  # ...but v(S + g) - v(S), now -1, and no other
+        falling = Signed(m, values)
+        assert is_monotone(rising) and reference_is_monotone(rising)
+        assert not is_monotone(falling) and not reference_is_monotone(falling)
+    for _ in range(5):
+        table = Table(m, random_monotone_table_values(rng, m))
+        assert is_monotone(table) and reference_is_monotone(table)
+        anything = Signed(m, [t and rng.randint(-1, 3) for t in range(1 << m)])
+        assert bool(is_monotone(anything)) == reference_is_monotone(anything)
 
 
 def test_is_additive():
