@@ -122,11 +122,11 @@ def as_fraction(x: int | str | Fraction) -> Fraction:
         raise TypeError(f"expected a rational string, got {type(x).__name__}")
     if not isinstance(x, str):
         value = x if isinstance(x, Fraction) else Fraction(x)
-    elif not (digits := x.isascii() and x.isdigit()) and (match := _RATIONAL.fullmatch(x)) is None:
+    elif (match := _RATIONAL.fullmatch(x)) is None:
         raise ValueError(f"malformed rational {x!r} (expected an integer, p/q or a plain decimal)")
-    else:  # unsigned ASCII digits skip the regex
-        p, q = (x, None) if digits else match.group("p", "q")
-        try:  # an integer or p/q from its own digits; `Fraction` reads a decimal
+    else:
+        p, q = match.group("p", "q")
+        try:  # an integer or p/q from the match's own digits; `Fraction` reads a decimal
             value = (Fraction(x) if p is None
                      else Fraction(-int(p) if x[0] == "-" else int(p), int(q) if q else 1))
         except (ValueError, ZeroDivisionError) as exc:  # p/0, or more digits than int() reads
@@ -161,11 +161,7 @@ def _listed(raw: Any, field: str) -> tuple:
 
 def _entries(raw: Any, field: str, read: Callable[[Any], Any]) -> tuple:
     """`read` of each entry of the list `field`, a refusal naming `field[k]`."""
-    entries = _listed(raw, field)
-    try:
-        return tuple(map(read, entries))
-    except (TypeError, ValueError):  # read again up to the refused entry, to name it
-        return tuple(_at(f"{field}[{k}]", read, x) for k, x in enumerate(entries))
+    return tuple(_at(f"{field}[{k}]", read, x) for k, x in enumerate(_listed(raw, field)))
 
 
 def _is_int(x: object) -> bool:
@@ -199,10 +195,14 @@ def _iter_bits(mask: int):
         mask ^= bit
 
 
-def _scaled(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
-    """The least common denominator of exact rationals (1 for none), and each of them times it."""
-    scale = lcm(*{x.denominator for x in values})
-    return scale, tuple(x.numerator * (scale // x.denominator) for x in values)
+def _lcd(values: Iterable[Fraction]) -> int:
+    """Least common denominator of exact rationals (1 when there are none)."""
+    return lcm(*{x.denominator for x in values})
+
+
+def _scaled(x: Fraction, scale: int) -> int:
+    """`scale * x` as an int; `scale` is a multiple of x's denominator."""
+    return x.numerator * (scale // x.denominator)
 
 
 class Valuation(ABC):
@@ -280,11 +280,10 @@ class _Weighted(Valuation):
     def _weigh(self, weights: Sequence[int | str | Fraction], *cap: int | str | Fraction) -> None:
         self.weights = _entries(weights, "weights", _amount)
         caps = tuple(_at("cap", _amount, x) for x in cap)
-        scale, ints = _scaled(self.weights + caps)
-        super().__init__(len(self.weights), scale)
-        self._ints = ints[:self.m]
-        if caps:  # a budget's cap, and its int
-            (self.cap,), (self._cap,) = caps, ints[self.m:]
+        if caps:
+            (self.cap,) = caps
+        super().__init__(len(self.weights), _lcd(self.weights + caps))
+        self._ints = tuple(_scaled(w, self.scale) for w in self.weights)
 
 
 class Additive(_Weighted):
@@ -303,6 +302,7 @@ class BudgetAdditive(_Weighted):
 
     def __init__(self, weights: Sequence[int | str | Fraction], cap: int | str | Fraction) -> None:
         self._weigh(weights, cap)
+        self._cap = _scaled(self.cap, self.scale)
 
     def _value_mask(self, mask: int) -> int:
         return min(self._cap, sum(self._ints[g] for g in _iter_bits(mask)))
@@ -353,16 +353,22 @@ class OXS(Valuation):
             return good, label, _amount(weight)
 
         self.edges = _entries(edges, "edges", edge)
-        self.scale, weights = _scaled([w for _, _, w in self.edges])
-        labels: dict[int | str, int] = {}  # slot index by label, in order of first use
-        rows: dict[int, dict[int, int]] = {}  # per good, the heaviest weight to each slot
-        for (good, label, _), x in zip(self.edges, weights):
-            row, slot = rows.setdefault(good, {}), labels.setdefault(label, len(labels))
-            row[slot] = max(x, row.get(slot, -1))
+        labels: dict[int | str, int] = {}
+        for _, label, _ in self.edges:
+            labels.setdefault(label, len(labels))
         self._slots = len(labels)
+        self.scale = _lcd(w for _, _, w in self.edges)
+        heaviest: dict[tuple[int, int], int] = {}  # by (good, slot)
+        for good, label, w in self.edges:
+            key, x = (good, labels[label]), _scaled(w, self.scale)
+            if heaviest.get(key, -1) < x:
+                heaviest[key] = x
+        rows: dict[int, list[tuple[int, int]]] = {}
+        for (good, slot), x in heaviest.items():
+            rows.setdefault(good, []).append((slot, x))
         self._adjacency: list[tuple[tuple[int, int], ...]] = [()] * m  # one shared empty row
         for good, row in rows.items():
-            self._adjacency[good] = tuple(row.items())
+            self._adjacency[good] = tuple(row)
 
     def _value_mask(self, mask: int) -> int:
         adjacency = self._adjacency
@@ -374,12 +380,10 @@ class Table(Valuation):
     """Explicit dense oracle: one value per subset, indexed by bitmask.
 
     Bit g of the index corresponds to good g.  The table must be normalized
-    (entry 0 is 0) with non-negative values; a bare table need not be
-    monotone (so `is_monotone` can report on it), but `Instance`, and so
-    document loading, refuses one that is not.  Plain integers (all ints in
-    [0, 2^1920), or all ASCII-digit strings of up to 577 digits, as
-    `generate` writes) are read by one `int` each, at scale 1, unchecked:
-    none has more digits than a document can hold.
+    (entry 0 is 0) with non-negative values; monotonicity is not required of
+    a bare table (so `is_monotone` can report on it) but is enforced
+    eagerly wherever tables are put to use: `Instance` construction, and so
+    document loading, rejects non-monotone tables.
     """
 
     kind, fields = "table", ("values",)
@@ -394,11 +398,12 @@ class Table(Valuation):
         text = "".join(values) if kinds == {str} else ""
         if (kinds == {int} and min(values) >= 0 and max(values).bit_length() <= 1920 or
                 text.isascii() and text.isdigit() and all(values) and max(map(len, values)) <= 577):
-            self._ints = tuple(map(int, values))
+            self._ints = tuple(map(int, values))  # plain integers: scale 1, none past the digit limit
             self.values = tuple(map(Fraction, self._ints))
-        else:  # every other table is read entry by entry
+        else:
             self.values = _entries(values, "values", _amount)
-            self.scale, self._ints = _scaled(self.values)
+            self.scale = _lcd(self.values)
+            self._ints = tuple(_scaled(x, self.scale) for x in self.values)
         if self.values[0] != 0:
             raise ValueError("table is not normalized, value on the empty set must be 0")
 
@@ -470,8 +475,10 @@ class Instance(Frozen):
                 raise ValueError(f"agent {i} valuation covers {v.m} goods, instance has {m}")
             if isinstance(v, Table) and not is_monotone(v):  # certify-tables traces this call
                 raise ValueError(f"agent {i} table is not monotone")
-        for name, value in zip(self.__slots__, (n, m, valuations, description)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "valuations", valuations)
+        object.__setattr__(self, "description", description)
 
 
 class ClassCheck(NamedTuple):
@@ -492,10 +499,11 @@ class ClassCheck(NamedTuple):
 def _integer_table(v: Valuation, check: str) -> tuple[int, ...]:
     """All 2^m values `scale * v(S)`, indexed by bitmask, tabulated once per oracle.
 
-    The checks' comparisons of values, sums and differences keep their
-    outcome under the positive scale, so they give the Fraction verdicts and
-    witnesses exactly.  The work of `check` on v's m goods is refused first,
-    under its name, on every call, tabulated or not.
+    Every test the class checks make (comparisons, differences, two-term sums)
+    is invariant under scaling by a positive constant, so the checks give the
+    verdicts and witnesses of the Fraction table, exactly, on plain ints.
+    The work of `check` on v's m goods is refused first, under its name, on
+    every call, tabulated or not.
     """
     check_subset_work(v.m, check, check)
     if v._table is None:  # through value_mask, even for a table: perfbench counts its calls
@@ -519,10 +527,13 @@ def is_monotone(v: Valuation) -> ClassCheck:
 
 
 def is_additive(v: Valuation) -> ClassCheck:
-    """Exhaustive: v(S) = v({g}) + v(S - g) for every non-empty S and its highest good g."""
+    """Exhaustive: v(S) equals the sum of singleton values over S."""
     vals = _integer_table(v, "is_additive")
-    return ClassCheck(all(vals[bit:2 * bit] == tuple(x + vals[bit] for x in vals[:bit])
-                          for bit in (1 << g for g in range(v.m))))
+    for mask in range(1, 1 << v.m):
+        bit = mask & -mask
+        if vals[mask] != vals[bit] + vals[mask ^ bit]:
+            return ClassCheck(False)
+    return ClassCheck(True)
 
 
 def _pairwise_violators(vals: Sequence[int], m: int) -> set[int]:

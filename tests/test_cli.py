@@ -107,7 +107,7 @@ EXPORTS = {
 }
 
 COLD_START = """
-import json, sys
+import sys
 
 def loaded():
     return sorted(name[len("rrfair."):] for name in sys.modules if name.startswith("rrfair."))
@@ -116,10 +116,12 @@ report = {}
 import rrfair
 report["import"] = loaded()
 if sys.argv[1] == "load":
-    rrfair.instances.load(sys.argv[2])
     for name in rrfair.FIXTURES:
         rrfair.build_fixture(name)
+    report["json"] = "json" in sys.modules  # before `load`, the codec's one reader of JSON
+    rrfair.instances.load(sys.argv[2])
 else:
+    import json
     exports = json.loads(sys.argv[2])
     report["all"] = sorted(rrfair.__all__)
     report["dir"] = sorted(set(rrfair.__all__) - set(dir(rrfair)))
@@ -136,6 +138,7 @@ else:
                             for name in ("matching", "scan_json", "cli")}  # `cli` imports the rest
 report["loaded"] = loaded()
 report["stdlib"] = sorted({"dataclasses", "inspect", "pathlib", "random"} & set(sys.modules))
+import json
 print(json.dumps(report))
 """
 
@@ -155,6 +158,7 @@ def test_loading_a_document_compiles_only_the_codec_and_the_oracles(tmp_path):
                          for kind in GENERATOR_CLASSES]), path)
     report = cold_start("load", str(path))
     assert report["import"] == []  # `import rrfair` loads no submodule
+    assert report["json"] is False  # building the fixtures loads no JSON module
     assert report["loaded"] == ["instances", "matching", "valuations"]
     assert report["stdlib"] == []
 
