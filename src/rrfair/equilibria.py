@@ -14,11 +14,14 @@ Every oracle is monotone, so v(B | available) bounds each completion of
 the bundle B.  For oracles subadditive by construction, v(B) plus the
 largest singleton total that the k picks to go can still win is a second
 bound, and the search takes the smaller.  With two agents the pick
-schedule limits what they can win: at most ⌈j/2⌉ of the first j goods
-still available in the other agent's order (see `best_response`).  With
-more agents the second bound takes the k largest singletons.  No bound
-prunes an optimum, so the value, the bundle and the lexicographically
-least optimal pick sequence are those of the exhaustive search.
+schedule decides what the deviator can win: exactly the sets with at most
+⌈j/2⌉ of the first j goods still available in the other agent's order,
+each won by picking it in that order (see `best_response`).  So a
+two-agent search picks only in that order, and for additive,
+budget-additive and unit-demand oracles its bound is exact.  With more
+agents the second bound takes the k largest singletons.  No bound prunes
+an optimum, so the value, the bundle and the lexicographically least
+optimal pick sequence are those of the exhaustive search.
 
 `ResponseMemo.score` is the one scoring loop: it compares each agent's
 current and best-response values, `value_mask` ints on her oracle's scale,
@@ -65,9 +68,10 @@ class BestResponse(NamedTuple):
     `ranking` lists the optimal picks first (lexicographically least among
     maximizers) and the remaining goods ascending; replaying the mechanism
     with it gives `bundle` back.  `explored_states` counts the distinct
-    search states whose children were generated.  States cut off by their
-    bound are not counted, and a state opened again, for a tighter answer
-    than its first visit gave, counts once.
+    (available goods, bundle) states whose children were generated, with
+    whichever candidate picks.  States cut off, or answered exactly, by
+    their bound are not counted, and a state opened again, for a tighter
+    answer or with other candidates, counts once.
     """
 
     ranking: Ranking
@@ -137,20 +141,21 @@ class EquilibriumReport(NamedTuple):
 
 
 def _scheduled_singles(goods: Sequence[tuple[int, int, int]], due: Sequence[int],
-                       avail: int, turns: int) -> int:
-    """The largest singleton total of goods of `avail` that fit `turns` picks by their deadlines.
+                       avail: int, cand: int, turns: int) -> int:
+    """The largest singleton total of goods of `cand` that fit `turns` picks by their deadlines.
 
     `goods` holds (bit, value, ahead) by decreasing value, `ahead` marking the
-    goods up to this one in the next picker's order.  The j-th available good
-    there may fill the picks marked in `due[j]`, bit t - 1 for the t-th pick
-    from here (`best_response` marks the first ⌈j/2⌉).  Each good in turn
-    takes the latest free pick it may fill, if one is free; the deadlines
-    make a matroid, so this greedy is optimal.
+    goods up to this one in the next picker's order.  A good's deadline
+    counts the goods of `avail` up to it there, `cand` being some of them:
+    the j-th may fill the picks marked in `due[j]`, bit t - 1 for the t-th
+    pick from here (`best_response` marks the first ⌈j/2⌉).  Each good in
+    turn takes the latest free pick it may fill, if one is free; the
+    deadlines make a matroid, so this greedy is optimal.
     """
     total = 0
     free = (1 << turns) - 1
     for bit, single, ahead in goods:
-        if avail & bit:
+        if cand & bit:
             fits = free & due[(avail & ahead).bit_count()]
             if fits:
                 free ^= 1 << fits.bit_length() - 1
@@ -201,6 +206,40 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking]) -> 
     largest such total.  The caps hold for any n, but with three or more
     agents they pruned 4% of the states at more than twice the cost per
     bound, so there the bound takes the k largest singleton values.
+
+    With two agents the caps are also sufficient.  Lemma: from a state at
+    `agent`'s turn, with σ the other agent's order over the available goods,
+    she can gain a set S of at most k goods if and only if S meets the
+    deadlines, |S ∩ P_j| <= ⌈j/2⌉ for every prefix P_j of σ; and she gains
+    it by picking S in σ-order.  Proof of sufficiency: let her pick s_1,
+    s_2, ... in σ-order, and say the other agent first takes a good of S at
+    its r-th pick.  She has taken s_1..s_r by then, so it takes s_{r+1}, and
+    only if every good before s_{r+1} in σ is gone.  Those are s_1..s_r and
+    at most r - 1 others, taken by its earlier picks, so s_{r+1} is at most
+    the 2r-th good of σ; its deadline then allows at most r goods of S up
+    to it, not r + 1.  So she gains S in her first |S| turns.
+
+    Every gainable set, and by monotonicity every optimum, is thus gained
+    by picks in σ-order, and the two-agent search tries only those: a
+    state's candidates are the available goods after its last pick in σ
+    (every available good when n != 2, and at the root), and its memo key
+    holds them.  A state whose candidates run out while she has turns left
+    scores its bundle alone: her further picks could only add value, and
+    the set they would complete is itself tried in σ-order.  The
+    lemma holds from every state, so the reconstruction tries each child
+    first with its σ candidates, usually a memo hit, and then with all the
+    available goods; the first whose value reaches the target is the least
+    optimal pick, as in the exhaustive search.
+
+    For additive, budget-additive and unit-demand oracles the two-agent
+    bound, the smaller of v(B) plus `_scheduled_singles` over the
+    candidates C and v(B ∪ C), is then the state's exact value: the greedy
+    maximizes the sum of S over the deadline matroid, hence min(cap, ·) of
+    it too, and the best single good is a candidate alone.  These classes
+    declare `deadline_bound_exact`, and the search returns that bound
+    without expanding the state.  For the other classes, v(B ∪ C), an
+    oracle read on a new bundle, is made only when v(B) plus
+    `_scheduled_singles` does not already prune.
     """
     if set(others) != set(range(inst.n)) - {agent}:
         raise ValueError("`others` must cover exactly the agents other than `agent`")
@@ -233,44 +272,52 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking]) -> 
     # (single-bit mask, its value) by decreasing value and then ascending good:
     # the search tries promising picks first, so the incumbent rises early.
     singles = sorted(((1 << g, value(1 << g)) for g in range(m)), key=lambda single: -single[1])
-    by_value = [bit for bit, _ in singles]
 
-    # One agent: v(bundle | avail) is exact.  Two: the other's order sets deadlines (above).
-    subadditive = v.subadditive_by_construction and n > 1
-    if subadditive and n == 2:
-        ahead, seen = {}, 0  # per good: the goods up to it in the other agent's order
+    # Per good: the goods up to it in the other agent's order, so a pick leaves the goods
+    # after it, `full ^ ahead`, as the next candidates; none when n != 2, so all stay.
+    ahead = dict.fromkeys((bit for bit, _ in singles), 0)
+    if n == 2:
+        seen = 0
         for g in order_of[1 - agent]:
             seen |= 1 << g
             ahead[1 << g] = seen
+    children = [(bit, full ^ ahead[bit]) for bit, _ in singles]
+
+    # One agent: v(bundle | avail) is exact.  Two: the other's order sets deadlines (above).
+    subadditive = v.subadditive_by_construction and n > 1
+    exact_bound = v.deadline_bound_exact and n == 2
+    if subadditive and n == 2:
         goods = [(bit, single, ahead[bit]) for bit, single in singles if single]
         due = [(1 << (j + 1 >> 1)) - 1 for j in range(m + 1)]
 
-    def bound(avail: int, bundle: int, step: int) -> int:
-        # An upper bound on every completion of `bundle` with goods of `avail`.
-        monotone = value(bundle | avail)
+    def bound(avail: int, bundle: int, cand: int, step: int, need: int) -> int:
+        # An upper bound on every completion of `bundle` with goods of `cand`.
         if not subadditive:
-            return monotone
+            return value(bundle | cand)
         k = (m - step + n - 1) // n  # picks to go
-        if n == 2:
-            return min(value(bundle) + _scheduled_singles(goods, due, avail, k), monotone)
         total = value(bundle)
-        for bit, single in singles:
-            if not k:
-                break
-            if avail & bit:
-                total += single
-                k -= 1
-        return min(total, monotone)
+        if n == 2:
+            total += _scheduled_singles(goods, due, avail, cand, k)
+            if total <= need and not exact_bound:
+                return total  # pruned without reading v(bundle | cand), a new bundle
+        else:
+            for bit, single in singles:
+                if not k:
+                    break
+                if cand & bit:
+                    total += single
+                    k -= 1
+        return min(total, value(bundle | cand))
 
-    exact: dict[tuple[int, int], int] = {}
-    upper: dict[tuple[int, int], int] = {}
+    exact: dict[tuple[int, int, int], int] = {}
+    upper: dict[tuple[int, int, int], int] = {}
     opened: set[tuple[int, int]] = set()
 
-    def solve(avail: int, bundle: int, step: int, need: int) -> int:
+    def solve(avail: int, bundle: int, cand: int, step: int, need: int) -> int:
         # The state's exact value when it exceeds `need`, else an upper bound <= need.
-        if step >= m:
+        if step >= m or not cand:
             return value(bundle)
-        key = (avail, bundle)
+        key = (avail, bundle, cand)
         hit = exact.get(key)
         if hit is not None:
             return hit
@@ -280,15 +327,16 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking]) -> 
                 raise SizeGuardError(f"size guard: {what} stored {most:,} states "
                                      f"({most * m:,} steps) and needs another, "
                                      f"over the budget of {budget:,}")
-            ub = upper[key] = bound(avail, bundle, step)
-        if ub <= need:
+            ub = upper[key] = bound(avail, bundle, cand, step, need)
+        if ub <= need or exact_bound:
             return ub
-        opened.add(key)
+        opened.add((avail, bundle))
         best = -1
-        for bit in by_value:
-            if avail & bit:
+        for bit, after in children:
+            if cand & bit:
                 next_avail, next_step = advance(avail ^ bit, step + 1)
-                result = solve(next_avail, bundle | bit, next_step, max(need, best))
+                result = solve(next_avail, bundle | bit, next_avail & after, next_step,
+                               max(need, best))
                 if result > best:
                     best = result
         if best > need:
@@ -299,10 +347,11 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking]) -> 
 
     try:
         avail0, step0 = advance(full, 0)
-        best_value = solve(avail0, 0, step0, -1)  # values are >= 0, so this is exact
+        best_value = solve(avail0, 0, avail0, step0, -1)  # values are >= 0, so this is exact
 
         # Reconstruct the lexicographically least optimal pick sequence: the first
-        # child, in ascending good order, whose value reaches the target.
+        # child, in ascending good order, whose value reaches the target, tried with
+        # its σ-order candidates and then with every available good.
         picks: list[int] = []
         avail, bundle, step, target = avail0, 0, step0, best_value
         while step < m:
@@ -311,7 +360,8 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking]) -> 
                 bit = mask & -mask
                 mask ^= bit
                 next_avail, next_step = advance(avail ^ bit, step + 1)
-                if solve(next_avail, bundle | bit, next_step, target - 1) == target:
+                if any(solve(next_avail, bundle | bit, cand, next_step, target - 1) == target
+                       for cand in (next_avail & ~ahead[bit], next_avail)):
                     picks.append(bit.bit_length() - 1)
                     avail, bundle, step = next_avail, bundle | bit, next_step
                     break

@@ -216,6 +216,8 @@ class Valuation(ABC):
     during searches and exhaustive checks are cheap.
     `subadditive_by_construction` states, per class, that v(S | T) <=
     v(S) + v(T) holds for every oracle of the class; searches rely on it.
+    `deadline_bound_exact` states that the two-agent search bound is the
+    exact value of every search state (see `equilibria.best_response`).
 
     Each oracle class declares `kind`, its document and report name, and
     `fields`, the attributes besides m that define an oracle, in document
@@ -225,6 +227,7 @@ class Valuation(ABC):
     kind: str
     fields: tuple[str, ...] = ()
     subadditive_by_construction = False
+    deadline_bound_exact = False
 
     def __init__(self, m: int, scale: int = 1) -> None:
         if not _is_int(m):
@@ -271,7 +274,7 @@ class Valuation(ABC):
 class _Weighted(Valuation):
     """Non-negative weights, then a budget's cap, in one constructor; `_ints` scales the weights."""
 
-    subadditive_by_construction = True
+    subadditive_by_construction = deadline_bound_exact = True
     fields = ("weights",)
 
     def __init__(self, weights: Sequence[int | str | Fraction]) -> None:
@@ -399,13 +402,20 @@ class Table(Valuation):
         if (kinds == {int} and min(values) >= 0 and max(values).bit_length() <= 1920 or
                 text.isascii() and text.isdigit() and all(values) and max(map(len, values)) <= 577):
             self._ints = tuple(map(int, values))  # plain integers: scale 1, none past the digit limit
-            self.values = tuple(map(Fraction, self._ints))
+            self._values: tuple[Fraction, ...] | None = None  # built on first read
         else:
-            self.values = _entries(values, "values", _amount)
-            self.scale = _lcd(self.values)
-            self._ints = tuple(_scaled(x, self.scale) for x in self.values)
-        if self.values[0] != 0:
+            self._values = _entries(values, "values", _amount)
+            self.scale = _lcd(self._values)
+            self._ints = tuple(_scaled(x, self.scale) for x in self._values)
+        if self._ints[0]:
             raise ValueError("table is not normalized, value on the empty set must be 0")
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """The entries as exact rationals; a plain-integer table builds them when first read."""
+        if self._values is None:
+            self._values = tuple(map(Fraction, self._ints))
+        return self._values
 
     def _value_mask(self, mask: int) -> int:
         return self._ints[mask]

@@ -46,7 +46,7 @@ from rrfair.instances import (
     no_pne_instance,
     oxs_lower_bound_instance,
 )
-from rrfair.mechanism import Profile, Ranking, deal, round_robin
+from rrfair.mechanism import Profile, Ranking, deal, ranking_from_picks, round_robin
 from rrfair.profiles import bluff_profile, truthful_profile, truthful_ranking
 from rrfair.valuations import (
     OXS,
@@ -231,6 +231,20 @@ def test_best_response_returns_on_20_goods(kind):
             round_robin(inst, profile).bundles[agent])
 
 
+@pytest.mark.parametrize("kind", ["additive", "budget_additive", "unit_demand"])
+def test_two_agent_weighted_searches_return_their_exact_bound_on_200_goods(kind):
+    # The deadline bound is exact for these classes: no state is expanded.
+    inst = generate(GeneratorSpec(valuation_class=kind, n=2, m=200, seed=0))
+    profile = truthful_profile(inst)
+    alloc = round_robin(inst, profile)
+    for agent in range(2):
+        response = best_response(inst, agent, profile.others(agent))
+        assert response.explored_states == 0
+        assert response.value >= inst.valuations[agent].value(alloc.bundles[agent])
+        deviated = round_robin(inst, profile.replace(agent, response.ranking))
+        assert deviated.bundles[agent] == response.bundle
+
+
 # ---------------------------------------------------------------------------
 # the branch-and-bound search against the exhaustive reference search
 
@@ -359,6 +373,17 @@ def meets_the_schedule(gained: int, avail: int, order) -> bool:
     return True
 
 
+def schedule_greedy_inputs(follower, weights) -> tuple[dict, list, list]:
+    """`_scheduled_singles`'s goods and deadlines: per good, the goods up to it in `follower`."""
+    ahead, seen = {}, 0
+    for g in follower:
+        seen |= 1 << g
+        ahead[g] = seen
+    by_value = sorted(range(len(weights)), key=lambda g: -weights[g])
+    goods = [(1 << g, weights[g], ahead[g]) for g in by_value]
+    return ahead, goods, [(1 << (j + 1 >> 1)) - 1 for j in range(len(weights) + 1)]
+
+
 @st.composite
 def schedule_cases(draw):
     n = draw(st.sampled_from((2, 3, 4)))
@@ -375,12 +400,7 @@ def schedule_cases(draw):
 def test_the_pick_schedule_holds_every_reachable_bundle_and_the_greedy_is_its_optimum(case):
     n, m, agent, orders, weights = case
     follower = orders[(agent + 1) % n]
-    ahead, seen = {}, 0
-    for g in follower:
-        seen |= 1 << g
-        ahead[g] = seen
-    goods = [(1 << g, weights[g], ahead[g]) for g in sorted(range(m), key=lambda g: -weights[g])]
-    due = [(1 << (j + 1 >> 1)) - 1 for j in range(m + 1)]
+    _, goods, due = schedule_greedy_inputs(follower, weights)
 
     def advance(avail: int, step: int) -> tuple[int, int]:
         while step < m and step % n != agent:
@@ -407,11 +427,44 @@ def test_the_pick_schedule_holds_every_reachable_bundle_and_the_greedy_is_its_op
         feasible = (s for s in range(1 << m) if s & avail == s and s.bit_count() <= turns
                     and meets_the_schedule(s, avail, follower))
         best = max(sum(weights[g] for g in range(m) if s >> g & 1) for s in feasible)
-        assert equilibria._scheduled_singles(goods, due, avail, turns) == best
+        assert equilibria._scheduled_singles(goods, due, avail, avail, turns) == best
         gains[avail] = out
         return out
 
     reach(*advance((1 << m) - 1, 0))
+
+
+@seed(20261020)
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(min_value=1, max_value=7), agent=st.sampled_from((0, 1)),
+       order_seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_two_agents_gain_exactly_the_sets_that_meet_the_schedule_in_the_others_order(
+        m, agent, order_seed):
+    # The lemma in `best_response`: with two agents, the deadlines are sufficient too.
+    rng = random.Random(order_seed)
+    sigma = tuple(rng.sample(range(m), m))
+    weights = [rng.randint(0, 9) for _ in range(m)]
+    avail = ((1 << m) - 1) ^ (1 << sigma[0] if agent else 0)  # at her first turn
+    turns = len(range(agent, m, 2))
+
+    def dealt(ranking) -> tuple[list[int], int]:
+        picks, masks = deal((ranking, sigma) if agent == 0 else (sigma, ranking), m)
+        return picks[agent::2], masks[agent]
+
+    gained = {dealt(ranking)[1] for ranking in itertools.permutations(range(m))}
+    feasible = [s for s in range(1 << m) if s & avail == s and s.bit_count() <= turns
+                and meets_the_schedule(s, avail, sigma)]
+    assert gained == {s for s in feasible if s.bit_count() == turns}
+    for s in feasible:
+        in_sigma = [g for g in sigma if s >> g & 1]
+        assert dealt(ranking_from_picks(in_sigma, m).order)[0][:len(in_sigma)] == in_sigma
+    # The search's bound after a pick in σ-order: the greedy over the goods after
+    # it, whose deadlines still count every available good, is their best total.
+    ahead, goods, due = schedule_greedy_inputs(sigma, weights)
+    for cand in [avail] + [avail & ~ahead[g] for g in sigma]:
+        best = max(sum(weights[g] for g in range(m) if s >> g & 1)
+                   for s in feasible if s & cand == s)
+        assert equilibria._scheduled_singles(goods, due, avail, cand, turns) == best
 
 
 # ---------------------------------------------------------------------------
@@ -472,22 +525,22 @@ def test_convex_tables_exercise_the_monotone_bound():
 # must leave them as they are; a change to what the bounds prune, or to the
 # order picks are tried in, moves the state counts.
 PINNED_SEARCHES = [
-    (14, 41, (4, 1, 2, 6, 8, 9, 3, 0, 5, 7, 10, 11, 12, 13)),
-    (33, 34, (7, 4, 1, 11, 9, 10, 13, 0, 2, 3, 5, 6, 8, 12)),
-    (23, 41, (8, 2, 4, 6, 13, 1, 3, 0, 5, 7, 9, 10, 11, 12)),
-    (28, 36, (0, 4, 10, 11, 1, 5, 12, 2, 3, 6, 7, 8, 9, 13)),
-    (16, 42, (0, 1, 2, 3, 4, 6, 8, 5, 7, 9, 10, 11, 12, 13)),
-    (31, 35, (0, 5, 10, 3, 11, 8, 9, 1, 2, 4, 6, 7, 12, 13)),
-    (16, 40, (0, 1, 6, 2, 9, 13, 4, 3, 5, 7, 8, 10, 11, 12)),
-    (43, 37, (4, 10, 5, 7, 1, 2, 9, 0, 3, 6, 8, 11, 12, 13)),
-    (19, 42, (6, 0, 1, 2, 4, 3, 8, 5, 7, 9, 10, 11, 12, 13)),
-    (90, 37, (0, 5, 7, 10, 11, 4, 6, 1, 2, 3, 8, 9, 12, 13)),
-    (21, 39, (0, 6, 8, 1, 13, 4, 9, 2, 3, 5, 7, 10, 11, 12)),
-    (177, 37, (0, 2, 4, 5, 10, 7, 9, 1, 3, 6, 8, 11, 12, 13)),
-    (17, 42, (0, 2, 8, 1, 6, 3, 4, 5, 7, 9, 10, 11, 12, 13)),
-    (43, 37, (4, 7, 10, 3, 5, 8, 11, 0, 1, 2, 6, 9, 12, 13)),
-    (17, 42, (0, 1, 2, 4, 9, 6, 8, 3, 5, 7, 10, 11, 12, 13)),
-    (175, 37, (7, 1, 5, 9, 10, 4, 6, 0, 2, 3, 8, 11, 12, 13)),
+    (0, 41, (4, 1, 2, 6, 8, 9, 3, 0, 5, 7, 10, 11, 12, 13)),
+    (36, 34, (7, 4, 1, 11, 9, 10, 13, 0, 2, 3, 5, 6, 8, 12)),
+    (0, 41, (8, 2, 4, 6, 13, 1, 3, 0, 5, 7, 9, 10, 11, 12)),
+    (22, 36, (0, 4, 10, 11, 1, 5, 12, 2, 3, 6, 7, 8, 9, 13)),
+    (0, 42, (0, 1, 2, 3, 4, 6, 8, 5, 7, 9, 10, 11, 12, 13)),
+    (12, 35, (0, 5, 10, 3, 11, 8, 9, 1, 2, 4, 6, 7, 12, 13)),
+    (0, 40, (0, 1, 6, 2, 9, 13, 4, 3, 5, 7, 8, 10, 11, 12)),
+    (34, 37, (4, 10, 5, 7, 1, 2, 9, 0, 3, 6, 8, 11, 12, 13)),
+    (0, 42, (6, 0, 1, 2, 4, 3, 8, 5, 7, 9, 10, 11, 12, 13)),
+    (50, 37, (0, 5, 7, 10, 11, 4, 6, 1, 2, 3, 8, 9, 12, 13)),
+    (0, 39, (0, 6, 8, 1, 13, 4, 9, 2, 3, 5, 7, 10, 11, 12)),
+    (42, 37, (0, 2, 4, 5, 10, 7, 9, 1, 3, 6, 8, 11, 12, 13)),
+    (0, 42, (0, 2, 8, 1, 6, 3, 4, 5, 7, 9, 10, 11, 12, 13)),
+    (30, 37, (4, 7, 10, 3, 5, 8, 11, 0, 1, 2, 6, 9, 12, 13)),
+    (0, 42, (0, 1, 2, 4, 9, 6, 8, 3, 5, 7, 10, 11, 12, 13)),
+    (78, 37, (7, 1, 5, 9, 10, 4, 6, 0, 2, 3, 8, 11, 12, 13)),
 ]
 
 
@@ -506,7 +559,7 @@ def test_search_work_is_pinned_on_an_additive_vs_oxs_instance():
             response = best_response(inst, agent, {1 - agent: Ranking(orders[1 - agent])})
             searches.append((response.explored_states, response.value, response.ranking.order))
     assert searches == PINNED_SEARCHES
-    assert sum(states for states, _, _ in searches) == 763
+    assert sum(states for states, _, _ in searches) == 304
 
 
 # ---------------------------------------------------------------------------

@@ -119,15 +119,15 @@ def test_each_guard_refuses_past_its_boundary_before_any_work(what, last, past, 
 
 
 def test_best_response_refuses_once_its_stored_states_pass_the_budget(monkeypatch):
-    # The 2 x 16 search stores 204 states of 16 children each: a budget of
-    # 204 * 16 steps admits it, and one step less refuses the 204th state.
+    # The 2 x 16 search stores 64 states of 16 children each: a budget of
+    # 64 * 16 steps admits it, and one step less refuses the 64th state.
     _, run = two_agent_search(16)
-    monkeypatch.setattr(valuations, "WORK_BUDGET", 204 * 16 - 1)
+    monkeypatch.setattr(valuations, "WORK_BUDGET", 64 * 16 - 1)
     with pytest.raises(SizeGuardError) as refused:
         run()
     assert str(refused.value) == (
-        "size guard: best_response for agent 1 of 2 on 16 goods stored 203 states "
-        "(3,248 steps) and needs another, over the budget of 3,263"
+        "size guard: best_response for agent 1 of 2 on 16 goods stored 63 states "
+        "(1,008 steps) and needs another, over the budget of 1,023"
     )
-    monkeypatch.setattr(valuations, "WORK_BUDGET", 204 * 16)
+    monkeypatch.setattr(valuations, "WORK_BUDGET", 64 * 16)
     run()

@@ -294,6 +294,12 @@ def test_plain_integer_tables_skip_the_per_entry_reader(monkeypatch):
     assert read == [0, "1", F(2), 3]  # only the mixed table is read entry by entry
 
 
+def test_a_plain_integer_table_builds_its_fractions_when_first_read():
+    table = Table(2, ["0", "1", "02", "3"])
+    assert table.value_mask(3) == 3 and table._values is None
+    assert table.values == (0, 1, 2, 3) and table.values is table.values
+
+
 def test_repr_prints_m_and_each_field_as_a_document_writes_it():
     assert repr(Additive([2, F(1, 2)])) == "Additive(m=2, weights=['2', '1/2'])"
     assert repr(UnitDemand([0])) == "UnitDemand(m=1, weights=['0'])"
