@@ -23,6 +23,12 @@ agents the second bound takes the k largest singletons.  No bound prunes
 an optimum, so the value, the bundle and the lexicographically least
 optimal pick sequence are those of the exhaustive search.
 
+Finding that pick sequence is a second pass over the search's memo tables,
+and only `best_response`'s default, which the `best-response` command
+uses, makes it.  Equilibrium factors depend on values alone, so
+`pne_factor` asks for the value only: its searches stop after the first
+pass, and their `explored_states` counts that pass's states.
+
 `ResponseMemo.score` is the one scoring loop: it compares each agent's
 current and best-response values, `value_mask` ints on her oracle's scale,
 by cross-multiplication, and keeps the least ratio as a reduced int pair.
@@ -67,15 +73,16 @@ class BestResponse(NamedTuple):
 
     `ranking` lists the optimal picks first (lexicographically least among
     maximizers) and the remaining goods ascending; replaying the mechanism
-    with it gives `bundle` back.  `explored_states` counts the distinct
-    (available goods, bundle) states whose children were generated, with
-    whichever candidate picks.  States cut off, or answered exactly, by
-    their bound are not counted, and a state opened again, for a tighter
-    answer or with other candidates, counts once.
+    with it gives `bundle` back.  Both are None for a value-only search.
+    `explored_states` counts the distinct (available goods, bundle) states
+    whose children were generated, with whichever candidate picks: by the
+    value search alone, or by it and the reconstruction.  States cut off,
+    or answered exactly, by their bound are not counted, and a state opened
+    again, for a tighter answer or with other candidates, counts once.
     """
 
-    ranking: Ranking
-    bundle: frozenset[int]
+    ranking: Ranking | None
+    bundle: frozenset[int] | None
     value: Fraction
     explored_states: int
 
@@ -165,8 +172,13 @@ def _scheduled_singles(goods: Sequence[tuple[int, int, int]], due: Sequence[int]
     return total
 
 
-def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking]) -> BestResponse:
+def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking], *,
+                  ranking: bool = True) -> BestResponse:
     """Maximize `agent`'s true value over all ranking deviations.
+
+    With `ranking=False` the search returns its value alone, with `ranking`
+    and `bundle` None, and never runs the reconstruction: the budget then
+    charges the value search's states only.
 
     Ties in value resolve toward the lexicographically least pick sequence.
     Each state stored charges m steps; the search refuses with
@@ -348,6 +360,8 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking]) -> 
     try:
         avail0, step0 = advance(full, 0)
         best_value = solve(avail0, 0, avail0, step0, -1)  # values are >= 0, so this is exact
+        if not ranking:
+            return BestResponse(None, None, Fraction(best_value, v.scale), len(opened))
 
         # Reconstruct the lexicographically least optimal pick sequence: the first
         # child, in ascending good order, whose value reaches the target, tried with
@@ -404,7 +418,7 @@ def pne_factor(
     orders = tuple(r.order for r in profile.rankings)
     masks = [sum(1 << g for g in bundle) for bundle in allocation.bundles]
     p, q = responses.score(orders, masks, lambda i: int(
-        best_response(inst, i, profile.others(i)).value * inst.valuations[i].scale))
+        best_response(inst, i, profile.others(i), ranking=False).value * inst.valuations[i].scale))
     per_agent = []
     for i, (v, mask) in enumerate(zip(inst.valuations, masks)):
         current = Fraction(v.value_mask(mask), v.scale)

@@ -451,6 +451,23 @@ def test_run_guard_policy_exit(capsys, monkeypatch, tmp_path):
     assert code == 3
 
 
+def test_run_charges_the_value_search_alone_against_the_budget(capsys, tmp_path):
+    # On 2 x 400 additive goods both value searches expand no state; the ranking
+    # reconstruction, which only `best-response` runs, passes the budget.
+    path = str(tmp_path / "additive.json")
+    assert main(["generate", "--class", "additive", "--agents", "2", "--goods", "400",
+                 "--seed", "0", "-o", path]) == 0
+    capsys.readouterr()
+    code, out = run_cli(capsys, "run", path, "--profile", "truthful", "--json",
+                        "--require-equilibrium")
+    assert code == 0
+    assert json.loads(out)["equilibrium"]["pne_factor"]["frac"] == "1077/1220"
+    assert main(["best-response", path, "--agent", "1"]) == 3
+    assert capsys.readouterr().err == (
+        "error: size guard: best_response for agent 1 of 2 on 400 goods stored 25,000 states "
+        "(10,000,000 steps) and needs another, over the budget of 10,000,000\n")
+
+
 # ---------------------------------------------------------------------------
 # reproduce
 

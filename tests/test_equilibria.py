@@ -309,6 +309,12 @@ def test_branch_and_bound_matches_the_exhaustive_reference(n, m, kinds, instance
         assert response.explored_states <= reference.explored_states
         if m <= 6:
             assert response.value == brute_force_best_response(inst, agent, others)
+        # The value-only search is the full search without its reconstruction: the
+        # same value, no ranking or bundle, and at most the full search's states.
+        value_only = best_response(inst, agent, others, ranking=False)
+        assert value_only.value == reference.value
+        assert value_only.ranking is None and value_only.bundle is None
+        assert value_only.explored_states <= response.explored_states
 
 
 @seed(20261018)
@@ -544,7 +550,7 @@ PINNED_SEARCHES = [
 ]
 
 
-def test_search_work_is_pinned_on_an_additive_vs_oxs_instance():
+def additive_vs_oxs_instance() -> Instance:
     # 2 x 14, drawn the way the benchmark's deep scan draws its documents.
     rng = random.Random(16)
     m = 14
@@ -552,7 +558,11 @@ def test_search_work_is_pinned_on_an_additive_vs_oxs_instance():
     slots = rng.randint(m // 2, m)
     edges = [(g, rng.randrange(slots), rng.randint(0, 8))
              for g in range(m) for _ in range(rng.randint(1, 2))]
-    inst = Instance(2, m, (Additive(weights), OXS(m, edges)))
+    return Instance(2, m, (Additive(weights), OXS(m, edges)))
+
+
+def test_search_work_is_pinned_on_an_additive_vs_oxs_instance():
+    inst = additive_vs_oxs_instance()
     searches = []
     for orders in profile_orders(inst, samples=8, seed=16):
         for agent in range(2):
@@ -598,6 +608,28 @@ def test_bluff_profile_is_half_equilibrium_for_submodular_agents():
             )
             report = pne_factor(inst, bluff_profile(inst))
             assert report.pne_factor >= F(1, 2), (cls, inst.description)
+
+
+def test_equilibrium_factors_read_best_response_values_without_a_ranking(monkeypatch):
+    seen = []
+
+    def recording(*args, **kwargs):
+        result = best_response(*args, **kwargs)
+        seen.append(result)
+        return result
+
+    monkeypatch.setattr(equilibria, "best_response", recording)
+    no_pne, pinned = no_pne_instance(), additive_vs_oxs_instance()
+    orders = next(profile_orders(pinned, samples=8, seed=16))  # the first pinned profile
+    for inst, profile in ((no_pne, truthful_profile(no_pne)),
+                          (pinned, Profile(tuple(map(Ranking, orders))))):
+        seen.clear()
+        report = pne_factor(inst, profile)
+        assert len(seen) == inst.n
+        assert all(result.ranking is None and result.bundle is None for result in seen)
+        for agent in report.per_agent:
+            full = best_response(inst, agent.agent, profile.others(agent.agent))
+            assert agent.best_response_value == full.value
 
 
 def test_zero_value_agents_impose_no_constraint():
