@@ -19,9 +19,10 @@ schedule decides what the deviator can win: exactly the sets with at most
 each won by picking it in that order (see `best_response`).  So a
 two-agent search picks only in that order, and for additive,
 budget-additive and unit-demand oracles its bound is exact.  With more
-agents the second bound takes the k largest singletons.  No bound prunes
-an optimum, so the value, the bundle and the lexicographically least
-optimal pick sequence are those of the exhaustive search.
+agents the same greedy runs with no deadline: it takes the k largest
+singletons.  No bound prunes an optimum, so the value, the bundle and the
+lexicographically least optimal pick sequence are those of the
+exhaustive search.
 
 Finding that pick sequence is a second pass over the search's memo tables,
 and only `best_response`'s default, which the `best-response` command
@@ -155,9 +156,10 @@ def _scheduled_singles(goods: Sequence[tuple[int, int, int]], due: Sequence[int]
     goods up to this one in the next picker's order.  A good's deadline
     counts the goods of `avail` up to it there, `cand` being some of them:
     the j-th may fill the picks marked in `due[j]`, bit t - 1 for the t-th
-    pick from here (`best_response` marks the first ⌈j/2⌉).  Each good in
-    turn takes the latest free pick it may fill, if one is free; the
-    deadlines make a matroid, so this greedy is optimal.
+    pick from here (`best_response` marks the first ⌈j/2⌉ with two agents,
+    and all, `due = [-1]`, with more).  Each good in turn takes the latest
+    free pick it may fill, if one is free; the deadlines make a matroid, so
+    this greedy is optimal.
     """
     total = 0
     free = (1 << turns) - 1
@@ -217,7 +219,8 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking], *,
     by decreasing value while they still fit their deadlines, finds the
     largest such total.  The caps hold for any n, but with three or more
     agents they pruned 4% of the states at more than twice the cost per
-    bound, so there the bound takes the k largest singleton values.
+    bound.  So there no pick has a deadline: `due` is [-1], every good's
+    `ahead` is 0, and the same greedy takes the k largest singleton values.
 
     With two agents the caps are also sufficient.  Lemma: from a state at
     `agent`'s turn, with σ the other agent's order over the available goods,
@@ -249,14 +252,18 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking], *,
     maximizes the sum of S over the deadline matroid, hence min(cap, ·) of
     it too, and the best single good is a candidate alone.  These classes
     declare `deadline_bound_exact`, and the search returns that bound
-    without expanding the state.  For the other classes, v(B ∪ C), an
-    oracle read on a new bundle, is made only when v(B) plus
-    `_scheduled_singles` does not already prune.
+    without expanding the state.  For the other classes, and for every
+    class with three or more agents, v(B ∪ C), an oracle read on a new
+    bundle, is made only when v(B) plus `_scheduled_singles` does not
+    already prune.
     """
     if set(others) != set(range(inst.n)) - {agent}:
         raise ValueError("`others` must cover exactly the agents other than `agent`")
-
     m, n = inst.m, inst.n
+    for i, r in others.items():
+        if r.m != m:
+            raise ValueError(f"ranking of agent {i + 1} covers {r.m} goods, instance has {m}")
+
     what = f"best_response for agent {agent + 1} of {n} on {m} goods"
     turns, deepest = len(range(agent, m, n)), sys.getrecursionlimit() // 2
     if turns > deepest:  # `solve` recurses once per turn; the caller keeps the other half
@@ -296,29 +303,21 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking], *,
     children = [(bit, full ^ ahead[bit]) for bit, _ in singles]
 
     # One agent: v(bundle | avail) is exact.  Two: the other's order sets deadlines (above).
+    # More: every pick is free (`ahead` is 0), so the greedy takes the k largest singles.
     subadditive = v.subadditive_by_construction and n > 1
     exact_bound = v.deadline_bound_exact and n == 2
-    if subadditive and n == 2:
+    if subadditive:
         goods = [(bit, single, ahead[bit]) for bit, single in singles if single]
-        due = [(1 << (j + 1 >> 1)) - 1 for j in range(m + 1)]
+        due = [(1 << (j + 1 >> 1)) - 1 for j in range(m + 1)] if n == 2 else [-1]
 
     def bound(avail: int, bundle: int, cand: int, step: int, need: int) -> int:
         # An upper bound on every completion of `bundle` with goods of `cand`.
         if not subadditive:
             return value(bundle | cand)
         k = (m - step + n - 1) // n  # picks to go
-        total = value(bundle)
-        if n == 2:
-            total += _scheduled_singles(goods, due, avail, cand, k)
-            if total <= need and not exact_bound:
-                return total  # pruned without reading v(bundle | cand), a new bundle
-        else:
-            for bit, single in singles:
-                if not k:
-                    break
-                if cand & bit:
-                    total += single
-                    k -= 1
+        total = value(bundle) + _scheduled_singles(goods, due, avail, cand, k)
+        if total <= need and not exact_bound:
+            return total  # pruned without reading v(bundle | cand), a new bundle
         return min(total, value(bundle | cand))
 
     exact: dict[tuple[int, int, int], int] = {}

@@ -156,6 +156,18 @@ def test_best_response_guards(monkeypatch):
         best_response(big, 0, {1: Ranking(tuple(range(16)))})
 
 
+@pytest.mark.parametrize("ranking", [True, False])
+@pytest.mark.parametrize("order", [(0, 1), (0, 1, 2, 3, 4, 5)])
+def test_best_response_refuses_a_ranking_of_another_good_count(order, ranking):
+    # Unchecked, a short ranking fails the reconstruction, or the value search
+    # silently scores a truncated run at 2 where the best response is worth 7.
+    inst = Instance(n=2, m=4, valuations=(Additive([1, 2, 3, 4]), Additive([4, 3, 2, 1])))
+    with pytest.raises(ValueError, match=f"^ranking of agent 2 covers {len(order)} goods, "
+                       "instance has 4$"):
+        best_response(inst, 0, {1: Ranking(order)}, ranking=ranking)
+    assert best_response(inst, 0, {1: Ranking((0, 1, 2, 3))}, ranking=ranking).value == 7
+
+
 @pytest.mark.parametrize("n, m", [(1, 1000), (2, 2000)])
 def test_a_search_too_deep_to_recurse_is_refused_before_it_starts(n, m):
     # `solve` recurses once per turn of the agent; its first descent stores one
@@ -434,6 +446,10 @@ def test_the_pick_schedule_holds_every_reachable_bundle_and_the_greedy_is_its_op
                     and meets_the_schedule(s, avail, follower))
         best = max(sum(weights[g] for g in range(m) if s >> g & 1) for s in feasible)
         assert equilibria._scheduled_singles(goods, due, avail, avail, turns) == best
+        # With no deadlines, as for three or more agents, every pick is free.
+        free_goods = [(bit, single, 0) for bit, single, _ in goods]
+        assert equilibria._scheduled_singles(free_goods, [-1], avail, avail, turns) == sum(
+            sorted((weights[g] for g in range(m) if avail >> g & 1), reverse=True)[:turns])
         gains[avail] = out
         return out
 
@@ -570,6 +586,38 @@ def test_search_work_is_pinned_on_an_additive_vs_oxs_instance():
             searches.append((response.explored_states, response.value, response.ranking.order))
     assert searches == PINNED_SEARCHES
     assert sum(states for states, _, _ in searches) == 304
+
+
+# Per 3-agent search: the value-only search's explored states, then the full
+# search's value and ranking.  The bound gives every pick of three or more
+# agents no deadline, so only the singleton values decide what it prunes.
+PINNED_THREE_AGENT_SEARCHES = [
+    (19, 27, (1, 9, 6, 4, 0, 2, 3, 5, 7, 8, 10)),
+    (14, 30, (0, 8, 6, 7, 1, 2, 3, 4, 5, 9, 10)),
+    (3, 24, (0, 3, 8, 1, 2, 4, 5, 6, 7, 9, 10)),
+    (28, 26, (4, 1, 2, 9, 0, 3, 5, 6, 7, 8, 10)),
+    (13, 30, (8, 6, 10, 2, 0, 1, 3, 4, 5, 7, 9)),
+    (7, 24, (6, 3, 10, 0, 1, 2, 4, 5, 7, 8, 9)),
+    (11, 27, (1, 6, 4, 9, 0, 2, 3, 5, 7, 8, 10)),
+    (14, 30, (2, 0, 4, 10, 1, 3, 5, 6, 7, 8, 9)),
+    (3, 24, (0, 1, 4, 2, 3, 5, 6, 7, 8, 9, 10)),
+    (23, 27, (1, 4, 6, 9, 0, 2, 3, 5, 7, 8, 10)),
+    (7, 31, (0, 10, 2, 6, 1, 3, 4, 5, 7, 8, 9)),
+    (4, 24, (1, 6, 10, 0, 2, 3, 4, 5, 7, 8, 9)),
+]
+
+
+def test_value_search_work_is_pinned_on_a_three_agent_oxs_instance():
+    inst = generate(GeneratorSpec("oxs", 3, 11, 1))
+    searches = []
+    for orders in profile_orders(inst, samples=4, seed=1):
+        for agent in range(3):
+            others = {i: Ranking(orders[i]) for i in range(3) if i != agent}
+            states = best_response(inst, agent, others, ranking=False).explored_states
+            response = best_response(inst, agent, others)
+            searches.append((states, response.value, response.ranking.order))
+    assert searches == PINNED_THREE_AGENT_SEARCHES
+    assert sum(states for states, _, _ in searches) == 146
 
 
 # ---------------------------------------------------------------------------
