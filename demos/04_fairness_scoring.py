@@ -12,7 +12,6 @@ from rrfair import (
     bluff_profile,
     bluff_tightness_instance,
     ef1_factor,
-    ef1_from_perspective,
     round_robin,
 )
 
@@ -29,9 +28,10 @@ print("plain envy factor:", report.ef_factor)
 i, j, g = report.worst_pair
 print(f"binding pair: agent {i} towards agent {j}, removing good {g}")
 
-# Threshold checks from one agent's point of view:
+# Threshold checks from one agent's point of view: agent 1 is alpha-EF1
+# towards every other agent when each of its pair ratios reaches alpha.
+ratios = [r for (i, _), r in report.pair_ratios.items() if i == 1]
 half = Fraction(1, 2)
-print("\nis the allocation 1/2-EF1 for agent 1?",
-      ef1_from_perspective(inst, allocation, 1, half))
+print("\nis the allocation 1/2-EF1 for agent 1?", all(r >= half for r in ratios))
 print("is it (25/49 + tiny)-EF1 for agent 1?",
-      ef1_from_perspective(inst, allocation, 1, Fraction(25, 49) + Fraction(1, 10**9)))
+      all(r >= Fraction(25, 49) + Fraction(1, 10**9) for r in ratios))

@@ -21,8 +21,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     "equilibria": ("BestResponse", "BoundRule", "EquilibriumReport", "NoApplicableBoundError",
                    "ProfileEvaluation", "ScanRecord", "applicable_bound_rule", "best_response",
                    "evaluate_profile", "pne_factor", "profile_space_scan"),
-    "fairness": ("UNBOUNDED", "FairnessReport", "ef1_factor", "ef1_from_perspective",
-                 "ef_factor"),
+    "fairness": ("UNBOUNDED", "FairnessReport", "ef1_factor", "ef_factor"),
     "instances": ("FIXTURES", "ConstraintError", "GeneratorSpec", "SchemaError",
                   "additive_tightness_instance", "bluff_tightness_instance", "build_fixture",
                   "generate", "load", "no_pne_instance", "oxs_lower_bound_instance", "save"),

@@ -2,7 +2,8 @@
 
 Subcommands: run, reproduce, scan, certify, generate, best-response.
 Exit codes: 0 success, 1 reproduction mismatch, 2 malformed input,
-3 size-guard refusal (estimated or stored work over the budget, or a search too deep).
+3 size-guard refusal (estimated or stored work over the budget, a search too deep,
+or a reported rational with more digits than a document can hold).
 
 The document format is zero-based; this layer renders goods as g1..gm and
 agents/rounds one-based, and prints every rational both exactly ("p/q") and
@@ -46,7 +47,7 @@ from .instances import (
 from .mechanism import Profile, Ranking, round_robin
 from .profiles import bluff_profile, truthful_profile
 from .scan_json import SCAN_JSON, ScanFormat
-from .valuations import CLASS_CHECKS, Instance, SizeGuardError, Table, as_fraction
+from .valuations import CLASS_CHECKS, Instance, SizeGuardError, Table, as_fraction, int_digit_limit
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -71,14 +72,23 @@ def emit(doc: dict[str, Any], as_json: bool, render: Callable[[dict[str, Any]], 
 
 
 def json_frac(x: Factor) -> dict[str, Any]:
-    """An exact `"frac"` string and its `"dec"` float, null beyond float range."""
+    """An exact `"frac"` string and its `"dec"` float, null beyond float range.
+
+    A rational past the digits `str` writes, as a sum of two in a document can
+    be, is refused with `SizeGuardError`.
+    """
     if x == UNBOUNDED:
         return {"frac": "unbounded", "dec": None}
+    try:
+        frac = str(x)
+    except ValueError:  # its message names a setting of Python's, not of this tool
+        raise SizeGuardError("size guard: a reported rational has a numerator or denominator "
+                             f"of more than {int_digit_limit():,} digits") from None
     try:
         dec = float(x)
     except OverflowError:
         dec = None
-    return {"frac": str(x), "dec": dec}
+    return {"frac": frac, "dec": dec}
 
 
 def fmt_frac(x: dict[str, Any]) -> str:

@@ -240,11 +240,11 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking], *,
     (every available good when n != 2, and at the root), and its memo key
     holds them.  A state whose candidates run out while she has turns left
     scores its bundle alone: her further picks could only add value, and
-    the set they would complete is itself tried in σ-order.  The
-    lemma holds from every state, so the reconstruction tries each child
-    first with its σ candidates, usually a memo hit, and then with all the
-    available goods; the first whose value reaches the target is the least
-    optimal pick, as in the exhaustive search.
+    the set they would complete is itself tried in σ-order.  The lemma
+    holds from every state, so a child searched with every available good
+    as candidates gets its exact optimum.  The reconstruction searches each
+    child so, in ascending good order, and takes the first whose value
+    reaches the target: the least optimal pick, as in the exhaustive search.
 
     For additive, budget-additive and unit-demand oracles the two-agent
     bound, the smaller of v(B) plus `_scheduled_singles` over the
@@ -363,8 +363,8 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking], *,
             return BestResponse(None, None, Fraction(best_value, v.scale), len(opened))
 
         # Reconstruct the lexicographically least optimal pick sequence: the first
-        # child, in ascending good order, whose value reaches the target, tried with
-        # its σ-order candidates and then with every available good.
+        # child, in ascending good order, whose value with every available good as
+        # candidates reaches the target.
         picks: list[int] = []
         avail, bundle, step, target = avail0, 0, step0, best_value
         while step < m:
@@ -373,8 +373,7 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking], *,
                 bit = mask & -mask
                 mask ^= bit
                 next_avail, next_step = advance(avail ^ bit, step + 1)
-                if any(solve(next_avail, bundle | bit, cand, next_step, target - 1) == target
-                       for cand in (next_avail & ~ahead[bit], next_avail)):
+                if solve(next_avail, bundle | bit, next_avail, next_step, target - 1) == target:
                     picks.append(bit.bit_length() - 1)
                     avail, bundle, step = next_avail, bundle | bit, next_step
                     break

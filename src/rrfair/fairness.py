@@ -36,9 +36,6 @@ class FairnessReport(NamedTuple):
     ef_factor: Factor
     worst_pair: tuple[int, int, int] | None
 
-    def ratios_of(self, agent: int) -> dict[int, Factor]:
-        return {j: r for (i, j), r in self.pair_ratios.items() if i == agent}
-
 
 def ef_factor(inst: Instance, alloc: Allocation) -> Factor:
     """Largest a with v_i(A_i) >= a * v_i(A_j) for every ordered pair.
@@ -91,14 +88,6 @@ def ef1_factor(inst: Instance, alloc: Allocation) -> FairnessReport:
         pair_ratios=ratios, ef1_factor=worst, ef_factor=ef_factor(inst, alloc),
         worst_pair=worst_pair,
     )
-
-
-def ef1_from_perspective(
-    inst: Instance, alloc: Allocation, agent: int, alpha: Fraction
-) -> bool:
-    """True when every pair ratio of `agent` is at least `alpha` (or unbounded)."""
-    report = ef1_factor(inst, alloc)
-    return all(r >= alpha for r in report.ratios_of(agent).values())
 
 
 def _masks(inst: Instance, alloc: Allocation) -> list[int]:

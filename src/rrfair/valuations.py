@@ -48,6 +48,7 @@ class SizeGuardError(ValueError):
     An estimated operation is refused before any of it is done, a
     best-response search once the states it stores would pass the budget
     (or up front, when it would recurse past half the recursion limit).
+    The CLI also refuses with it a report rational past `int_digit_limit`.
     """
 
 

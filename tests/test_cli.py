@@ -94,7 +94,7 @@ EXPORTS = {
     "equilibria": {"BestResponse", "BoundRule", "EquilibriumReport", "NoApplicableBoundError",
                    "ProfileEvaluation", "ScanRecord", "applicable_bound_rule", "best_response",
                    "evaluate_profile", "pne_factor", "profile_space_scan"},
-    "fairness": {"UNBOUNDED", "FairnessReport", "ef1_factor", "ef1_from_perspective", "ef_factor"},
+    "fairness": {"UNBOUNDED", "FairnessReport", "ef1_factor", "ef_factor"},
     "instances": {"FIXTURES", "ConstraintError", "GeneratorSpec", "SchemaError",
                   "additive_tightness_instance", "bluff_tightness_instance", "build_fixture",
                   "generate", "load", "no_pne_instance", "oxs_lower_bound_instance", "save"},
@@ -267,6 +267,28 @@ def test_rationals_beyond_float_range_print_without_decimals(tmp_path, command, 
     if as_json:
         assert '"dec": null' in result.stdout
         json.loads(result.stdout)
+
+
+# Two rationals that a document holds, each under the int-string limit; their
+# sum or ratio is not, so reporting it would need more digits than `str` writes.
+EPS1, EPS2 = F(1, 10**4000 + 1), F(1, 10**3999 + 3)
+
+
+@pytest.mark.parametrize("command", ["run", "best-response --agent 1", "scan --exhaustive",
+                                     "reproduce"])
+def test_a_rational_past_the_digit_limit_exits_3_without_traceback(capsys, tmp_path, command):
+    if command == "reproduce":
+        argv = ["reproduce", "bluff-tightness", "--param", f"eps1={EPS1}", "--param",
+                f"eps2={EPS2}"]
+    else:
+        path = tmp_path / "digits.json"
+        save(Instance(2, 3, (Additive([1, EPS1, EPS2]), Additive([EPS1, EPS2, 1]))), path)
+        name, *flags = command.split()
+        argv = [name, str(path), *flags]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "error: size guard: a reported rational has a numerator or denominator of more than "
+        "4,300 digits\n")
 
 
 def test_run_bluff_profile(capsys, thm4_path):
@@ -452,20 +474,34 @@ def test_run_guard_policy_exit(capsys, monkeypatch, tmp_path):
 
 
 def test_run_charges_the_value_search_alone_against_the_budget(capsys, tmp_path):
-    # On 2 x 400 additive goods both value searches expand no state; the ranking
-    # reconstruction, which only `best-response` runs, passes the budget.
-    path = str(tmp_path / "additive.json")
-    assert main(["generate", "--class", "additive", "--agents", "2", "--goods", "400",
-                 "--seed", "0", "-o", path]) == 0
-    capsys.readouterr()
+    # On 2 x 400 additive goods both value searches expand no state, and the
+    # ranking reconstruction, which only `best-response` runs, stays in the
+    # budget; on 2 x 490 the reconstruction passes it.
+    def additive_document(m):
+        path = str(tmp_path / f"additive-{m}.json")
+        assert main(["generate", "--class", "additive", "--agents", "2", "--goods", str(m),
+                     "--seed", "0", "-o", path]) == 0
+        capsys.readouterr()
+        return path
+
+    path = additive_document(400)
     code, out = run_cli(capsys, "run", path, "--profile", "truthful", "--json",
                         "--require-equilibrium")
     assert code == 0
-    assert json.loads(out)["equilibrium"]["pne_factor"]["frac"] == "1077/1220"
-    assert main(["best-response", path, "--agent", "1"]) == 3
+    equilibrium = json.loads(out)["equilibrium"]
+    assert equilibrium["pne_factor"]["frac"] == "1077/1220"
+    for agent, value in zip((1, 2), ("1217", "1220")):
+        code, out = run_cli(capsys, "best-response", path, "--agent", str(agent), "--json")
+        assert code == 0
+        response = json.loads(out)["best_response"]
+        assert response["value"]["frac"] == value
+        assert response["value"] == equilibrium["per_agent"][agent - 1]["best_response_value"]
+        assert response["explored_states"] == 0
+
+    assert main(["best-response", additive_document(490), "--agent", "1"]) == 3
     assert capsys.readouterr().err == (
-        "error: size guard: best_response for agent 1 of 2 on 400 goods stored 25,000 states "
-        "(10,000,000 steps) and needs another, over the budget of 10,000,000\n")
+        "error: size guard: best_response for agent 1 of 2 on 490 goods stored 20,408 states "
+        "(9,999,920 steps) and needs another, over the budget of 10,000,000\n")
 
 
 # ---------------------------------------------------------------------------

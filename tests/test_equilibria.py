@@ -548,7 +548,7 @@ def test_convex_tables_exercise_the_monotone_bound():
 # order picks are tried in, moves the state counts.
 PINNED_SEARCHES = [
     (0, 41, (4, 1, 2, 6, 8, 9, 3, 0, 5, 7, 10, 11, 12, 13)),
-    (36, 34, (7, 4, 1, 11, 9, 10, 13, 0, 2, 3, 5, 6, 8, 12)),
+    (35, 34, (7, 4, 1, 11, 9, 10, 13, 0, 2, 3, 5, 6, 8, 12)),
     (0, 41, (8, 2, 4, 6, 13, 1, 3, 0, 5, 7, 9, 10, 11, 12)),
     (22, 36, (0, 4, 10, 11, 1, 5, 12, 2, 3, 6, 7, 8, 9, 13)),
     (0, 42, (0, 1, 2, 3, 4, 6, 8, 5, 7, 9, 10, 11, 12, 13)),
@@ -585,7 +585,7 @@ def test_search_work_is_pinned_on_an_additive_vs_oxs_instance():
             response = best_response(inst, agent, {1 - agent: Ranking(orders[1 - agent])})
             searches.append((response.explored_states, response.value, response.ranking.order))
     assert searches == PINNED_SEARCHES
-    assert sum(states for states, _, _ in searches) == 304
+    assert sum(states for states, _, _ in searches) == 303
 
 
 # Per 3-agent search: the value-only search's explored states, then the full

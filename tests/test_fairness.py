@@ -10,7 +10,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import assert_unbounded, reference_fairness, value_table
-from rrfair.fairness import UNBOUNDED, ef1_factor, ef1_from_perspective, ef_factor
+from rrfair.fairness import UNBOUNDED, ef1_factor, ef_factor
 from rrfair.instances import (
     GENERATOR_CLASSES,
     GeneratorSpec,
@@ -29,6 +29,12 @@ def bluff_tightness_outcome():
     inst = bluff_tightness_instance()
     alloc = round_robin(inst, bluff_profile(inst))
     return inst, alloc
+
+
+def least_ratio_of(inst, alloc, agent):
+    """`agent`'s least EF1 pair ratio: she is alpha-EF1 towards everyone iff it reaches alpha."""
+    ratios = ef1_factor(inst, alloc).pair_ratios
+    return min((r for (i, _), r in ratios.items() if i == agent), default=UNBOUNDED)
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +151,13 @@ def test_truthful_round_robin_is_ef1_from_every_perspective():
             )
             alloc = round_robin(inst, truthful_profile(inst))
             for agent in range(n):
-                assert ef1_from_perspective(inst, alloc, agent, F(1))
+                assert least_ratio_of(inst, alloc, agent) >= F(1)
 
 
 def test_alpha_zero_always_holds():
     inst, alloc = bluff_tightness_outcome()
     for agent in range(inst.n):
-        assert ef1_from_perspective(inst, alloc, agent, F(0))
+        assert least_ratio_of(inst, alloc, agent) >= F(0)
 
 
 def test_perspective_threshold_is_exact_on_tightness_fixture():
@@ -159,10 +165,11 @@ def test_perspective_threshold_is_exact_on_tightness_fixture():
     # Agent 2's binding ratio is exactly 25/49 ~ 0.5102: barely above
     # 1/2 + 1/100 but below 1/2 + 1/50.
     assert F(25, 49) > F(1, 2) + F(1, 100)
-    assert ef1_from_perspective(inst, alloc, 1, F(25, 49))
-    assert ef1_from_perspective(inst, alloc, 1, F(1, 2) + F(1, 100))
-    assert not ef1_from_perspective(inst, alloc, 1, F(1, 2) + F(1, 50))
-    assert not ef1_from_perspective(inst, alloc, 1, F(25, 49) + F(1, 10**9))
+    least = least_ratio_of(inst, alloc, 1)
+    assert least >= F(25, 49)
+    assert least >= F(1, 2) + F(1, 100)
+    assert not least >= F(1, 2) + F(1, 50)
+    assert not least >= F(25, 49) + F(1, 10**9)
 
 
 def test_perspective_is_downward_closed_in_alpha():
@@ -173,7 +180,8 @@ def test_perspective_is_downward_closed_in_alpha():
     )
     for agent in range(inst.n):
         # once true at some alpha, true for every smaller alpha
-        flags = [ef1_from_perspective(inst, alloc, agent, a) for a in thresholds]
+        least = least_ratio_of(inst, alloc, agent)
+        flags = [least >= a for a in thresholds]
         assert flags == sorted(flags, reverse=True)
 
 

@@ -163,7 +163,7 @@ def test_records_keep_their_keywords_defaults_and_methods():
     assert not ClassCheck(False, (frozenset(), frozenset(), 0))
     assert BoundRule("half", lambda a: a / 2)(F(1, 3)) == F(1, 6)
     assert Allocation((frozenset({0}), frozenset())).n == 2
-    assert _fairness().ratios_of(1) == {0: UNBOUNDED}
+    assert _fairness().pair_ratios[1, 0] == UNBOUNDED
 
 
 @pytest.mark.parametrize("build, error, message", [
