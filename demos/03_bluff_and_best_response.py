@@ -28,7 +28,9 @@ allocation = round_robin(inst, profile)
 for agent, bundle in enumerate(allocation.bundles):
     print(f"  agent {agent} gets {sorted(bundle)} worth {inst.valuations[agent].value(bundle)}")
 
-# Exact best response of agent 2 against the bluff report of agent 1:
+# Exact best response of agent 2 against the bluff report of agent 1.  She
+# is an OXS agent facing one other agent, so one min-cost flow values each
+# search state exactly and the search expands none (0 states explored).
 response = best_response(inst, 1, profile.others(1))
 print("\nagent 2 best response:")
 print("  value:", response.value)

@@ -362,28 +362,36 @@ def cmd_scan(args: argparse.Namespace) -> int:
     pnes: list[Factor] = []
     ef1s: list[Factor] = []
     count = violations = 0
+    refused = None
     write = sys.stdout.write
-    for record in scanned:  # each record is written as it is pulled; no list is built
-        tail = tails.get(record.key)
-        if tail is None:
-            pne, ef1 = record.pne_factor, record.fairness.ef1_factor
-            pnes.append(pne)
-            ef1s.append(ef1)
-            verdict = None if rule is None else ef1 >= rule(pne)
-            tail = tails[record.key] = (fmt.tail(json_frac(pne), json_frac(ef1), verdict),
-                                        verdict)
-        violations += tail[1] is False
-        write(fmt.record(count, [order_text(order) for order in record.orders], tail[0]))
-        count += 1
-    write(fmt.end({
+    try:
+        for record in scanned:  # each record is written as it is pulled; no list is built
+            tail = tails.get(record.key)
+            if tail is None:
+                pne, ef1 = record.pne_factor, record.fairness.ef1_factor
+                verdict = None if rule is None else ef1 >= rule(pne)
+                tail = tails[record.key] = (fmt.tail(json_frac(pne), json_frac(ef1), verdict),
+                                            verdict)
+                pnes.append(pne)  # only once written: the summary's extremes then fit too
+                ef1s.append(ef1)
+            violations += tail[1] is False
+            write(fmt.record(count, [order_text(order) for order in record.orders], tail[0]))
+            count += 1
+    except SizeGuardError as exc:  # close the document on the records so far
+        refused = str(exc)
+        print(f"error: {refused}", file=sys.stderr)
+    summary = {
         "profiles": count,
         "min_pne_factor": json_frac(min(pnes, default=UNBOUNDED)),
         "max_pne_factor": json_frac(max(pnes, default=Fraction(0))),
         "min_ef1_factor": json_frac(min(ef1s, default=UNBOUNDED)),
         "bound_rule": rule.name if rule is not None else None,
         "violations": violations if rule is not None else None,
-    }))
-    return EXIT_OK
+    }
+    if refused is not None:
+        summary["refused"] = refused
+    write(fmt.end(summary))
+    return EXIT_OK if refused is None else EXIT_GUARD
 
 
 # The text pieces of a scan, rendered from the JSON record's blocks and summary.
@@ -398,7 +406,9 @@ SCAN_TEXT = ScanFormat(
         f"[{fmt_frac(summary['min_pne_factor'])}, {fmt_frac(summary['max_pne_factor'])}], "
         f"min ef1_factor {fmt_frac(summary['min_ef1_factor'])}, "
         + (f"bound violations {summary['violations']} ({summary['bound_rule']})"
-           if summary["bound_rule"] is not None else "no certified bound") + "\n"),
+           if summary["bound_rule"] is not None else "no certified bound") + "\n"
+        + (f"refused after {summary['profiles']} profiles: {summary['refused']}\n"
+           if "refused" in summary else "")),
 )
 
 

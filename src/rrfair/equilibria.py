@@ -17,8 +17,9 @@ bound, and the search takes the smaller.  With two agents the pick
 schedule decides what the deviator can win: exactly the sets with at most
 ⌈j/2⌉ of the first j goods still available in the other agent's order,
 each won by picking it in that order (see `best_response`).  So a
-two-agent search picks only in that order, and for additive,
-budget-additive and unit-demand oracles its bound is exact.  With more
+two-agent search picks only in that order; for additive, budget-additive
+and unit-demand oracles its bound is exact, and for OXS oracles one
+min-cost flow gives each state's exact value.  With more
 agents the same greedy runs with no deadline: it takes the k largest
 singletons.  No bound prunes an optimum, so the value, the bundle and the
 lexicographically least optimal pick sequence are those of the
@@ -57,6 +58,7 @@ from .mechanism import (
     round_robin,
 )
 from .valuations import (
+    OXS,
     Instance,
     SizeGuardError,
     check_subset_work,
@@ -183,10 +185,12 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking], *,
     charges the value search's states only.
 
     Ties in value resolve toward the lexicographically least pick sequence.
-    Each state stored charges m steps; the search refuses with
-    `SizeGuardError`, returning nothing, before the charge passes the budget.
-    It recurses once per turn of `agent`, so it refuses up front when her
-    turns exceed half the recursion limit.
+    Each state stored charges m steps, and an OXS agent's flows one step per
+    good whose edges they relax, as they run; the search refuses with
+    `SizeGuardError`, returning nothing, before either count passes the
+    budget.  It recurses once per turn of `agent`, so it refuses up front
+    when her turns exceed half the recursion limit, unless its bound is
+    exact: then it never recurses past the root's children.
 
     When n does not divide m the last round is partial.  The paper pads
     instead, with dummy goods that are worth nothing and that the others rank
@@ -250,11 +254,16 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking], *,
     bound, the smaller of v(B) plus `_scheduled_singles` over the
     candidates C and v(B ∪ C), is then the state's exact value: the greedy
     maximizes the sum of S over the deadline matroid, hence min(cap, ·) of
-    it too, and the best single good is a candidate alone.  These classes
-    declare `deadline_bound_exact`, and the search returns that bound
-    without expanding the state.  For the other classes, and for every
-    class with three or more agents, v(B ∪ C), an oracle read on a new
-    bundle, is made only when v(B) plus `_scheduled_singles` does not
+    it too, and the best single good is a candidate alone.  For an OXS
+    oracle the state's exact value, the largest v(B ∪ S) over the sets S of
+    C that meet the caps, is a maximum-weight matching whose goods meet a
+    laminar matroid: one min-cost flow (`flow.DeadlineFlow`, which
+    proves it), on a graph built once per search.  These four classes
+    declare `deadline_bound_exact`, and the search returns the exact value
+    without expanding the state, so a value-only search is one bound at the
+    root, and the reconstruction one per pick it tries.  For tables, and
+    for every class with three or more agents, v(B ∪ C), an oracle read on
+    a new bundle, is made only when v(B) plus `_scheduled_singles` does not
     already prune.
     """
     if set(others) != set(range(inst.n)) - {agent}:
@@ -265,13 +274,16 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking], *,
             raise ValueError(f"ranking of agent {i + 1} covers {r.m} goods, instance has {m}")
 
     what = f"best_response for agent {agent + 1} of {n} on {m} goods"
+    v = inst.valuations[agent]
+    exact_bound = v.deadline_bound_exact and n == 2
     turns, deepest = len(range(agent, m, n)), sys.getrecursionlimit() // 2
-    if turns > deepest:  # `solve` recurses once per turn; the caller keeps the other half
+    if not exact_bound and turns > deepest:
+        # `solve` recurses once per turn, unless the bound answers every state; the
+        # caller keeps the other half.
         raise SizeGuardError(f"size guard: {what} recurses {turns:,} turns deep, "
                              f"over the {deepest:,} the recursion limit allows")
     budget = valuations.WORK_BUDGET
     most = budget // m  # states stored, m children each
-    v = inst.valuations[agent]
     order_of = {i: others[i].order for i in others}
     full = (1 << m) - 1
 
@@ -287,34 +299,46 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking], *,
         return avail, step
 
     value = v.value_mask  # scale * v(mask), an int, cached by the oracle
-
-    # (single-bit mask, its value) by decreasing value and then ascending good:
-    # the search tries promising picks first, so the incumbent rises early.
-    singles = sorted(((1 << g, value(1 << g)) for g in range(m)), key=lambda single: -single[1])
-
-    # Per good: the goods up to it in the other agent's order, so a pick leaves the goods
-    # after it, `full ^ ahead`, as the next candidates; none when n != 2, so all stay.
-    ahead = dict.fromkeys((bit for bit, _ in singles), 0)
-    if n == 2:
-        seen = 0
-        for g in order_of[1 - agent]:
-            seen |= 1 << g
-            ahead[1 << g] = seen
-    children = [(bit, full ^ ahead[bit]) for bit, _ in singles]
-
-    # One agent: v(bundle | avail) is exact.  Two: the other's order sets deadlines (above).
-    # More: every pick is free (`ahead` is 0), so the greedy takes the k largest singles.
+    # Two agents and an OXS agent: one min-cost flow gives a state's exact value, so no
+    # state is expanded, and the search needs no pick order and no singleton bound.
+    flow = v.deadline_flow(order_of[1 - agent]) if exact_bound and isinstance(v, OXS) else None
     subadditive = v.subadditive_by_construction and n > 1
-    exact_bound = v.deadline_bound_exact and n == 2
-    if subadditive:
-        goods = [(bit, single, ahead[bit]) for bit, single in singles if single]
-        due = [(1 << (j + 1 >> 1)) - 1 for j in range(m + 1)] if n == 2 else [-1]
+    if flow is None:
+        # (single-bit mask, its value) by decreasing value and then ascending good:
+        # the search tries promising picks first, so the incumbent rises early.
+        singles = sorted(((1 << g, value(1 << g)) for g in range(m)),
+                         key=lambda single: -single[1])
+
+        # Per good: the goods up to it in the other agent's order, so a pick leaves the
+        # goods after it, `full ^ ahead`, as the next candidates; none when n != 2, so all
+        # stay.
+        ahead = dict.fromkeys((bit for bit, _ in singles), 0)
+        if n == 2:
+            seen = 0
+            for g in order_of[1 - agent]:
+                seen |= 1 << g
+                ahead[1 << g] = seen
+        children = [(bit, full ^ ahead[bit]) for bit, _ in singles]
+
+        # One agent: v(bundle | avail) is exact.  Two: the other's order sets deadlines
+        # (above).  More: every pick is free (`ahead` is 0), so the greedy takes the k
+        # largest singles.
+        if subadditive:
+            goods = [(bit, single, ahead[bit]) for bit, single in singles if single]
+            due = [(1 << (j + 1 >> 1)) - 1 for j in range(m + 1)] if n == 2 else [-1]
 
     def bound(avail: int, bundle: int, cand: int, step: int, need: int) -> int:
         # An upper bound on every completion of `bundle` with goods of `cand`.
+        k = (m - step + n - 1) // n  # picks to go
+        if flow is not None:
+            exact_value = flow.value(avail, bundle, cand, k, budget)
+            if exact_value is None:
+                raise SizeGuardError(f"size guard: {what} took {flow.work:,} flow steps, one "
+                                     f"per good whose edges a flow relaxed, over the budget "
+                                     f"of {budget:,}")
+            return exact_value
         if not subadditive:
             return value(bundle | cand)
-        k = (m - step + n - 1) // n  # picks to go
         total = value(bundle) + _scheduled_singles(goods, due, avail, cand, k)
         if total <= need and not exact_bound:
             return total  # pruned without reading v(bundle | cand), a new bundle

@@ -6,8 +6,11 @@ each distinct tail once.  `SCAN_JSON` writes the bytes of
 `json.dumps(doc, indent=2)` and a newline, for the document
 `{"records": [...], "summary": {...}}`; each record holds `profile` (one
 order per agent), `pne_factor` and `ef1_factor` (`json_frac` blocks) and
-`bound_ok`, in that order.  `json.dumps` itself would need every record at
-once and runs the pure-Python encoder that `indent` selects.
+`bound_ok`, in that order.  A scan refused part-way (a size guard, or a
+rational past the digit limit) still closes its document: the records
+written so far, then a summary over them that also holds `refused`, the
+refusal's message.  `json.dumps` itself would need every record at once
+and runs the pure-Python encoder that `indent` selects.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ SCAN_JSON = ScanFormat(
                                     f'      "ef1_factor": {_json_at(ef1, 3)},\n'
                                     f'      "bound_ok": {_json_at(verdict, 3)}\n    }}'),
     record=_json_record,
-    # Every scan has a record, so the head has been written before the end.
-    end=lambda summary: f'\n  ],\n  "summary": {_json_at(summary, 1)}\n}}\n',
+    # Only a scan refused before its first record has written no head.
+    end=lambda summary: (('\n  ],' if summary["profiles"] else '{\n  "records": [],')
+                         + f'\n  "summary": {_json_at(summary, 1)}\n}}\n'),
 )

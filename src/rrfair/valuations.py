@@ -33,9 +33,12 @@ from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 from operator import le
-from typing import Any, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .matching import max_weight_matching_value
+
+if TYPE_CHECKING:
+    from .flow import DeadlineFlow
 
 Bundle = frozenset[int]
 
@@ -217,8 +220,9 @@ class Valuation(ABC):
     during searches and exhaustive checks are cheap.
     `subadditive_by_construction` states, per class, that v(S | T) <=
     v(S) + v(T) holds for every oracle of the class; searches rely on it.
-    `deadline_bound_exact` states that the two-agent search bound is the
-    exact value of every search state (see `equilibria.best_response`).
+    `deadline_bound_exact` states that a two-agent search values every
+    state exactly without expanding it: by its bound, or for `OXS` by
+    `deadline_flow` (see `equilibria.best_response`).
 
     Each oracle class declares `kind`, its document and report name, and
     `fields`, the attributes besides m that define an oracle, in document
@@ -333,7 +337,7 @@ class OXS(Valuation):
     """
 
     kind, fields = "oxs", ("edges",)
-    subadditive_by_construction = True
+    subadditive_by_construction = deadline_bound_exact = True
 
     def __init__(
         self,
@@ -373,6 +377,12 @@ class OXS(Valuation):
         self._adjacency: list[tuple[tuple[int, int], ...]] = [()] * m  # one shared empty row
         for good, row in rows.items():
             self._adjacency[good] = tuple(row)
+
+    def deadline_flow(self, order: Sequence[int]) -> DeadlineFlow:
+        """Exact two-agent search state values, against another agent who picks in `order`."""
+        from .flow import DeadlineFlow  # only a two-agent search compiles it
+
+        return DeadlineFlow(self._slots, self._adjacency, order)
 
     def _value_mask(self, mask: int) -> int:
         adjacency = self._adjacency

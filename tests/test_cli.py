@@ -206,6 +206,8 @@ def print_scan_report(doc):
           f"min ef1_factor {fmt_frac(summary['min_ef1_factor'])}, "
           + (f"bound violations {summary['violations']} ({summary['bound_rule']})"
              if summary["bound_rule"] is not None else "no certified bound"))
+    if "refused" in summary:
+        print(f"refused after {summary['profiles']} profiles: {summary['refused']}")
 
 
 def assert_text_renders_json(capsys, render, *argv):
@@ -289,6 +291,53 @@ def test_a_rational_past_the_digit_limit_exits_3_without_traceback(capsys, tmp_p
     assert capsys.readouterr().err == (
         "error: size guard: a reported rational has a numerator or denominator of more than "
         "4,300 digits\n")
+
+
+DIGIT_LIMIT = "size guard: a reported rational has a numerator or denominator of more than 4,300 digits"
+BUDGET_84 = ("size guard: best_response for agent 1 of 3 on 7 goods stored 12 states (84 steps) "
+             "and needs another, over the budget of 84")
+BUDGET_42 = ("size guard: best_response for agent 1 of 3 on 7 goods stored 6 states (42 steps) "
+             "and needs another, over the budget of 42")
+
+
+@pytest.mark.parametrize("refusal, budget, profiles, message", [
+    ("digits", None, 5, DIGIT_LIMIT),            # the 6th record's pne_factor
+    ("budget", 84, 2, BUDGET_84),                # a search of the 3rd profile
+    ("budget", 42, 0, BUDGET_42),                # the first profile's first search
+], ids=["digit-limit", "budget", "budget-before-any-record"])
+def test_a_refused_scan_closes_its_document(capsys, monkeypatch, tmp_path, refusal, budget,
+                                            profiles, message):
+    path = str(tmp_path / "refused.json")
+    if refusal == "digits":
+        save(Instance(2, 3, (Additive([1, EPS1, EPS2]), Additive([EPS1, EPS2, 1]))), path)
+        flags = ["--exhaustive"]
+    else:
+        save(generate(GeneratorSpec("additive", 3, 7, 0)), path)
+        flags = ["--samples", "20"]
+    _, unrefused = run_cli(capsys, "scan", path, *flags, "--json")
+    if budget is not None:
+        monkeypatch.setattr(valuations, "WORK_BUDGET", budget)
+
+    assert main(["scan", path, *flags, "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    doc = json.loads(captured.out)
+    assert captured.out == json.dumps(doc, indent=2) + "\n"
+    assert doc["summary"]["profiles"] == len(doc["records"]) == profiles
+    assert doc["summary"]["refused"] == message
+    if refusal == "budget":
+        # The records so far are those of the unrefused scan, but for `bound_ok`: the
+        # patched budget refuses certifying the bound rule too.
+        def scored(records):
+            return [(r["profile"], r["pne_factor"], r["ef1_factor"]) for r in records]
+        assert scored(doc["records"]) == scored(json.loads(unrefused)["records"][:profiles])
+        assert doc["summary"]["bound_rule"] is None
+
+    assert main(["scan", path, *flags]) == 3
+    text = capsys.readouterr().out
+    print_scan_report(doc)
+    assert capsys.readouterr().out == text
+    assert text.splitlines()[-1] == f"refused after {profiles} profiles: {message}"
 
 
 def test_run_bluff_profile(capsys, thm4_path):

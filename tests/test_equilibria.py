@@ -137,8 +137,9 @@ def test_best_response_is_deterministic_and_lexicographic():
     second = best_response(inst, 1, profile.others(1))
     assert first.ranking == second.ranking
     assert first.explored_states == second.explored_states
-    # The counter is deterministic; the exhaustive reference expands 5 states.
-    assert first.explored_states == 3
+    # The counter is deterministic: the OXS agent's flow values every state
+    # without expanding it, where the exhaustive reference expands 5 states.
+    assert first.explored_states == 0
     assert reference_best_response(inst, 1, profile.others(1)).explored_states == 5
     # {g3,g4,...} and {g4,g3,...} tie in value; the pick sequence starts with g3
     assert first.ranking.order[0] == 2
@@ -168,10 +169,11 @@ def test_best_response_refuses_a_ranking_of_another_good_count(order, ranking):
     assert best_response(inst, 0, {1: Ranking((0, 1, 2, 3))}, ranking=ranking).value == 7
 
 
-@pytest.mark.parametrize("n, m", [(1, 1000), (2, 2000)])
+@pytest.mark.parametrize("n, m", [(1, 1000), (3, 3000)])
 def test_a_search_too_deep_to_recurse_is_refused_before_it_starts(n, m):
     # `solve` recurses once per turn of the agent; its first descent stores one
-    # state per turn, so the budget alone would admit 1,000 turns.
+    # state per turn, so the budget alone would admit 1,000 turns.  (A two-agent
+    # exact-bound search never recurses: see the next test.)
     inst = Instance(n=n, m=m, valuations=(Additive([1] * m),) * n)
     message = (f"size guard: best_response for agent 1 of {n} on {m} goods recurses 1,000 turns "
                "deep, over the 500 the recursion limit allows")
@@ -181,6 +183,17 @@ def test_a_search_too_deep_to_recurse_is_refused_before_it_starts(n, m):
     evaluation = evaluate_profile(inst, truthful_profile(inst))
     assert evaluation.equilibrium is None
     assert evaluation.equilibrium_skipped == message
+
+
+def test_an_exact_bound_search_is_not_refused_for_turns_it_never_recurses():
+    # The root's bound is its value, and each reconstruction probe's too: 600
+    # turns, past the 500 the recursion limit allows a recursing search.
+    inst = Instance(n=2, m=1200, valuations=(Additive([1, 2, 3] * 400),) * 2)
+    profile = truthful_profile(inst)
+    evaluation = evaluate_profile(inst, profile)
+    assert evaluation.equilibrium_skipped is None
+    assert evaluation.equilibrium.pne_factor == 1  # both pick by true value
+    assert best_response(inst, 1, profile.others(1), ranking=False).value == 1200
 
 
 def test_the_deepest_admitted_search_reaches_its_last_turn(monkeypatch):
@@ -196,7 +209,7 @@ def test_the_deepest_admitted_search_reaches_its_last_turn(monkeypatch):
 def test_best_response_leaves_no_reference_cycle():
     # The search's memo tables are freed when it returns, not at the next
     # cyclic collection, so peak memory does not follow the collector's timing.
-    inst = generate(GeneratorSpec(valuation_class="oxs", n=2, m=8, seed=0))
+    inst = generate(GeneratorSpec(valuation_class="submodular_table", n=2, m=8, seed=0))
     others = truthful_profile(inst).others(1)
     gc.disable()
     try:
@@ -207,9 +220,8 @@ def test_best_response_leaves_no_reference_cycle():
         gc.enable()
 
 
-def oxs_refusal() -> str:
-    """The refusal of agent 2's search on a 2 x 8 OXS instance, under the patched budget."""
-    inst = generate(GeneratorSpec(valuation_class="oxs", n=2, m=8, seed=0))
+def table_refusal(inst: Instance) -> str:
+    """The refusal of agent 2's search on a 2 x 8 submodular table, under the patched budget."""
     try:
         best_response(inst, 1, truthful_profile(inst).others(1))
     except SizeGuardError as exc:
@@ -218,15 +230,18 @@ def oxs_refusal() -> str:
 
 
 def test_a_refused_search_refuses_identically_and_leaves_no_reference_cycle(monkeypatch):
+    # Two fresh oracles, generated before the patched budget would refuse generating them.
+    tables = [generate(GeneratorSpec(valuation_class="submodular_table", n=2, m=8, seed=0))
+              for _ in range(2)]
     monkeypatch.setattr(valuations, "WORK_BUDGET", 100)
     gc.disable()
     try:
         gc.collect()
-        first = oxs_refusal()
+        first = table_refusal(tables[0])
         assert gc.collect() == 0
     finally:
         gc.enable()
-    assert first == oxs_refusal() == (
+    assert first == table_refusal(tables[1]) == (
         "size guard: best_response for agent 2 of 2 on 8 goods stored 12 states (96 steps) "
         "and needs another, over the budget of 100")
 
@@ -373,6 +388,37 @@ def test_the_stored_state_guard_admits_every_search_the_estimate_admitted(
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(valuations, "WORK_BUDGET", m * search_states(m, n, agent))
             assert best_response(inst, agent, others) == unguarded
+
+
+class PickTreeOXS(OXS):
+    """An OXS oracle that the pick-tree search values, as it did every OXS oracle before
+    the flow: the same σ-order picks and singleton bound, state by state."""
+
+    deadline_bound_exact = False
+
+
+@seed(20261020)
+@settings(max_examples=500, deadline=None)
+@given(m=st.integers(min_value=1, max_value=14),
+       instance_seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_two_agent_oxs_flows_match_the_pick_tree_and_the_exhaustive_reference(
+        m, instance_seed):
+    # Two full searches per example, 1,000 in all, odd and even m, each against the
+    # pick-tree search and, where the budget admits it, the exhaustive reference.
+    rng = random.Random(instance_seed)
+    inst = Instance(2, m, tuple(rational_oracle(rng, "oxs", m) for _ in range(2)))
+    pick_tree = Instance(2, m, tuple(PickTreeOXS(m, v.edges) for v in inst.valuations))
+    profile = random_profile(rng, 2, m)
+    for agent in range(2):
+        others = profile.others(agent)
+        response = best_response(inst, agent, others)
+        assert response.explored_states == 0
+        searched = best_response(pick_tree, agent, others)
+        assert response[:3] == searched[:3]
+        if m * search_states(m, 2, agent) <= valuations.WORK_BUDGET:
+            assert response[:3] == reference_best_response(inst, agent, others)[:3]
+        value_only = best_response(inst, agent, others, ranking=False)
+        assert value_only == (None, None, response.value, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -545,24 +591,26 @@ def test_convex_tables_exercise_the_monotone_bound():
 
 # Per search: explored states, value, ranking.  A faster oracle or bound
 # must leave them as they are; a change to what the bounds prune, or to the
-# order picks are tried in, moves the state counts.
+# order picks are tried in, moves the state counts.  Both agents' bounds are
+# exact here, the additive agent's singleton greedy and the OXS agent's flow,
+# so no search expands a state.
 PINNED_SEARCHES = [
     (0, 41, (4, 1, 2, 6, 8, 9, 3, 0, 5, 7, 10, 11, 12, 13)),
-    (35, 34, (7, 4, 1, 11, 9, 10, 13, 0, 2, 3, 5, 6, 8, 12)),
+    (0, 34, (7, 4, 1, 11, 9, 10, 13, 0, 2, 3, 5, 6, 8, 12)),
     (0, 41, (8, 2, 4, 6, 13, 1, 3, 0, 5, 7, 9, 10, 11, 12)),
-    (22, 36, (0, 4, 10, 11, 1, 5, 12, 2, 3, 6, 7, 8, 9, 13)),
+    (0, 36, (0, 4, 10, 11, 1, 5, 12, 2, 3, 6, 7, 8, 9, 13)),
     (0, 42, (0, 1, 2, 3, 4, 6, 8, 5, 7, 9, 10, 11, 12, 13)),
-    (12, 35, (0, 5, 10, 3, 11, 8, 9, 1, 2, 4, 6, 7, 12, 13)),
+    (0, 35, (0, 5, 10, 3, 11, 8, 9, 1, 2, 4, 6, 7, 12, 13)),
     (0, 40, (0, 1, 6, 2, 9, 13, 4, 3, 5, 7, 8, 10, 11, 12)),
-    (34, 37, (4, 10, 5, 7, 1, 2, 9, 0, 3, 6, 8, 11, 12, 13)),
+    (0, 37, (4, 10, 5, 7, 1, 2, 9, 0, 3, 6, 8, 11, 12, 13)),
     (0, 42, (6, 0, 1, 2, 4, 3, 8, 5, 7, 9, 10, 11, 12, 13)),
-    (50, 37, (0, 5, 7, 10, 11, 4, 6, 1, 2, 3, 8, 9, 12, 13)),
+    (0, 37, (0, 5, 7, 10, 11, 4, 6, 1, 2, 3, 8, 9, 12, 13)),
     (0, 39, (0, 6, 8, 1, 13, 4, 9, 2, 3, 5, 7, 10, 11, 12)),
-    (42, 37, (0, 2, 4, 5, 10, 7, 9, 1, 3, 6, 8, 11, 12, 13)),
+    (0, 37, (0, 2, 4, 5, 10, 7, 9, 1, 3, 6, 8, 11, 12, 13)),
     (0, 42, (0, 2, 8, 1, 6, 3, 4, 5, 7, 9, 10, 11, 12, 13)),
-    (30, 37, (4, 7, 10, 3, 5, 8, 11, 0, 1, 2, 6, 9, 12, 13)),
+    (0, 37, (4, 7, 10, 3, 5, 8, 11, 0, 1, 2, 6, 9, 12, 13)),
     (0, 42, (0, 1, 2, 4, 9, 6, 8, 3, 5, 7, 10, 11, 12, 13)),
-    (78, 37, (7, 1, 5, 9, 10, 4, 6, 0, 2, 3, 8, 11, 12, 13)),
+    (0, 37, (7, 1, 5, 9, 10, 4, 6, 0, 2, 3, 8, 11, 12, 13)),
 ]
 
 
@@ -585,7 +633,7 @@ def test_search_work_is_pinned_on_an_additive_vs_oxs_instance():
             response = best_response(inst, agent, {1 - agent: Ranking(orders[1 - agent])})
             searches.append((response.explored_states, response.value, response.ranking.order))
     assert searches == PINNED_SEARCHES
-    assert sum(states for states, _, _ in searches) == 303
+    assert sum(states for states, _, _ in searches) == 0
 
 
 # Per 3-agent search: the value-only search's explored states, then the full

@@ -1,11 +1,13 @@
 """The one work budget: each exhaustive operation refuses just past its boundary.
 
 An estimated operation is refused before any work; a best-response search
-is refused when storing one more state would pass the budget.
+is refused when storing one more state, or its flows' steps, would pass the
+budget.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 from typing import Callable
 
@@ -131,3 +133,26 @@ def test_best_response_refuses_once_its_stored_states_pass_the_budget(monkeypatc
     )
     monkeypatch.setattr(valuations, "WORK_BUDGET", 43 * 16)
     run()
+
+
+def test_a_flow_search_refuses_once_its_flow_steps_pass_the_budget(monkeypatch):
+    # The 2 x 8 OXS search and its ranking reconstruction relax a good's edges 225
+    # times in their flows: a budget of 225 steps admits it, one step less refuses,
+    # and the refused search leaves no reference cycle.  Its stored states, 8 steps
+    # each, stay within either budget.
+    inst = generate(GeneratorSpec("oxs", 2, 8, 0))
+    others = {1: Ranking(tuple(range(8)))}
+    monkeypatch.setattr(valuations, "WORK_BUDGET", 224)
+    gc.disable()
+    try:
+        gc.collect()
+        with pytest.raises(SizeGuardError) as refused:
+            best_response(inst, 0, others)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert str(refused.value) == (
+        "size guard: best_response for agent 1 of 2 on 8 goods took 225 flow steps, one per "
+        "good whose edges a flow relaxed, over the budget of 224")
+    monkeypatch.setattr(valuations, "WORK_BUDGET", 225)
+    assert best_response(inst, 0, others).explored_states == 0
