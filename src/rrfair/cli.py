@@ -22,6 +22,7 @@ import sys
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
 
+from .checks import CLASS_CHECKS
 from .equilibria import (
     BoundRule,
     NoApplicableBoundError,
@@ -32,22 +33,13 @@ from .equilibria import (
     profile_space_scan,
 )
 from .fairness import UNBOUNDED, Factor, FairnessReport
-from .instances import (
-    FIXTURES,
-    GENERATOR_CLASSES,
-    ConstraintError,
-    GeneratorSpec,
-    SchemaError,
-    build_fixture,
-    dumps,
-    generate,
-    load,
-    save,
-)
+from .fixtures import FIXTURES, ConstraintError, build_fixture
+from .generators import GENERATOR_CLASSES, GeneratorSpec, generate
+from .instances import SchemaError, dumps, load, save
 from .mechanism import Profile, Ranking, round_robin
 from .profiles import bluff_profile, truthful_profile
 from .scan_json import SCAN_JSON, ScanFormat
-from .valuations import CLASS_CHECKS, Instance, SizeGuardError, Table, as_fraction, int_digit_limit
+from .valuations import Instance, SizeGuardError, Table, as_fraction, int_digit_limit
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1

@@ -48,6 +48,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import valuations
+from .checks import is_additive, is_cancelable, is_subadditive, is_submodular
 from .fairness import UNBOUNDED, Factor, FairnessReport, ef1_factor
 from .mechanism import (
     Allocation,
@@ -63,10 +64,6 @@ from .valuations import (
     SizeGuardError,
     check_subset_work,
     check_work,
-    is_additive,
-    is_cancelable,
-    is_subadditive,
-    is_submodular,
     mask_to_bundle,
 )
 

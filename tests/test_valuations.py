@@ -25,7 +25,7 @@ from conftest import (
     submodular_by_extension_bound,
     value_table,
 )
-from rrfair import valuations
+from rrfair import checks, valuations
 from rrfair.equilibria import applicable_bound_rule
 from rrfair.instances import (
     FIXTURES,
@@ -36,24 +36,26 @@ from rrfair.instances import (
     no_pne_instance,
     oxs_lower_bound_instance,
 )
-from rrfair.valuations import (
+from rrfair.checks import (
     CLASS_CHECKS,
-    OXS,
-    Additive,
-    BudgetAdditive,
     ClassCheck,
-    Instance,
-    SizeGuardError,
-    Table,
-    UnitDemand,
-    Valuation,
     _pairwise_violators,
-    as_fraction,
     is_additive,
     is_cancelable,
     is_monotone,
     is_subadditive,
     is_submodular,
+)
+from rrfair.valuations import (
+    OXS,
+    Additive,
+    BudgetAdditive,
+    Instance,
+    SizeGuardError,
+    Table,
+    UnitDemand,
+    Valuation,
+    as_fraction,
 )
 
 F = Fraction
@@ -751,7 +753,7 @@ def nine_good_holding_checks():
 def test_a_check_that_holds_reads_m2_2m_values_and_searches_no_witness(monkeypatch, name, check):
     v = nine_good_oracles()[name]
     tables: list[CountedReads] = []
-    integer_table = valuations._integer_table
+    integer_table = checks._integer_table
 
     def counted(oracle, name):
         tables.append(CountedReads(integer_table(oracle, name)))
@@ -763,13 +765,13 @@ def test_a_check_that_holds_reads_m2_2m_values_and_searches_no_witness(monkeypat
         violators.append(_pairwise_violators(vals, m))
         return violators[-1]
 
-    monkeypatch.setattr(valuations, "_integer_table", counted)
+    monkeypatch.setattr(checks, "_integer_table", counted)
     # Submodularity and subadditivity decide by the pairwise test alone, and
     # the failing paths (cancelability's suffix minima and bisection, naming
     # a witness) raise.
-    monkeypatch.setattr(valuations, "_pairwise_violators", pairwise)
+    monkeypatch.setattr(checks, "_pairwise_violators", pairwise)
     for failing_path_only in ("accumulate", "bisect_left", "mask_to_bundle"):
-        monkeypatch.setattr(valuations, failing_path_only, _no_witness_search)
+        monkeypatch.setattr(checks, failing_path_only, _no_witness_search)
     assert check(v) == ClassCheck(True)
     assert len(tables) == 1 and tables[0].reads <= v.m ** 2 << v.m
     assert violators == ([] if check is is_cancelable else [set()])
@@ -782,7 +784,7 @@ def test_the_checks_on_one_oracle_tabulate_it_once_and_share_one_pairwise_pass(m
     charged: list[tuple[str, ...]] = []
     passes: list[int] = []
     reads = Counter()
-    check_subset_work, pairwise = valuations.check_subset_work, _pairwise_violators
+    check_subset_work, pairwise = checks.check_subset_work, _pairwise_violators
 
     def charge(m, what, *checks):
         charged.append(checks)
@@ -796,8 +798,8 @@ def test_the_checks_on_one_oracle_tabulate_it_once_and_share_one_pairwise_pass(m
         reads[mask] += 1
         return original(oracle, mask)
 
-    monkeypatch.setattr(valuations, "check_subset_work", charge)
-    monkeypatch.setattr(valuations, "_pairwise_violators", counted_pass)
+    monkeypatch.setattr(checks, "check_subset_work", charge)
+    monkeypatch.setattr(checks, "_pairwise_violators", counted_pass)
     monkeypatch.setattr(Valuation, "value_mask", value_mask)
     for check in CLASS_CHECKS.values():  # verdicts and witnesses as on a fresh oracle each
         assert check(v) == alone[check]
@@ -810,7 +812,7 @@ def test_the_bound_rule_on_oxs_lower_bound_tabulates_each_agent_once(monkeypatch
     inst = build_fixture("oxs-lower-bound")
     tables: list[int] = []
     passes: list[int] = []
-    integer_table, pairwise = valuations._integer_table, _pairwise_violators
+    integer_table, pairwise = checks._integer_table, _pairwise_violators
 
     def counted_table(oracle, name):
         table = integer_table(oracle, name)
@@ -821,8 +823,8 @@ def test_the_bound_rule_on_oxs_lower_bound_tabulates_each_agent_once(monkeypatch
         passes.append(m)
         return pairwise(vals, m)
 
-    monkeypatch.setattr(valuations, "_integer_table", counted_table)
-    monkeypatch.setattr(valuations, "_pairwise_violators", counted_pass)
+    monkeypatch.setattr(checks, "_integer_table", counted_table)
+    monkeypatch.setattr(checks, "_pairwise_violators", counted_pass)
     assert applicable_bound_rule(inst).name == "alpha/3 [submodular agents]"
     assert (len(tables), len(set(tables)), len(passes)) == (11, 4, 4)  # one table per agent
 
