@@ -15,12 +15,11 @@ the bundle B.  For oracles subadditive by construction, v(B) plus the
 largest singleton total that the k picks to go can still win is a second
 bound, and the search takes the smaller.  With two agents the pick
 schedule decides what the deviator can win: exactly the sets with at most
-⌈j/2⌉ of the first j goods still available in the other agent's order,
-each won by picking it in that order (see `best_response`).  So a
-two-agent search picks only in that order; for additive, budget-additive
-and unit-demand oracles its bound is exact, and for OXS oracles one
-min-cost flow gives each state's exact value.  With more
-agents the same greedy runs with no deadline: it takes the k largest
+⌈j/2⌉ of the first j goods still available in the other agent's order
+(see `best_response`).  So for additive, budget-additive and unit-demand
+oracles that bound is a state's exact value, and for OXS oracles one
+min-cost flow gives it: such a search expands no state.  With more agents
+the same greedy runs with no deadline: it takes the k largest
 singletons.  No bound prunes an optimum, so the value, the bundle and the
 lexicographically least optimal pick sequence are those of the
 exhaustive search.
@@ -54,6 +53,7 @@ from .mechanism import (
     Allocation,
     Profile,
     Ranking,
+    check_deviator,
     deal,
     ranking_from_picks,
     round_robin,
@@ -75,10 +75,10 @@ class BestResponse(NamedTuple):
     maximizers) and the remaining goods ascending; replaying the mechanism
     with it gives `bundle` back.  Both are None for a value-only search.
     `explored_states` counts the distinct (available goods, bundle) states
-    whose children were generated, with whichever candidate picks: by the
-    value search alone, or by it and the reconstruction.  States cut off,
-    or answered exactly, by their bound are not counted, and a state opened
-    again, for a tighter answer or with other candidates, counts once.
+    whose children were generated: by the value search alone, or by it and
+    the reconstruction.  States cut off, or answered exactly, by their bound
+    are not counted, and a state opened again, for a tighter answer, counts
+    once.
     """
 
     ranking: Ranking | None
@@ -148,22 +148,22 @@ class EquilibriumReport(NamedTuple):
 
 
 def _scheduled_singles(goods: Sequence[tuple[int, int, int]], due: Sequence[int],
-                       avail: int, cand: int, turns: int) -> int:
-    """The largest singleton total of goods of `cand` that fit `turns` picks by their deadlines.
+                       avail: int, turns: int) -> int:
+    """The largest singleton total of goods of `avail` that fit `turns` picks by their deadlines.
 
     `goods` holds (bit, value, ahead) by decreasing value, `ahead` marking the
     goods up to this one in the next picker's order.  A good's deadline
-    counts the goods of `avail` up to it there, `cand` being some of them:
-    the j-th may fill the picks marked in `due[j]`, bit t - 1 for the t-th
-    pick from here (`best_response` marks the first ⌈j/2⌉ with two agents,
-    and all, `due = [-1]`, with more).  Each good in turn takes the latest
+    counts the goods of `avail` up to it there: the j-th may fill the picks
+    marked in `due[j]`, bit t - 1 for the t-th pick from here
+    (`best_response` marks the first ⌈j/2⌉ with two agents, and all,
+    `due = [-1]`, with more).  Each good in turn takes the latest
     free pick it may fill, if one is free; the deadlines make a matroid, so
     this greedy is optimal.
     """
     total = 0
     free = (1 << turns) - 1
     for bit, single, ahead in goods:
-        if cand & bit:
+        if avail & bit:
             fits = free & due[(avail & ahead).bit_count()]
             if fits:
                 free ^= 1 << fits.bit_length() - 1
@@ -235,40 +235,29 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking], *,
     the 2r-th good of σ; its deadline then allows at most r goods of S up
     to it, not r + 1.  So she gains S in her first |S| turns.
 
-    Every gainable set, and by monotonicity every optimum, is thus gained
-    by picks in σ-order, and the two-agent search tries only those: a
-    state's candidates are the available goods after its last pick in σ
-    (every available good when n != 2, and at the root), and its memo key
-    holds them.  A state whose candidates run out while she has turns left
-    scores its bundle alone: her further picks could only add value, and
-    the set they would complete is itself tried in σ-order.  The lemma
-    holds from every state, so a child searched with every available good
-    as candidates gets its exact optimum.  The reconstruction searches each
-    child so, in ascending good order, and takes the first whose value
-    reaches the target: the least optimal pick, as in the exhaustive search.
-
-    For additive, budget-additive and unit-demand oracles the two-agent
-    bound, the smaller of v(B) plus `_scheduled_singles` over the
-    candidates C and v(B ∪ C), is then the state's exact value: the greedy
-    maximizes the sum of S over the deadline matroid, hence min(cap, ·) of
-    it too, and the best single good is a candidate alone.  For an OXS
-    oracle the state's exact value, the largest v(B ∪ S) over the sets S of
-    C that meet the caps, is a maximum-weight matching whose goods meet a
-    laminar matroid: one min-cost flow (`flow.DeadlineFlow`, which
-    proves it), on a graph built once per search.  These four classes
-    declare `deadline_bound_exact`, and the search returns the exact value
-    without expanding the state, so a value-only search is one bound at the
-    root, and the reconstruction one per pick it tries.  For tables, and
-    for every class with three or more agents, v(B ∪ C), an oracle read on
-    a new bundle, is made only when v(B) plus `_scheduled_singles` does not
-    already prune.
+    The search itself tries every available good at each of her turns, for
+    any n; with two agents the lemma is what makes a bound exact.  For
+    additive, budget-additive and unit-demand oracles the two-agent bound,
+    the smaller of v(B) plus `_scheduled_singles` over the available goods
+    A and v(B ∪ A), is then the state's exact value: the greedy maximizes
+    the sum of S over the deadline matroid, hence min(cap, ·) of it too, and
+    the best single good is gainable alone.  For an OXS oracle the state's
+    exact value, the largest v(B ∪ S) over the sets S of A that meet the
+    caps, is a maximum-weight matching whose goods meet a laminar matroid:
+    one min-cost flow (`flow.DeadlineFlow`, which proves it), on a graph
+    built once per search.  These four classes declare
+    `deadline_bound_exact`, and the search returns the exact value without
+    expanding the state, so a value-only search is one bound at the root,
+    and the reconstruction one per pick it tries.  With three or more
+    agents, v(B ∪ A), an oracle read on a new bundle, is made only when v(B)
+    plus `_scheduled_singles` does not already prune.  A table, not
+    subadditive by construction, is bounded by v(B ∪ A) alone.  The
+    reconstruction tries her picks in ascending good order and takes the
+    first whose child's exact value reaches the target: the least optimal
+    pick, as in the exhaustive search.
     """
-    if set(others) != set(range(inst.n)) - {agent}:
-        raise ValueError("`others` must cover exactly the agents other than `agent`")
+    check_deviator(inst, agent, others)
     m, n = inst.m, inst.n
-    for i, r in others.items():
-        if r.m != m:
-            raise ValueError(f"ranking of agent {i + 1} covers {r.m} goods, instance has {m}")
 
     what = f"best_response for agent {agent + 1} of {n} on {m} goods"
     v = inst.valuations[agent]
@@ -282,7 +271,6 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking], *,
     budget = valuations.WORK_BUDGET
     most = budget // m  # states stored, m children each
     order_of = {i: others[i].order for i in others}
-    full = (1 << m) - 1
 
     def advance(avail: int, step: int) -> tuple[int, int]:
         # Apply the fixed agents' picks until it is `agent`'s turn (or the end).
@@ -305,51 +293,47 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking], *,
         # the search tries promising picks first, so the incumbent rises early.
         singles = sorted(((1 << g, value(1 << g)) for g in range(m)),
                          key=lambda single: -single[1])
+        children = [bit for bit, _ in singles]
 
-        # Per good: the goods up to it in the other agent's order, so a pick leaves the
-        # goods after it, `full ^ ahead`, as the next candidates; none when n != 2, so all
-        # stay.
-        ahead = dict.fromkeys((bit for bit, _ in singles), 0)
-        if n == 2:
-            seen = 0
-            for g in order_of[1 - agent]:
-                seen |= 1 << g
-                ahead[1 << g] = seen
-        children = [(bit, full ^ ahead[bit]) for bit, _ in singles]
-
-        # One agent: v(bundle | avail) is exact.  Two: the other's order sets deadlines
-        # (above).  More: every pick is free (`ahead` is 0), so the greedy takes the k
-        # largest singles.
+        # One agent: v(bundle | avail) is exact.  Two: per good, the goods up to it in the
+        # other agent's order set its deadline (above).  More: every pick is free (`ahead`
+        # is 0), so the greedy takes the k largest singles.
         if subadditive:
+            ahead = dict.fromkeys(children, 0)
+            if n == 2:
+                seen = 0
+                for g in order_of[1 - agent]:
+                    seen |= 1 << g
+                    ahead[1 << g] = seen
             goods = [(bit, single, ahead[bit]) for bit, single in singles if single]
             due = [(1 << (j + 1 >> 1)) - 1 for j in range(m + 1)] if n == 2 else [-1]
 
-    def bound(avail: int, bundle: int, cand: int, step: int, need: int) -> int:
-        # An upper bound on every completion of `bundle` with goods of `cand`.
+    def bound(avail: int, bundle: int, step: int, need: int) -> int:
+        # An upper bound on every completion of `bundle` with goods of `avail`.
         k = (m - step + n - 1) // n  # picks to go
         if flow is not None:
-            exact_value = flow.value(avail, bundle, cand, k, budget)
+            exact_value = flow.value(avail, bundle, k, budget)
             if exact_value is None:
                 raise SizeGuardError(f"size guard: {what} took {flow.work:,} flow steps, one "
                                      f"per good whose edges a flow relaxed, over the budget "
                                      f"of {budget:,}")
             return exact_value
         if not subadditive:
-            return value(bundle | cand)
-        total = value(bundle) + _scheduled_singles(goods, due, avail, cand, k)
+            return value(bundle | avail)
+        total = value(bundle) + _scheduled_singles(goods, due, avail, k)
         if total <= need and not exact_bound:
-            return total  # pruned without reading v(bundle | cand), a new bundle
-        return min(total, value(bundle | cand))
+            return total  # pruned without reading v(bundle | avail), a new bundle
+        return min(total, value(bundle | avail))
 
-    exact: dict[tuple[int, int, int], int] = {}
-    upper: dict[tuple[int, int, int], int] = {}
+    exact: dict[tuple[int, int], int] = {}
+    upper: dict[tuple[int, int], int] = {}
     opened: set[tuple[int, int]] = set()
 
-    def solve(avail: int, bundle: int, cand: int, step: int, need: int) -> int:
+    def solve(avail: int, bundle: int, step: int, need: int) -> int:
         # The state's exact value when it exceeds `need`, else an upper bound <= need.
-        if step >= m or not cand:
+        if step >= m:
             return value(bundle)
-        key = (avail, bundle, cand)
+        key = (avail, bundle)
         hit = exact.get(key)
         if hit is not None:
             return hit
@@ -359,16 +343,15 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking], *,
                 raise SizeGuardError(f"size guard: {what} stored {most:,} states "
                                      f"({most * m:,} steps) and needs another, "
                                      f"over the budget of {budget:,}")
-            ub = upper[key] = bound(avail, bundle, cand, step, need)
+            ub = upper[key] = bound(avail, bundle, step, need)
         if ub <= need or exact_bound:
             return ub
-        opened.add((avail, bundle))
+        opened.add(key)
         best = -1
-        for bit, after in children:
-            if cand & bit:
+        for bit in children:
+            if avail & bit:
                 next_avail, next_step = advance(avail ^ bit, step + 1)
-                result = solve(next_avail, bundle | bit, next_avail & after, next_step,
-                               max(need, best))
+                result = solve(next_avail, bundle | bit, next_step, max(need, best))
                 if result > best:
                     best = result
         if best > need:
@@ -378,14 +361,13 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking], *,
         return best
 
     try:
-        avail0, step0 = advance(full, 0)
-        best_value = solve(avail0, 0, avail0, step0, -1)  # values are >= 0, so this is exact
+        avail0, step0 = advance((1 << m) - 1, 0)
+        best_value = solve(avail0, 0, step0, -1)  # values are >= 0, so this is exact
         if not ranking:
             return BestResponse(None, None, Fraction(best_value, v.scale), len(opened))
 
         # Reconstruct the lexicographically least optimal pick sequence: the first
-        # child, in ascending good order, whose value with every available good as
-        # candidates reaches the target.
+        # child, in ascending good order, whose exact value reaches the target.
         picks: list[int] = []
         avail, bundle, step, target = avail0, 0, step0, best_value
         while step < m:
@@ -394,7 +376,7 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking], *,
                 bit = mask & -mask
                 mask ^= bit
                 next_avail, next_step = advance(avail ^ bit, step + 1)
-                if solve(next_avail, bundle | bit, next_avail, next_step, target - 1) == target:
+                if solve(next_avail, bundle | bit, next_step, target - 1) == target:
                     picks.append(bit.bit_length() - 1)
                     avail, bundle, step = next_avail, bundle | bit, next_step
                     break

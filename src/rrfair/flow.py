@@ -17,9 +17,9 @@ class DeadlineFlow:
     """Exact two-agent search state values of an OXS oracle, one min-cost flow each.
 
     The static graph, built once per search, is `adjacency` and σ, the
-    other agent's `order` of all goods.  `value(avail, bundle, cand, turns,
-    limit)` is the state's exact value: the largest matching value of
-    B ∪ S, for the bundle B and every S of the candidates C that meets the
+    other agent's `order` of all goods.  `value(avail, bundle, turns, limit)`
+    is the state's exact value: the largest matching value of B ∪ S, for
+    the bundle B and every S of the available goods A that meets the
     deadline caps |S ∩ P_j| <= ⌈j/2⌉, P_j the first j goods of `avail` in
     σ, and |S| <= `turns` (see `equilibria.best_response` for why these
     are the sets she can gain).  `work` counts the flows' steps over every
@@ -29,24 +29,25 @@ class DeadlineFlow:
     The network: a source feeds a chain c_M -> ... -> c_1 over the
     available goods in σ order.  The edge into c_M has capacity
     min(turns, ⌈M/2⌉), the edge c_{j+1} -> c_j capacity ⌈j/2⌉, and each
-    candidate good hangs off its chain node by a capacity-1 edge.  Each
+    available good hangs off its chain node by a capacity-1 edge.  Each
     good of B has its own capacity-1 source edge, with no deadline.  Good
     -> slot edges cost minus their weight, and each slot reaches the sink
     by a capacity-1 edge.
 
     The caps are exactly the lemma's.  Every good takes at most one unit,
     and every slot passes at most one to the sink, so an integral flow is a
-    matching of some goods of B ∪ C, and its cost is minus its weight.  By
-    conservation the edge into c_j carries one unit per matched candidate
-    among P_j's goods, so the flow's candidates S meet every cap; conversely
-    a matching whose candidates S meet the caps routes each good of S down
-    the chain to its node, loading the edge into c_j with |S ∩ P_j|.  So the
+    matching of some goods of B ∪ A, and its cost is minus its weight.  By
+    conservation the edge into c_j carries one unit per matched good of
+    P_j ∩ A, so the goods S of A that the flow matches meet every cap;
+    conversely a matching whose goods S of A meet the caps routes each good
+    of S down the chain to its node, loading the edge into c_j with
+    |S ∩ P_j|.  So the
     least flow cost is minus the largest matching value over B ∪ S with S
     feasible, which by monotonicity is the state's value.  A prefix whose
     last good hangs nothing adds no cap beyond the next chain node below
     that does, since ⌈j/2⌉ grows with j: the chain keeps only the nodes of
-    candidates with edges, each with its own prefix cap, and the top one
-    capped by `turns` as well.
+    goods with edges, each with its own prefix cap, and the top one capped
+    by `turns` as well.
 
     Successive shortest paths: from the empty flow, augment one unit along
     a cheapest source-sink path in the residual graph (the label-correcting
@@ -77,10 +78,10 @@ class DeadlineFlow:
         self.order = [(g, 1 << g, bool(adjacency[g])) for g in order]
         self.work = 0
 
-    def value(self, avail: int, bundle: int, cand: int, turns: int, limit: int) -> int | None:
+    def value(self, avail: int, bundle: int, turns: int, limit: int) -> int | None:
         adjacency = self.adjacency
         num_right = self.num_right
-        chain: list[int] = []    # the candidates with edges, in σ order: c_1 first
+        chain: list[int] = []    # the available goods with edges, in σ order: c_1 first
         caps: list[int] = []     # the capacity of the edge into each chain node
         unset: list[int | None] = [None] * len(adjacency)  # one entry per good
         node_of = unset[:]       # per chain good: its node
@@ -90,7 +91,7 @@ class DeadlineFlow:
         for g, bit, linked in self.order:
             if avail & bit:
                 rank += 1
-                if linked and cand & bit:
+                if linked:
                     node_of[g] = len(chain)
                     chain.append(g)
                     caps.append(rank + 1 >> 1)

@@ -16,7 +16,7 @@ All indices here are zero-based: goods 0..m-1, agents 0..n-1, rounds
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .valuations import Frozen, Instance
 
@@ -126,6 +126,17 @@ def round_robin(inst: Instance, profile: Profile) -> Allocation:
     n = inst.n
     picks, _ = deal([r.order for r in profile.rankings], inst.m)
     return Allocation(tuple(frozenset(picks[i::n]) for i in range(n)))
+
+
+def check_deviator(inst: Instance, agent: int, others: Mapping[int, Ranking]) -> None:
+    """Refuse an out-of-range `agent`, or `others` that are not every other agent's ranking."""
+    if not 0 <= agent < inst.n:
+        raise ValueError(f"agent {agent} is out of range 0..{inst.n - 1}")
+    if set(others) != set(range(inst.n)) - {agent}:
+        raise ValueError("`others` must cover exactly the agents other than `agent`")
+    for i, r in others.items():
+        if r.m != inst.m:
+            raise ValueError(f"ranking of agent {i + 1} covers {r.m} goods, instance has {inst.m}")
 
 
 def ranking_from_picks(picks: Iterable[int], m: int) -> Ranking:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from .mechanism import Profile, Ranking, ranking_from_picks
+from .mechanism import Profile, Ranking, check_deviator, ranking_from_picks
 from .valuations import Instance, Valuation, bundle_to_mask
 
 
@@ -111,6 +111,5 @@ def greedy_response(inst: Instance, agent: int, others: Mapping[int, Ranking]) -
     remaining goods ascending; replaying the mechanism with it yields
     exactly the picked bundle.
     """
-    if set(others) != set(range(inst.n)) - {agent}:
-        raise ValueError("`others` must cover exactly the agents other than `agent`")
+    check_deviator(inst, agent, others)
     return ranking_from_picks(_greedy_picks(inst, others)[agent::inst.n], inst.m)

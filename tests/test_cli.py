@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from rrfair import checks, cli, valuations
+from rrfair import checks, cli, equilibria, valuations
 from rrfair.cli import (
     fmt_frac,
     json_frac,
@@ -36,6 +36,7 @@ from rrfair.instances import (
     FIXTURES,
     GENERATOR_CLASSES,
     GeneratorSpec,
+    additive_tightness_instance,
     bluff_tightness_instance,
     build_fixture,
     generate,
@@ -478,10 +479,50 @@ def test_run_rejects_bad_inputs(capsys, tmp_path, no_pne_path):
         assert captured.err == (
             f"error: profile {str(bad_profile)!r}, line 2: malformed good {good!r}\n")
 
+    bad_profile.write_text("0 1 2 3\n0 1 2\n", encoding="utf-8")
+    assert main(["run", no_pne_path, "--profile", str(bad_profile)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: profile {str(bad_profile)!r}, line 2: expected 4 goods\n")
+
     not_json = tmp_path / "broken.json"
     not_json.write_text("{", encoding="utf-8")
     code, _ = run_cli(capsys, "run", str(not_json))
     assert code == 2
+
+
+def test_run_reports_an_instance_that_fits_no_bound_rule(capsys, tmp_path):
+    # v(S) = |S|² is cancelable, but neither subadditive nor submodular.
+    squares = Table(3, [mask.bit_count() ** 2 for mask in range(8)])
+    path = tmp_path / "squares.json"
+    save(Instance(n=2, m=3, valuations=(squares, squares)), path)
+    verdict = ("not applicable: instance fits no certified class "
+               "(additive / submodular / subadditive cancelable)")
+    code, out = run_cli(capsys, "run", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["bound"] == {"rule": None, "value": None, "verdict": verdict}
+    code, out = run_cli(capsys, "run", str(path))
+    assert code == 0
+    assert out.splitlines()[-1] == f"bound: {verdict}"
+
+
+def test_run_names_the_bound_rule_it_could_not_check_without_an_equilibrium(
+        capsys, monkeypatch, tmp_path):
+    def refused(*args, **kwargs):
+        raise SizeGuardError("size guard: refused")
+
+    monkeypatch.setattr(equilibria, "best_response", refused)
+    path = tmp_path / "additive.json"
+    save(additive_tightness_instance(), path)
+    code, out = run_cli(capsys, "run", str(path), "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["equilibrium"] == {"skipped": "size guard: refused"}
+    assert doc["bound"] == {"rule": "alpha/(2-alpha) [two additive agents]", "value": None,
+                            "verdict": "skipped: no equilibrium report"}
+    code, out = run_cli(capsys, "run", str(path))
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        "bound: alpha/(2-alpha) [two additive agents]: skipped: no equilibrium report")
 
 
 @pytest.mark.parametrize("where", ["document", "profile"])
@@ -509,8 +550,10 @@ def _agent_of_class(cls: object) -> str:
      "need at least one agent and one good\n"),
     ('{"n": 1, "m": -2, "agents": [{"class": "table", "values": ["0"]}]}',
      "need at least one agent and one good\n"),
+    ("[]", "document must be a JSON object\n"),
+    ('{"n": 1, "m": 1, "agents": [1]}', "agents[0]: must be an object\n"),
 ], ids=["deep", "long-int", "class-list", "class-object", "negative-n", "negative-m",
-        "negative-m-table"])
+        "negative-m-table", "document-not-an-object", "agent-not-an-object"])
 @pytest.mark.parametrize("command", ["run", "certify"])
 def test_documents_that_cannot_load_exit_2(capsys, tmp_path, command, text, error):
     path = tmp_path / "bad.json"
@@ -746,6 +789,16 @@ def test_a_repeated_parameter_exits_2_naming_it(capsys, command):
     assert main(argv) == cli.EXIT_INPUT
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: --param eps1 given twice\n")
+
+
+@pytest.mark.parametrize("argv, error", [
+    ("reproduce bluff-tightness --param eps1", "--param expects NAME=VALUE, got 'eps1'"),
+    ("generate --class additive --param eps1=1", "--param only applies to --fixture"),
+], ids=["without-equals", "with-class"])
+def test_a_misplaced_or_malformed_parameter_exits_2_with_its_message(capsys, argv, error):
+    assert main(argv.split()) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {error}\n")
 
 
 def test_reproduce_rejects_bad_parameters(capsys):
@@ -1077,7 +1130,12 @@ def test_certify_json_and_guard_skips(capsys, tmp_path):
     # every exhaustive check is guarded out at this size, reported per check
     for check in ("monotone", "additive", "submodular", "cancelable", "subadditive"):
         assert agent[check]["holds"] is None
-        assert "skipped" in agent[check]
+        assert agent[check]["skipped"].startswith("size guard: ")
+    code, out = run_cli(capsys, "certify", str(path))
+    assert code == 0
+    assert out.splitlines() == ["agent 1 (additive):"] + [
+        f"  {check}: skipped ({agent[check]['skipped']})" for check in agent
+        if check not in ("agent", "class")]
 
 
 def test_certify_checks_each_table_for_monotonicity_once(capsys, monkeypatch, tmp_path):

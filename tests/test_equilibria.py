@@ -48,7 +48,7 @@ from rrfair.instances import (
     oxs_lower_bound_instance,
 )
 from rrfair.mechanism import Profile, Ranking, deal, ranking_from_picks, round_robin
-from rrfair.profiles import bluff_profile, truthful_profile, truthful_ranking
+from rrfair.profiles import bluff_profile, greedy_response, truthful_profile, truthful_ranking
 from rrfair.valuations import (
     OXS,
     Additive,
@@ -156,6 +156,26 @@ def test_best_response_guards(monkeypatch):
                        r"16 goods stored 6 states \(96 steps\) and needs another, over the "
                        r"budget of 100$"):
         best_response(big, 0, {1: Ranking(tuple(range(16)))})
+
+
+@pytest.mark.parametrize("respond", [best_response, greedy_response])
+@pytest.mark.parametrize("agent", [-1, 2, 5])
+def test_an_agent_outside_the_instance_is_refused_first(respond, agent):
+    # `others` names every agent of the instance, so only the range check can refuse.
+    inst = Instance(n=2, m=4, valuations=(Additive([1, 2, 3, 4]),) * 2)
+    others = truthful_profile(inst).others(agent)
+    assert set(others) == {0, 1}
+    with pytest.raises(ValueError, match=r"^agent -?\d+ is out of range 0\.\.1$"):
+        respond(inst, agent, others)
+
+
+@pytest.mark.parametrize("respond", [best_response, greedy_response])
+@pytest.mark.parametrize("order", [(0, 1, 2), (0, 1, 2, 3, 4)])
+def test_a_ranking_of_the_wrong_length_is_refused(respond, order):
+    inst = Instance(n=2, m=4, valuations=(Additive([1, 2, 3, 4]),) * 2)
+    with pytest.raises(ValueError, match=rf"^ranking of agent 2 covers {len(order)} goods, "
+                                         r"instance has 4$"):
+        respond(inst, 0, {1: Ranking(order)})
 
 
 @pytest.mark.parametrize("ranking", [True, False])
@@ -392,8 +412,8 @@ def test_the_stored_state_guard_admits_every_search_the_estimate_admitted(
 
 
 class PickTreeOXS(OXS):
-    """An OXS oracle that the pick-tree search values, as it did every OXS oracle before
-    the flow: the same σ-order picks and singleton bound, state by state."""
+    """An OXS oracle that the pick-tree search values state by state, trying every available
+    pick under the deadline singleton bound: unlike the flow, it needs only the caps' necessity."""
 
     deadline_bound_exact = False
 
@@ -438,7 +458,7 @@ def meets_the_schedule(gained: int, avail: int, order) -> bool:
     return True
 
 
-def schedule_greedy_inputs(follower, weights) -> tuple[dict, list, list]:
+def schedule_greedy_inputs(follower, weights) -> tuple[list, list]:
     """`_scheduled_singles`'s goods and deadlines: per good, the goods up to it in `follower`."""
     ahead, seen = {}, 0
     for g in follower:
@@ -446,7 +466,7 @@ def schedule_greedy_inputs(follower, weights) -> tuple[dict, list, list]:
         ahead[g] = seen
     by_value = sorted(range(len(weights)), key=lambda g: -weights[g])
     goods = [(1 << g, weights[g], ahead[g]) for g in by_value]
-    return ahead, goods, [(1 << (j + 1 >> 1)) - 1 for j in range(len(weights) + 1)]
+    return goods, [(1 << (j + 1 >> 1)) - 1 for j in range(len(weights) + 1)]
 
 
 @st.composite
@@ -465,7 +485,7 @@ def schedule_cases(draw):
 def test_the_pick_schedule_holds_every_reachable_bundle_and_the_greedy_is_its_optimum(case):
     n, m, agent, orders, weights = case
     follower = orders[(agent + 1) % n]
-    _, goods, due = schedule_greedy_inputs(follower, weights)
+    goods, due = schedule_greedy_inputs(follower, weights)
 
     def advance(avail: int, step: int) -> tuple[int, int]:
         while step < m and step % n != agent:
@@ -492,10 +512,10 @@ def test_the_pick_schedule_holds_every_reachable_bundle_and_the_greedy_is_its_op
         feasible = (s for s in range(1 << m) if s & avail == s and s.bit_count() <= turns
                     and meets_the_schedule(s, avail, follower))
         best = max(sum(weights[g] for g in range(m) if s >> g & 1) for s in feasible)
-        assert equilibria._scheduled_singles(goods, due, avail, avail, turns) == best
+        assert equilibria._scheduled_singles(goods, due, avail, turns) == best
         # With no deadlines, as for three or more agents, every pick is free.
         free_goods = [(bit, single, 0) for bit, single, _ in goods]
-        assert equilibria._scheduled_singles(free_goods, [-1], avail, avail, turns) == sum(
+        assert equilibria._scheduled_singles(free_goods, [-1], avail, turns) == sum(
             sorted((weights[g] for g in range(m) if avail >> g & 1), reverse=True)[:turns])
         gains[avail] = out
         return out
@@ -512,7 +532,6 @@ def test_two_agents_gain_exactly_the_sets_that_meet_the_schedule_in_the_others_o
     # The lemma in `best_response`: with two agents, the deadlines are sufficient too.
     rng = random.Random(order_seed)
     sigma = tuple(rng.sample(range(m), m))
-    weights = [rng.randint(0, 9) for _ in range(m)]
     avail = ((1 << m) - 1) ^ (1 << sigma[0] if agent else 0)  # at her first turn
     turns = len(range(agent, m, 2))
 
@@ -527,13 +546,28 @@ def test_two_agents_gain_exactly_the_sets_that_meet_the_schedule_in_the_others_o
     for s in feasible:
         in_sigma = [g for g in sigma if s >> g & 1]
         assert dealt(ranking_from_picks(in_sigma, m).order)[0][:len(in_sigma)] == in_sigma
-    # The search's bound after a pick in σ-order: the greedy over the goods after
-    # it, whose deadlines still count every available good, is their best total.
-    ahead, goods, due = schedule_greedy_inputs(sigma, weights)
-    for cand in [avail] + [avail & ~ahead[g] for g in sigma]:
-        best = max(sum(weights[g] for g in range(m) if s >> g & 1)
-                   for s in feasible if s & cand == s)
-        assert equilibria._scheduled_singles(goods, due, avail, cand, turns) == best
+
+
+@pytest.mark.parametrize("m", range(4, 13))
+def test_two_agent_table_searches_find_the_best_set_that_meets_the_schedule(m):
+    # The search tries every pick and never uses the lemma; this brute force uses the
+    # lemma alone, at sizes `reference_best_response` does not admit.
+    for spec_seed in range(8):
+        inst = generate(GeneratorSpec("submodular_table", 2, m, spec_seed))
+        rng = random.Random(spec_seed)
+        for agent in (0, 1):
+            sigma = tuple(rng.sample(range(m), m))
+            avail = ((1 << m) - 1) ^ (1 << sigma[0] if agent else 0)  # at her first turn
+            turns = len(range(agent, m, 2))
+            v = inst.valuations[agent]
+            best = max(v.value_mask(s) for s in range(1 << m)
+                       if s & avail == s and s.bit_count() <= turns
+                       and meets_the_schedule(s, avail, sigma))
+            others = {1 - agent: Ranking(sigma)}
+            value_only = best_response(inst, agent, others, ranking=False)
+            full = best_response(inst, agent, others)
+            assert value_only.value == full.value == Fraction(best, v.scale), (spec_seed, agent)
+            assert v.value(full.bundle) == full.value
 
 
 # ---------------------------------------------------------------------------

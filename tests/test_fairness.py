@@ -110,6 +110,8 @@ def test_ef1_factor_rejects_non_partitions():
         ef1_factor(inst, Allocation((frozenset({0}), frozenset({0, 1}))))
     with pytest.raises(ValueError):
         ef1_factor(inst, Allocation((frozenset({0}), frozenset())))
+    with pytest.raises(ValueError, match=r"^allocation has 1 bundles, instance has 2 agents$"):
+        ef1_factor(inst, Allocation((frozenset({0, 1}),)))
 
 
 @seed(20261018)

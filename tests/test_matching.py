@@ -91,14 +91,13 @@ def meets_the_caps(gained: set, line: list[int], turns: int) -> bool:
 
 
 def brute_force_state_value(num_right: int, adjacency, order, avail: int, bundle: int,
-                            cand: int, turns: int) -> Fraction:
-    """The best matching of the bundle plus a capped subset of the candidates, by enumeration."""
+                            turns: int) -> Fraction:
+    """The best matching of the bundle plus capped available goods, by enumeration."""
     line = [g for g in order if avail >> g & 1]
-    free = [g for g in line if cand >> g & 1]
     held = [g for g in range(len(adjacency)) if bundle >> g & 1]
     best = Fraction(0)
-    for size in range(len(free) + 1):
-        for gained in itertools.combinations(free, size):
+    for size in range(len(line) + 1):
+        for gained in itertools.combinations(line, size):
             if meets_the_caps(set(gained), line, turns):
                 goods = held + list(gained)
                 best = max(best, brute_force_matching_value(edges_of([
@@ -117,28 +116,18 @@ def flow_states(draw):
     order = draw(st.permutations(range(m)))
     avail = draw(st.integers(min_value=0, max_value=(1 << m) - 1))
     bundle = draw(st.integers(min_value=0, max_value=(1 << m) - 1)) & ~avail
-    line = [g for g in order if avail >> g & 1]
-    # Every available good (the root, and the reconstruction's probes), the goods after
-    # a pick in σ (the search's candidates), or any subset.
-    form = draw(st.sampled_from(("all", "after a pick", "subset")))
-    if form == "all":
-        cand = avail
-    elif form == "after a pick":
-        cand = sum(1 << g for g in line[draw(st.integers(min_value=0, max_value=len(line))):])
-    else:
-        cand = draw(st.integers(min_value=0, max_value=(1 << m) - 1)) & avail
     # Her picks to go are ⌈M/2⌉ at her turn; fewer and more exercise the top cap.
-    turns = draw(st.integers(min_value=0, max_value=(len(line) + 1) // 2 + 1))
-    return num_right, adjacency, order, avail, bundle, cand, turns
+    turns = draw(st.integers(min_value=0, max_value=(avail.bit_count() + 1) // 2 + 1))
+    return num_right, adjacency, order, avail, bundle, turns
 
 
 @seed(20261020)
 @settings(max_examples=400, deadline=None)
 @given(state=flow_states())
 def test_flow_state_value_equals_the_best_capped_subset(state):
-    num_right, adjacency, order, avail, bundle, cand, turns = state
+    num_right, adjacency, order, avail, bundle, turns = state
     flow = DeadlineFlow(num_right, adjacency, order)
-    assert flow.value(avail, bundle, cand, turns, 10**9) == brute_force_state_value(*state)
+    assert flow.value(avail, bundle, turns, 10**9) == brute_force_state_value(*state)
 
 
 @seed(20261020)
@@ -149,7 +138,7 @@ def test_flow_with_every_good_free_is_the_matching_value(graph):
     num_right, adjacency, order = graph
     flow = DeadlineFlow(num_right, adjacency, order)
     everything = (1 << len(adjacency)) - 1
-    assert flow.value(0, everything, 0, 0, 10**9) == max_weight_matching_value(
+    assert flow.value(0, everything, 0, 10**9) == max_weight_matching_value(
         num_right, adjacency)
 
 
@@ -158,11 +147,11 @@ def test_flow_counts_the_goods_it_relaxes_and_stops_past_its_limit():
     # edge.  Good 2 takes slot 0 (3), then good 0 the free slot 1 (1).
     adjacency = [((0, 2), (1, 1)), (), ((0, 3),)]
     flow = DeadlineFlow(2, adjacency, (0, 1, 2))
-    assert flow.value(0b111, 0, 0b111, 2, 10**9) == 4
+    assert flow.value(0b111, 0, 2, 10**9) == 4
     work = flow.work
     assert work > 0
     refused = DeadlineFlow(2, adjacency, (0, 1, 2))
-    assert refused.value(0b111, 0, 0b111, 2, work - 1) is None
+    assert refused.value(0b111, 0, 2, work - 1) is None
     assert refused.work == work
     admitted = DeadlineFlow(2, adjacency, (0, 1, 2))
-    assert admitted.value(0b111, 0, 0b111, 2, work) == 4
+    assert admitted.value(0b111, 0, 2, work) == 4
