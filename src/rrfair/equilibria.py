@@ -248,7 +248,9 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking], *,
     built once per search.  These four classes declare
     `deadline_bound_exact`, and the search returns the exact value without
     expanding the state, so a value-only search is one bound at the root,
-    and the reconstruction one per pick it tries.  With three or more
+    and the reconstruction one per pick it tries.  With one agent every
+    good left is hers, so v(B ∪ A) is every state's exact value, whatever
+    her class, and her search expands no state either.  With three or more
     agents, v(B ∪ A), an oracle read on a new bundle, is made only when v(B)
     plus `_scheduled_singles` does not already prune.  A table, not
     subadditive by construction, is bounded by v(B ∪ A) alone.  The
@@ -261,7 +263,7 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking], *,
 
     what = f"best_response for agent {agent + 1} of {n} on {m} goods"
     v = inst.valuations[agent]
-    exact_bound = v.deadline_bound_exact and n == 2
+    exact_bound = n == 1 or v.deadline_bound_exact and n == 2
     turns, deepest = len(range(agent, m, n)), sys.getrecursionlimit() // 2
     if not exact_bound and turns > deepest:
         # `solve` recurses once per turn, unless the bound answers every state; the
@@ -286,7 +288,9 @@ def best_response(inst: Instance, agent: int, others: Mapping[int, Ranking], *,
     value = v.value_mask  # scale * v(mask), an int, cached by the oracle
     # Two agents and an OXS agent: one min-cost flow gives a state's exact value, so no
     # state is expanded, and the search needs no pick order and no singleton bound.
-    flow = v.deadline_flow(order_of[1 - agent]) if exact_bound and isinstance(v, OXS) else None
+    flow = None
+    if n == 2 and exact_bound and isinstance(v, OXS):
+        flow = v.deadline_flow(order_of[1 - agent])
     subadditive = v.subadditive_by_construction and n > 1
     if flow is None:
         # (single-bit mask, its value) by decreasing value and then ascending good:

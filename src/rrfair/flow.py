@@ -70,129 +70,112 @@ class DeadlineFlow:
     So the path costs never decrease, and c is least at the first f whose
     next path costs 0 or more, or that has no next path.  The empty flow's
     residual graph is acyclic, which starts (1).
+
+    The nodes share one index space.  Chain node c_{i+1} is node i, for i
+    below `top`, the number of chain nodes.  Good k is node `top` + k: the
+    chain's goods come first, in σ order, so chain good k hangs off chain
+    node k, and the bundle's follow.  Slot r comes after the goods, and the
+    source is -1.  One `label` array holds every node's best gain from the
+    source, and one `came` array its predecessor on that path; the flow is
+    `owner` and `held` per slot, `at` (its slot) per good and `load` (the
+    flow into it) per chain node.  Each round is one FIFO label-correcting
+    loop over the node ids, then a walk back from the best free slot that
+    applies each path edge by the kinds of its two ends.
     """
 
     def __init__(self, num_right: int, adjacency: Adjacency, order: Sequence[int]) -> None:
         self.num_right = num_right
-        self.adjacency = adjacency
-        self.order = [(g, 1 << g, bool(adjacency[g])) for g in order]
+        self.order = [(1 << g, adjacency[g]) for g in order]
         self.work = 0
 
     def value(self, avail: int, bundle: int, turns: int, limit: int) -> int | None:
-        adjacency = self.adjacency
         num_right = self.num_right
-        chain: list[int] = []    # the available goods with edges, in σ order: c_1 first
-        caps: list[int] = []     # the capacity of the edge into each chain node
-        unset: list[int | None] = [None] * len(adjacency)  # one entry per good
-        node_of = unset[:]       # per chain good: its node
-        slot_of = unset[:]       # per matched good: its slot
-        sources: list[int] = []  # the bundle's goods with edges
+        chain: list[Sequence[tuple[int, int]]] = []  # available goods' edges, in σ order: c_1 first
+        caps: list[int] = []  # the capacity of the edge into each chain node
+        sources: list[Sequence[tuple[int, int]]] = []  # the bundle's goods' edges
         rank = 0
-        for g, bit, linked in self.order:
+        for bit, row in self.order:
             if avail & bit:
                 rank += 1
-                if linked:
-                    node_of[g] = len(chain)
-                    chain.append(g)
+                if row:
+                    chain.append(row)
                     caps.append(rank + 1 >> 1)
-            elif linked and bundle & bit:
-                sources.append(g)
-        top = len(chain)  # the source, as the node above the chain's last
-        if top:
-            caps[-1] = min(caps[-1], turns)
-        owner: list[int | None] = [None] * num_right  # per slot: its good
+            elif row and bundle & bit:
+                sources.append(row)
+        top = len(chain)
+        goods = chain + sources  # good k is node top + k; chain good k hangs off node k
+        slots = top + len(goods)  # slot r is node slots + r
+        owner: list[int | None] = [None] * num_right  # per slot: its good k
         held = [0] * num_right                       # per slot: its edge's weight
+        at: list[int | None] = [None] * len(goods)   # per good: its slot
         load = [0] * top                             # flow on the edge into each chain node
         work, total = self.work, 0
         while True:
-            # Best gains (minus costs) from the source: per slot, with the good and the
-            # weight of the edge into it; per chain node, with the node before it (itself:
-            # its good, moving off its slot); per good.  A good is fed fresh, by the source
-            # or its chain node, or held, moving off its slot.
-            gain: list[int | None] = [None] * num_right
-            via_good = [0] * num_right
-            via_weight = [0] * num_right
-            level: list[int | None] = [None] * top
-            came = [0] * top
-            worth = unset[:]
-            queue: list[int] = []  # slots r, goods as num_right + g, chain nodes as ~i
-            for g in sources:
-                if slot_of[g] is None:
-                    worth[g] = 0
-                    queue.append(num_right + g)
-            if top and load[-1] < caps[-1]:
-                level[-1], came[-1] = 0, top
-                queue.append(~(top - 1))
-            for item in queue:  # the list grows while it is read: a FIFO queue
-                if item >= num_right:
-                    g = item - num_right
-                    base = worth[g]
+            # Best gains (minus costs) from the source, and each node's predecessor on its
+            # best path (-1: the source).
+            label: list[int | None] = [None] * (slots + num_right)
+            came = [-1] * (slots + num_right)
+            queue = [top + k for k in range(top, len(goods)) if at[k] is None]
+            if top and load[-1] < min(caps[-1], turns):  # `turns` caps the top edge too
+                queue.append(top - 1)
+            for node in queue:
+                label[node] = 0
+            for node in queue:  # the list grows while it is read: a FIFO queue
+                base = label[node]
+                if node >= slots:  # a slot: its good moves off it
+                    k = owner[node - slots]
+                    if k is None:
+                        continue
+                    base -= held[node - slots]
+                    steps: Sequence[int] = (top + k,)
+                elif node >= top:  # a good: one flow step relaxes its edges
+                    k = node - top
                     work += 1
                     if work > limit:
                         self.work = work
                         return None
                     # A held good's own slot gives back its gain exactly: never relabelled.
-                    for right, weight in adjacency[g]:
-                        candidate = base + weight
-                        label = gain[right]
-                        if label is None or label < candidate:
-                            gain[right] = candidate
-                            via_good[right], via_weight[right] = g, weight
-                            queue.append(right)
-                    i = node_of[g]
-                    if i is None or slot_of[g] is None:
-                        continue
-                    moves = ((i, i),)  # back up the chain edge that fed it
-                elif item >= 0:
-                    g = owner[item]
-                    if g is not None:
-                        base = gain[item] - held[item]
-                        label = worth[g]
-                        if label is None or label < base:
-                            worth[g] = base
-                            queue.append(num_right + g)
-                    continue
-                else:
-                    i = ~item
-                    base = level[i]
-                    g = chain[i]
-                    if slot_of[g] is None:
-                        label = worth[g]
-                        if label is None or label < base:
-                            worth[g] = base
-                            queue.append(num_right + g)
-                    moves = ()
-                    if i and load[i - 1] < caps[i - 1]:
-                        moves += ((i - 1, i),)  # down the chain
-                    if i + 1 < top and load[i]:
-                        moves += ((i + 1, i),)  # back up the edge into i
-                for i, frm in moves:
-                    label = level[i]
-                    if label is None or label < base:
-                        level[i], came[i] = base, frm
-                        queue.append(~i)
-            best, end = 0, None
-            for right, label in enumerate(gain):
-                if label is not None and label > best and owner[right] is None:
-                    best, end = label, right
-            if end is None:
+                    for right, w in goods[k]:
+                        nxt, gain = slots + right, base + w
+                        old = label[nxt]
+                        if old is None or old < gain:
+                            label[nxt], came[nxt] = gain, node
+                            queue.append(nxt)
+                    # a matched chain good goes back up the chain edge that fed it
+                    steps = (k,) if k < top and at[k] is not None else ()
+                else:  # a chain node: it feeds its good, unless the good holds a slot
+                    steps = [top + node] if at[node] is None else []
+                    if node and load[node - 1] < caps[node - 1]:
+                        steps.append(node - 1)  # down the chain
+                    if node + 1 < top and load[node]:
+                        steps.append(node + 1)  # back up the edge into it
+                for nxt in steps:
+                    old = label[nxt]
+                    if old is None or old < base:
+                        label[nxt], came[nxt] = base, node
+                        queue.append(nxt)
+            best, end = 0, -1
+            for right in range(num_right):
+                gain = label[slots + right]
+                if gain is not None and gain > best and owner[right] is None:
+                    best, end = gain, slots + right
+            if end < 0:
                 self.work = work
                 return total
             total += best
-            slot: int | None = end
-            while slot is not None:  # walk the path back to the source, moving one unit
-                g = via_good[slot]
-                owner[slot], held[slot] = g, via_weight[slot]
-                slot, slot_of[g] = slot_of[g], slot  # g moved off its old slot, if any
-                i = node_of[g] if slot is None else None
-                while i is not None:  # g was fed down the chain: walk up it to the source
-                    frm = came[i]
-                    if frm == i:  # here the chain good came back off the slot it held
-                        g = chain[i]
-                        slot, slot_of[g], i = slot_of[g], None, None
-                        continue
-                    if frm > i:
-                        load[i] += 1
+            node = end
+            while node >= 0:  # walk the path back to the source, moving one unit
+                frm = came[node]
+                if node >= slots:  # good frm takes the slot
+                    right, k = node - slots, frm - top
+                    # A label rise is relaxed again before the queue drains, so labels are tight
+                    # along the predecessor tree: their gap is the edge's weight.
+                    owner[right], held[right], at[k] = k, label[node] - label[frm], right
+                elif node < top:  # into a chain node (an edge into a good needs no update)
+                    if frm >= top:
+                        at[node] = None  # its good went back up the edge that fed it, off its slot
+                    elif 0 <= frm < node:
+                        load[frm] -= 1  # back up the edge into the node
                     else:
-                        load[frm] -= 1
-                    i = frm if frm < top else None
+                        load[node] += 1  # down from the node above, or from the source
+                node = frm

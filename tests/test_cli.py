@@ -1348,12 +1348,12 @@ def test_best_response_agent_validation(capsys, thm4_path):
 
 def test_best_response_too_deep_to_recurse_exits_3(capsys, tmp_path):
     path = tmp_path / "deep.json"
-    save(Instance(n=1, m=1000, valuations=(Additive([1] * 1000),)), path)
+    save(Instance(n=3, m=3000, valuations=(Additive([1] * 3000),) * 3), path)
     assert main(["best-response", str(path), "--agent", "1"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: size guard: best_response for agent 1 of 1 on 1000 goods recurses 1,000 turns "
+        "error: size guard: best_response for agent 1 of 3 on 3000 goods recurses 1,000 turns "
         "deep, over the 500 the recursion limit allows\n")
 
 

@@ -190,11 +190,11 @@ def test_best_response_refuses_a_ranking_of_another_good_count(order, ranking):
     assert best_response(inst, 0, {1: Ranking((0, 1, 2, 3))}, ranking=ranking).value == 7
 
 
-@pytest.mark.parametrize("n, m", [(1, 1000), (3, 3000)])
+@pytest.mark.parametrize("n, m", [(3, 2998), (3, 3000)])
 def test_a_search_too_deep_to_recurse_is_refused_before_it_starts(n, m):
-    # `solve` recurses once per turn of the agent; its first descent stores one
-    # state per turn, so the budget alone would admit 1,000 turns.  (A two-agent
-    # exact-bound search never recurses: see the next test.)
+    # `solve` recurses once per turn of the agent, 1,000 also when the last round
+    # is partial; its first descent stores one state per turn, so the budget alone
+    # would admit them.  (An exact-bound search never recurses: see the next tests.)
     inst = Instance(n=n, m=m, valuations=(Additive([1] * m),) * n)
     message = (f"size guard: best_response for agent 1 of {n} on {m} goods recurses 1,000 turns "
                "deep, over the 500 the recursion limit allows")
@@ -217,14 +217,25 @@ def test_an_exact_bound_search_is_not_refused_for_turns_it_never_recurses():
     assert best_response(inst, 1, profile.others(1), ranking=False).value == 1200
 
 
+def test_a_one_agent_search_takes_every_good_without_expanding_a_state():
+    # Every good is hers, so v(B ∪ A) is each state's exact value: 1,000 turns,
+    # past the 500 the recursion limit allows a recursing search.
+    inst = Instance(n=1, m=1000, valuations=(Additive(list(range(1000))),))
+    response = best_response(inst, 0, {})
+    assert response.value == sum(range(1000))
+    assert response.explored_states == 0
+    assert response.ranking.order == tuple(range(1000))
+    assert evaluate_profile(inst, truthful_profile(inst)).equilibrium.pne_factor == 1
+
+
 def test_the_deepest_admitted_search_reaches_its_last_turn(monkeypatch):
     # 500 turns, under the test runner's own frames: the first descent reaches
     # the last turn, and the budget, not the recursion limit, ends the search.
-    monkeypatch.setattr(valuations, "WORK_BUDGET", 600 * 500)
-    inst = Instance(n=1, m=500, valuations=(Additive([1] * 500),))
-    with pytest.raises(SizeGuardError, match=r"^size guard: best_response for agent 1 of 1 on "
-                       r"500 goods stored 600 states \(300,000 steps\) and needs another"):
-        best_response(inst, 0, {})
+    monkeypatch.setattr(valuations, "WORK_BUDGET", 600 * 1500)
+    inst = Instance(n=3, m=1500, valuations=(Additive([1] * 1500),) * 3)
+    with pytest.raises(SizeGuardError, match=r"^size guard: best_response for agent 1 of 3 on "
+                       r"1500 goods stored 600 states \(900,000 steps\) and needs another"):
+        best_response(inst, 0, truthful_profile(inst).others(0))
 
 
 def test_best_response_leaves_no_reference_cycle():

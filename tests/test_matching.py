@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 from hypothesis import given, seed, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import brute_force_matching_value
 from rrfair.flow import DeadlineFlow
+from rrfair.instances import GeneratorSpec, generate
 from rrfair.matching import max_weight_matching_value
 
 
@@ -155,3 +157,19 @@ def test_flow_counts_the_goods_it_relaxes_and_stops_past_its_limit():
     assert refused.work == work
     admitted = DeadlineFlow(2, adjacency, (0, 1, 2))
     assert admitted.value(0b111, 0, 2, work) == 4
+
+
+def test_flow_steps_on_a_seeded_corpus_are_pinned():
+    # `work` is the size guard's unit: a rewrite of the flow keeps every step it counts.
+    rng = random.Random(7)
+    steps = 0
+    for s in range(300):
+        m = rng.randint(1, 16)
+        v = generate(GeneratorSpec("oxs", 2, m, s)).valuations[rng.randrange(2)]
+        flow = v.deadline_flow(rng.sample(range(m), m))
+        for _ in range(20):
+            avail = rng.getrandbits(m)
+            bundle = rng.getrandbits(m) & ~avail
+            assert flow.value(avail, bundle, rng.randint(0, m), 10**12) is not None
+        steps += flow.work
+    assert steps == 156_907
