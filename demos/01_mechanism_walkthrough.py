@@ -8,7 +8,7 @@ between them, handing each the top-ranked good still on the table.
 from fractions import Fraction
 
 from rrfair import Additive, Instance, Profile, Ranking, round_robin
-from rrfair.mechanism import deal
+from rrfair.mechanism import bit_order, deal
 
 inst = Instance(
     n=2,
@@ -25,7 +25,9 @@ profile = Profile((Ranking((0, 1, 2, 3)), Ranking((1, 0, 2, 3))))
 allocation = round_robin(inst, profile)
 
 # `deal` is the mechanism's core: pick k is made in round k // n by agent k % n.
-picks, _ = deal([r.order for r in profile.rankings], inst.m)
+# It deals on bits, good g as 1 << g, and its picks are bits too.
+bits, _ = deal([bit_order(r.order) for r in profile.rankings], inst.m)
+picks = [bit.bit_length() - 1 for bit in bits]
 print("pick sequence (round, agent, good are zero-based):")
 for k, good in enumerate(picks):
     print(f"  round {k // inst.n}: agent {k % inst.n} takes good {good}")

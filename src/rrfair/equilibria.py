@@ -34,8 +34,8 @@ pass, and their `explored_states` counts that pass's states.
 current and best-response values, `value_mask` ints on her oracle's scale,
 by cross-multiplication, and keeps the least ratio as a reduced int pair.
 `pne_factor` scores one profile with it and builds its report from the same
-ints; a scan shares one memo across all its profiles and builds no
-`Fraction` for a profile whose keys it has seen.
+ints; a scan shares one memo across all its profiles, builds no `Fraction`
+for a profile whose keys it has seen, and scores each repeated outcome once.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .mechanism import (
     Allocation,
     Profile,
     Ranking,
+    bit_order,
     check_deviator,
     deal,
     ranking_from_picks,
@@ -98,37 +99,52 @@ Orders = tuple[tuple[int, ...], ...]  # one order of the goods per agent
 
 
 class ResponseMemo:
-    """Best-response values and fairness reports of one instance's profiles.
+    """Best-response values and scored outcomes of one instance's profiles.
 
     `best` is keyed by (agent, the other agents' orders in agent order),
     the only things her best-response value depends on, and holds that
     value times her oracle's `scale`, an int.  `reports` holds a scan's
     fairness reports, with their ef1 int pair, by the bundle masks.
+    `outcomes` holds a scan's (fairness report, record key) by the bundle
+    masks followed by the agents' best-response ints, all a record's
+    factors depend on.
     """
 
     def __init__(self, inst: Instance) -> None:
         self.inst = inst
         self.best: dict[tuple[int, Orders], int] = {}
         self.reports: dict[tuple[int, ...], tuple[FairnessReport, tuple[int, int]]] = {}
+        self.outcomes: dict[tuple[int, ...], tuple[FairnessReport, tuple[int, ...]]] = {}
 
-    def score(self, orders: Orders, masks: Sequence[int], respond: Callable[[int], int]
-              ) -> tuple[int, int]:
-        """The least capped ratio of current to best-response value, as a reduced (p, q).
+    def best_values(self, orders: Orders, respond: Callable[[int], int] | None = None
+                    ) -> list[int] | None:
+        """Each agent's best-response value in the profile `orders`, times her `scale`.
 
-        `masks` are the bundles the profile `orders` deals.  `respond(i)`
-        gives agent i's best-response value times her `scale`; it is called
-        only for a new (agent, others) key.  A zero best response, or a
-        current value that reaches it, counts as ratio 1.
+        `respond(i)` gives agent i's value for a new (agent, others) key;
+        without `respond`, a new key makes the result None.
         """
-        p = q = 1
         best = self.best
-        valuations = self.inst.valuations
-        for i, mask in enumerate(masks):
+        tops = []
+        for i in range(len(orders)):
             key = (i, orders[:i] + orders[i + 1:])
             top = best.get(key)
             if top is None:
+                if respond is None:
+                    return None
                 top = best[key] = respond(i)
-            current = valuations[i].value_mask(mask)
+            tops.append(top)
+        return tops
+
+    def score(self, masks: Sequence[int], tops: Sequence[int]) -> tuple[int, int]:
+        """The least capped ratio of current to best-response value, as a reduced (p, q).
+
+        `masks` are the bundles a profile deals and `tops` its
+        `best_values`.  A zero best response, or a current value that
+        reaches it, counts as ratio 1.
+        """
+        p = q = 1
+        for v, mask, top in zip(self.inst.valuations, masks, tops):
+            current = v.value_mask(mask)
             if current * q < p * top:
                 p, q = current, top
         d = math.gcd(p, q)
@@ -412,7 +428,7 @@ def pne_factor(
 
     `allocation` is the mechanism's outcome on `profile`, when the caller
     already has it.  Best-response values are read from `responses` (see
-    `ResponseMemo.score`): `best_response` runs only for a new (agent,
+    `ResponseMemo.best_values`): `best_response` runs only for a new (agent,
     others) key.  Pass one memo across calls on the same instance to share
     them; without one, a fresh memo serves this call alone.
     """
@@ -420,14 +436,14 @@ def pne_factor(
         allocation = round_robin(inst, profile)
     if responses is None:
         responses = ResponseMemo(inst)
-    orders = tuple(r.order for r in profile.rankings)
     masks = [sum(1 << g for g in bundle) for bundle in allocation.bundles]
-    p, q = responses.score(orders, masks, lambda i: int(
+    tops = responses.best_values(tuple(r.order for r in profile.rankings), lambda i: int(
         best_response(inst, i, profile.others(i), ranking=False).value * inst.valuations[i].scale))
+    p, q = responses.score(masks, tops)
     per_agent = []
-    for i, (v, mask) in enumerate(zip(inst.valuations, masks)):
+    for i, (v, mask, top) in enumerate(zip(inst.valuations, masks, tops)):
         current = Fraction(v.value_mask(mask), v.scale)
-        best = Fraction(responses.best[i, orders[:i] + orders[i + 1:]], v.scale)
+        best = Fraction(top, v.scale)
         ratio: Factor = UNBOUNDED if best == 0 else current / best
         per_agent.append(AgentEquilibrium(i, current, best, ratio))
     return EquilibriumReport(tuple(per_agent), Fraction(p, q))
@@ -498,31 +514,40 @@ def profile_orders(
     return (tuple(tuple(rng.sample(range(m), m)) for _ in range(n)) for _ in range(samples))
 
 
-def scan_one_profile(scan: ResponseMemo, orders: Orders) -> ScanRecord:
+def scan_one_profile(scan: ResponseMemo, orders: Orders, bits: Orders) -> ScanRecord:
     """Evaluate a single scanned profile (equilibrium plus fairness).
 
-    The profile is dealt once; best-response values and the fairness
-    report come from `scan`.  Only a profile that needs a new best response
-    builds a `Profile`, on which `pne_factor` fills `scan.best`.
+    The profile is dealt once, on `bits`, the `bit_order` of each of
+    `orders`; best-response values and the scored outcome come from
+    `scan`.  Only a profile that needs a new best response builds a
+    `Profile`, on which `pne_factor` fills `scan.best`.  A new outcome is
+    scored, and kept only when every best-response key it read was a
+    repeat: where keys do not repeat, as in a sampled scan of many goods,
+    outcomes do not either.
     """
     inst = scan.inst
-    _, masks = deal(orders, inst.m)
-
-    def respond(i: int) -> int:
+    _, masks = deal(bits, inst.m)
+    tops = scan.best_values(orders)
+    searched = tops is None
+    if searched:
         # Routed through pne_factor for the benchmark's tracer, until a stats recorder
-        # replaces it (ROADMAP items 2 and 3).
+        # replaces it (ROADMAP items 2 and 3); it fills every agent's key.
         pne_factor(inst, Profile(tuple(map(Ranking, orders))), responses=scan)
-        return scan.best[i, orders[:i] + orders[i + 1:]]
-
-    pne = scan.score(orders, masks, respond)
-    bundles = tuple(masks)
-    fairness = scan.reports.get(bundles)
-    if fairness is None:
-        report = ef1_factor(inst, Allocation(tuple(map(mask_to_bundle, bundles))))
-        ef1 = report.ef1_factor
-        fairness = scan.reports[bundles] = (
-            report, (1, 0) if ef1 == UNBOUNDED else (ef1.numerator, ef1.denominator))
-    return ScanRecord(orders, fairness[0], pne + fairness[1])
+        tops = scan.best_values(orders)
+    outcome = (*masks, *tops)
+    scored = scan.outcomes.get(outcome)
+    if scored is None:
+        bundles = tuple(masks)
+        fairness = scan.reports.get(bundles)
+        if fairness is None:
+            report = ef1_factor(inst, Allocation(tuple(map(mask_to_bundle, bundles))))
+            ef1 = report.ef1_factor
+            fairness = scan.reports[bundles] = (
+                report, (1, 0) if ef1 == UNBOUNDED else (ef1.numerator, ef1.denominator))
+        scored = fairness[0], scan.score(masks, tops) + fairness[1]
+        if not searched:
+            scan.outcomes[outcome] = scored
+    return ScanRecord(orders, scored[0], scored[1])
 
 
 def profile_space_scan(
@@ -534,17 +559,25 @@ def profile_space_scan(
     lexicographic order; sampled mode draws `samples` uniform profiles from
     a seeded generator.  Both are deterministic.
 
-    The scan deals each profile once and keeps a `ResponseMemo` for its
-    whole length: one best-response value per (agent, the other agents'
-    orders) and one fairness report per allocation.  Both are pure
+    The scan deals each profile once, on bit orders: an exhaustive scan
+    converts each of the m! orders once, a sampled one each drawn order.
+    It keeps a `ResponseMemo` for its whole length: one best-response value
+    per (agent, the other agents' orders), one fairness report per
+    allocation, and one record key per repeated outcome.  All are pure
     functions of their keys, so the records equal those of unshared
     evaluation; nothing is kept per bundle, and no search's own memo table
     is kept.  A record's `pne_factor` is read off its key.  An oversized
     exhaustive scan is refused when called.
     """
     orders = profile_orders(inst, samples=samples, seed=seed)
-    scan = ResponseMemo(inst)
-    return (scan_one_profile(scan, profile) for profile in orders)
+    if samples is None:  # in step with `orders`
+        bits = itertools.product(map(bit_order, itertools.permutations(range(inst.m))),
+                                 repeat=inst.n)
+    else:
+        orders, drawn = itertools.tee(orders)
+        bits = (tuple(map(bit_order, profile)) for profile in drawn)
+    # `scan_one_profile` is read from the module when the scan is made.
+    return map(scan_one_profile, itertools.repeat(ResponseMemo(inst)), orders, bits)
 
 
 class BoundRule(NamedTuple):

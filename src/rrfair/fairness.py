@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 from .mechanism import Allocation
-from .valuations import Instance
+from .valuations import Additive, Instance
 
 UNBOUNDED = math.inf
 
@@ -63,7 +63,8 @@ def ef1_factor(inst: Instance, alloc: Allocation) -> FairnessReport:
     v_i(A_j - g) over g in A_j: the existential over the removed good makes
     the cheapest remainder decisive, and ties go to the least good.  An
     empty A_j or a zero remainder leaves the pair unbounded.  Factors may
-    exceed 1.
+    exceed 1.  For an additive v_i that minimum is v_i(A_j) less the largest
+    weight in A_j, read in one pass.
     """
     masks = _masks(inst, alloc)
     ratios: dict[tuple[int, int], Factor] = {}
@@ -71,12 +72,18 @@ def ef1_factor(inst: Instance, alloc: Allocation) -> FairnessReport:
     worst_pair: tuple[int, int, int] | None = None
     for i, vi in enumerate(inst.valuations):
         own = vi.value_mask(masks[i])  # on v_i's scale, which cancels in each ratio
+        weights = vi._ints if isinstance(vi, Additive) else None
         for j, mask in enumerate(masks):
             if j == i:
                 continue
-            remainder, removed = min(
-                ((vi.value_mask(mask ^ (1 << g)), g) for g in alloc.bundles[j]),
-                default=(0, None))
+            if weights is not None:
+                # v(B - g) = v(B) - w(g): the least remainder drops the heaviest, least good.
+                removed = min(alloc.bundles[j], key=lambda g: (-weights[g], g), default=None)
+                remainder = 0 if removed is None else vi.value_mask(mask) - weights[removed]
+            else:
+                remainder, removed = min(
+                    ((vi.value_mask(mask ^ (1 << g)), g) for g in alloc.bundles[j]),
+                    default=(0, None))
             if remainder == 0:
                 ratios[i, j] = UNBOUNDED
                 continue

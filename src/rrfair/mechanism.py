@@ -7,8 +7,8 @@ partial: only agents 0..(m mod n)-1 pick in it.  The paper instead pads
 with dummy goods that everyone values at zero and ranks last; each agent
 then gets the same real goods, and the dummies fill the last round.
 
-A run's record is its pick sequence, `deal`'s list of goods: pick k is
-made in round k // n by agent k mod n.
+A run's record is its pick sequence, `deal`'s list of picked goods, each
+as its bit 1 << g: pick k is made in round k // n by agent k mod n.
 
 All indices here are zero-based: goods 0..m-1, agents 0..n-1, rounds
 0..k-1.  Presentation layers render them 1-based.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .valuations import Frozen, Instance
+from .valuations import Frozen, Instance, mask_to_bundle
 
 
 class Ranking(Frozen):
@@ -89,11 +89,17 @@ class Allocation(NamedTuple):
             raise ValueError(f"goods {missing} not allocated")
 
 
-def deal(orders: Sequence[tuple[int, ...]], m: int) -> tuple[list[int], list[int]]:
+def bit_order(order: Iterable[int]) -> tuple[int, ...]:
+    """An order of goods as `deal` takes it: each good g as its bit, 1 << g."""
+    return tuple(1 << g for g in order)
+
+
+def deal(orders: Sequence[Sequence[int]], m: int) -> tuple[list[int], list[int]]:
     """The unchecked core of `round_robin`: the picks in order, and each agent's bundle mask.
 
-    `orders` holds one order of all m goods per agent; pick k goes to agent
-    k mod n, and one bitmask tracks the goods taken so far.
+    `orders` holds one `bit_order` of all m goods per agent, and the picks
+    are bits too; pick k goes to agent k mod n, and one bitmask tracks the
+    goods taken so far.
     """
     n = len(orders)
     taken = 0
@@ -101,12 +107,11 @@ def deal(orders: Sequence[tuple[int, ...]], m: int) -> tuple[list[int], list[int
     masks = [0] * n
     for step in range(m):
         i = step % n
-        for g in orders[i]:
-            bit = 1 << g
+        for bit in orders[i]:
             if not taken & bit:
                 break
         taken |= bit
-        picks.append(g)
+        picks.append(bit)
         masks[i] |= bit
     return picks, masks
 
@@ -123,9 +128,8 @@ def round_robin(inst: Instance, profile: Profile) -> Allocation:
     if profile.m != inst.m:
         raise ValueError(f"profile ranks {profile.m} goods, instance has {inst.m}")
 
-    n = inst.n
-    picks, _ = deal([r.order for r in profile.rankings], inst.m)
-    return Allocation(tuple(frozenset(picks[i::n]) for i in range(n)))
+    _, masks = deal([bit_order(r.order) for r in profile.rankings], inst.m)
+    return Allocation(tuple(map(mask_to_bundle, masks)))
 
 
 def check_deviator(inst: Instance, agent: int, others: Mapping[int, Ranking]) -> None:

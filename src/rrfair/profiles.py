@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from .mechanism import Profile, Ranking, check_deviator, ranking_from_picks
-from .valuations import Instance, Valuation, bundle_to_mask
+from .valuations import Additive, Instance, Valuation, bundle_to_mask
 
 
 def truthful_ranking(v: Valuation) -> Ranking:
@@ -38,16 +38,22 @@ def _greedy_picks(inst: Instance, others: Mapping[int, Ranking]) -> list[int]:
     takes the available good of the largest marginal value to her pile;
     ties prefer the larger singleton value, then the smaller good id.  The
     pile is fixed within a turn, so v(pile + g) ranks the goods as the
-    marginal value does.
+    marginal value does.  For an additive agent the marginal value is the
+    singleton value, so she takes the top available good of her
+    `truthful_ranking`.
     """
     n = inst.n
+    orders = {i: r.order for i, r in others.items()}
+    for i, v in enumerate(inst.valuations):
+        if i not in orders and isinstance(v, Additive):
+            orders[i] = truthful_ranking(v).order
     taken = 0
     piles = [0] * n
     picks: list[int] = []
     for k in range(inst.m):
         i = k % n
-        if i in others:
-            pick = next(g for g in others[i].order if not taken >> g & 1)
+        if i in orders:
+            pick = next(g for g in orders[i] if not taken >> g & 1)
         else:
             v, pile = inst.valuations[i], piles[i]
             pick = max((g for g in range(inst.m) if not taken >> g & 1),

@@ -11,7 +11,8 @@ branch-and-bound search replaced, kept to compare bundles, rankings and
 state counts against; `search_states` bounds the states either search
 stores, and guards the reference up front.  `dummy_padded` builds the
 paper's padded instance, which the partial-round mechanism must agree with.
-`prefix_sets` reads the paper's prefix sets S_r off a pick sequence.
+`prefix_sets` reads the paper's prefix sets S_r off a pick sequence, and
+`deal_goods` runs `deal` on orders of goods and gives its picks as goods.
 `reference_as_fraction` reads a document's rational with `Fraction(str)`, and
 `reference_table` reads a table entry by entry through it, with no fast path.
 """
@@ -26,13 +27,27 @@ from fractions import Fraction
 from typing import Mapping
 
 from rrfair.equilibria import BestResponse, NoApplicableBoundError
-from rrfair.mechanism import Allocation, Profile, Ranking, ranking_from_picks, round_robin
+from rrfair.mechanism import (
+    Allocation,
+    Profile,
+    Ranking,
+    bit_order,
+    deal,
+    ranking_from_picks,
+    round_robin,
+)
 from rrfair.valuations import ClassCheck, Instance, Table, Valuation, check_work, int_digit_limit
 
 
 def value_table(v: Valuation) -> list[Fraction]:
     """All 2^m subset values v(S) as Fractions, indexed by bitmask."""
     return [Fraction(v.value_mask(mask), v.scale) for mask in range(1 << v.m)]
+
+
+def deal_goods(orders, m: int) -> tuple[list[int], list[int]]:
+    """`deal` on one order of goods per agent: the picks as goods, and the bundle masks."""
+    picks, masks = deal([bit_order(order) for order in orders], m)
+    return [bit.bit_length() - 1 for bit in picks], masks
 
 
 def prefix_sets(picks, n: int, agent: int) -> tuple[frozenset[int], ...]:

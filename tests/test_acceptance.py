@@ -13,7 +13,12 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from conftest import brute_force_best_response, brute_force_matching_value, prefix_sets
+from conftest import (
+    brute_force_best_response,
+    brute_force_matching_value,
+    deal_goods,
+    prefix_sets,
+)
 from rrfair.equilibria import (
     applicable_bound_rule,
     best_response,
@@ -29,7 +34,7 @@ from rrfair.instances import (
     no_pne_instance,
     oxs_lower_bound_instance,
 )
-from rrfair.mechanism import Profile, Ranking, deal, round_robin
+from rrfair.mechanism import Profile, Ranking, round_robin
 from rrfair.profiles import bluff_profile, greedy_response, truthful_profile, truthful_ranking
 from rrfair.valuations import OXS, is_submodular
 
@@ -268,13 +273,13 @@ def test_criterion_11_prefix_set_drift_laws_hold_under_deviations():
                 tuple(Ranking(tuple(rng.sample(range(m), m))) for _ in range(n))
             )
             alloc = round_robin(inst, base_profile)
-            base_picks, _ = deal([r.order for r in base_profile.rankings], m)
+            base_picks, _ = deal_goods([r.order for r in base_profile.rankings], m)
             k = -(-m // n)  # rounds
             for agent in range(n):
                 base_prefixes = prefix_sets(base_picks, n, agent)
                 for _ in range(100):
                     deviation = Ranking(tuple(rng.sample(range(m), m)))
-                    dev_picks, _ = deal(
+                    dev_picks, _ = deal_goods(
                         [r.order for r in base_profile.replace(agent, deviation).rankings], m)
                     dev_prefixes = prefix_sets(dev_picks, n, agent)
                     for r in range(k):

@@ -994,6 +994,24 @@ def streamed_scan_output(inst, samples, scan_seed, *flags):
     return out.getvalue()
 
 
+# sha256 of `scan DOC --exhaustive` and `--exhaustive --json` on `generate --class oxs
+# --seed 0` documents: 2 agents and 5 goods (14,400 profiles), and 3 agents and 4 goods
+# (13,824 profiles, a partial last round).
+SCAN_DIGESTS = {
+    (2, 5): ("abea8869bec37fd0b26408f59b4ea3a92c2e729fccdd010db30d033475453b05",
+             "2472fa0fbe2657f5b1df63d57b944607c85a7ed1b73443d0e6b985b647feac7d"),
+    (3, 4): ("345e96ab9579a1ded05309c695c0aa9aab0c370f1f450d776c04f4baf02a8576",
+             "f4ebd9cf8fa40ecf9d136c618142d39dda745760bcd22f6b9d702295c6d7635c"),
+}
+
+
+@pytest.mark.parametrize("n, m", sorted(SCAN_DIGESTS))
+def test_exhaustive_scan_bytes_are_pinned(n, m):
+    inst = generate(GeneratorSpec("oxs", n, m, seed=0))
+    assert tuple(hashlib.sha256(streamed_scan_output(inst, None, 0, *flags).encode()).hexdigest()
+                 for flags in ((), ("--json",))) == SCAN_DIGESTS[n, m]
+
+
 def assert_streamed_json_is_the_dumped_document(inst, samples, scan_seed):
     out = streamed_scan_output(inst, samples, scan_seed, "--json")
     assert out == json.dumps(reference_scan_document(inst, samples, scan_seed), indent=2) + "\n"

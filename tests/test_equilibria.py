@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_force_best_response,
+    deal_goods,
     dummy_padded,
     eager_bound_rule_name,
     random_monotone_table_values,
@@ -47,7 +48,7 @@ from rrfair.instances import (
     no_pne_instance,
     oxs_lower_bound_instance,
 )
-from rrfair.mechanism import Profile, Ranking, deal, ranking_from_picks, round_robin
+from rrfair.mechanism import Profile, Ranking, bit_order, ranking_from_picks, round_robin
 from rrfair.profiles import bluff_profile, greedy_response, truthful_profile, truthful_ranking
 from rrfair.valuations import (
     OXS,
@@ -547,7 +548,7 @@ def test_two_agents_gain_exactly_the_sets_that_meet_the_schedule_in_the_others_o
     turns = len(range(agent, m, 2))
 
     def dealt(ranking) -> tuple[list[int], int]:
-        picks, masks = deal((ranking, sigma) if agent == 0 else (sigma, ranking), m)
+        picks, masks = deal_goods((ranking, sigma) if agent == 0 else (sigma, ranking), m)
         return picks[agent::2], masks[agent]
 
     gained = {dealt(ranking)[1] for ranking in itertools.permutations(range(m))}
@@ -828,16 +829,22 @@ def unshared_scan(inst, *, samples=None, seed=0):
 def scan_cases(draw):
     # Per-agent classes from the generator; small weights make ties, zero
     # values and repeated allocations common.  m need not be a multiple of n.
-    n = draw(st.sampled_from((2, 3)))
+    # Sampled scans of up to 3 goods draw repeated orders, so their outcome
+    # memo is read as well as filled.
+    n = draw(st.sampled_from((1, 2, 3, 4)))
     m = draw(st.integers(min_value=1, max_value=4))
     inst = generated_agents(draw, n, m)
     exhaustive = math.factorial(m) ** n <= 576 and draw(st.booleans())
-    samples = None if exhaustive else draw(st.integers(min_value=1, max_value=40))
+    samples = None if exhaustive else draw(st.integers(min_value=1, max_value=60))
     return inst, samples, draw(st.integers(min_value=0, max_value=1000))
 
 
+def bit_orders(orders):
+    return tuple(map(bit_order, orders))
+
+
 @seed(20230131)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(case=scan_cases())
 def test_scan_memos_match_unshared_evaluation(case):
     inst, samples, scan_seed = case
@@ -846,10 +853,11 @@ def test_scan_memos_match_unshared_evaluation(case):
     assert [(record.orders, record.pne_factor, record.fairness) for record in records] == [
         (orders, equilibrium.pne_factor, report) for orders, equilibrium, report in unshared]
     # Per-agent rows built from a memo a scan has warmed equal unshared rows,
-    # and reading them runs no search.
+    # and reading them runs no search; a second pass reads every record's
+    # outcome from the memo and returns the same record.
     warm = ResponseMemo(inst)
     for record in records:
-        scan_one_profile(warm, record.orders)
+        scan_one_profile(warm, record.orders, bit_orders(record.orders))
     searched = dict(warm.best)
     for record, (orders, equilibrium, _) in zip(records, unshared):
         rows = pne_factor(inst, Profile(tuple(map(Ranking, orders))), responses=warm).per_agent
@@ -860,6 +868,7 @@ def test_scan_memos_match_unshared_evaluation(case):
         assert pne == min([F(1), *(row.ratio for row in rows)])
         assert record.key == (pne.numerator, pne.denominator) + (
             (1, 0) if ef1 == UNBOUNDED else (ef1.numerator, ef1.denominator))
+        assert scan_one_profile(warm, orders, bit_orders(orders)) == record
     assert warm.best == searched
 
 
@@ -868,15 +877,19 @@ def test_scan_memo_holds_one_value_per_best_response_key():
     memo = ResponseMemo(inst)
     allocations = set()
     for orders in profile_orders(inst):
-        scan_one_profile(memo, orders)
-        allocations.add(tuple(deal(orders, inst.m)[1]))
+        scan_one_profile(memo, orders, bit_orders(orders))
+        allocations.add(tuple(deal_goods(orders, inst.m)[1]))
     # n (m!)^(n-1) best-response values, each an int on the agent's scale;
-    # one fairness report per allocation; nothing keyed by bundle.
+    # one fairness report per allocation; one record key per outcome, the
+    # bundle masks followed by the best-response ints; nothing keyed by bundle.
     orders = list(itertools.permutations(range(inst.m)))
     assert memo.best.keys() == {(i, (order,)) for i in range(inst.n) for order in orders}
     assert all(type(value) is int for value in memo.best.values())
     assert memo.reports.keys() == allocations
-    assert vars(memo).keys() == {"inst", "best", "reports"}
+    assert memo.outcomes and all(
+        outcome[:inst.n] in allocations and set(outcome[inst.n:]) <= set(memo.best.values())
+        for outcome in memo.outcomes)
+    assert vars(memo).keys() == {"inst", "best", "reports", "outcomes"}
 
 
 def test_scan_runs_each_mechanism_search_and_score_once(monkeypatch):
@@ -893,14 +906,18 @@ def test_scan_runs_each_mechanism_search_and_score_once(monkeypatch):
         monkeypatch.setattr(equilibria, name, counting(name, getattr(equilibria, name)))
     monkeypatch.setattr(fairness, "ef_factor", counting("ef_factor", fairness.ef_factor))
     monkeypatch.setattr(Profile, "__init__", counting("Profile", Profile.__init__))
+    monkeypatch.setattr(ResponseMemo, "score", counting("score", ResponseMemo.score))
     inst = no_pne_instance()
     records = list(profile_space_scan(inst))
     scan_calls = dict(calls)
     assert len(records) == 576
-    allocations = {}
+    allocations, outcomes = {}, set()
+    memo = ResponseMemo(inst)
     for record in records:
-        allocations[record.orders] = round_robin(
-            inst, Profile(tuple(Ranking(order) for order in record.orders)))
+        profile = Profile(tuple(Ranking(order) for order in record.orders))
+        allocations[record.orders] = round_robin(inst, profile)
+        rows = pne_factor(inst, profile, responses=memo).per_agent
+        outcomes.add((allocations[record.orders], tuple(row.best_response_value for row in rows)))
     # One deal per profile, one search per (agent, other agent's ranking),
     # one score per distinct allocation.
     assert (scan_calls["deal"], scan_calls["best_response"], scan_calls["ef1_factor"]) == (
@@ -908,6 +925,10 @@ def test_scan_runs_each_mechanism_search_and_score_once(monkeypatch):
     # A `Profile` is built, and `pne_factor` run on it, only for a profile
     # with a new best-response key, and each build searches at least one key.
     assert scan_calls["Profile"] == scan_calls["pne_factor"] <= scan_calls["best_response"]
+    # The equilibrium factor is scored once per distinct outcome, and at most
+    # twice more for a profile with a new key: in `pne_factor` and for a
+    # record that the scan does not keep.
+    assert scan_calls["score"] <= len(outcomes) + 2 * scan_calls["pne_factor"] < 576 // 2
     # The benchmark's traced run needs each of these spans to record calls:
     # a new best response goes through `pne_factor` and so through the mechanism.
     assert scan_calls["pne_factor"] >= 1

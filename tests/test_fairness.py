@@ -138,6 +138,29 @@ def test_fairness_matches_the_fraction_reference(kind, n, m, instance_seed):
         reference_fairness(inst, alloc))
 
 
+@seed(20261022)
+@settings(max_examples=100, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(GENERATOR_CLASSES), min_size=1, max_size=4),
+    m=st.integers(min_value=1, max_value=8),
+    instance_seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_additive_least_remainders_match_the_generic_minimum(kinds, m, instance_seed):
+    # Additive agents, with ties and zero weights, next to agents of the
+    # other classes; their tables take the generic minimum over v(A_j - g).
+    rng = random.Random(instance_seed)
+    agents = tuple(generate(GeneratorSpec(kind, 1, m, instance_seed + i, (0, 3))).valuations[0]
+                   for i, kind in enumerate(("additive", *kinds)))
+    n = len(agents)
+    inst = Instance(n, m, agents)
+    tables = Instance(n, m, tuple(Table(m, value_table(v)) for v in agents))
+    owners = [rng.randrange(n) for _ in range(m)]
+    alloc = Allocation(tuple(frozenset(g for g in range(m) if owners[g] == i) for i in range(n)))
+    fast, generic = ef1_factor(inst, alloc), ef1_factor(tables, alloc)
+    assert (fast.pair_ratios, fast.worst_pair) == (generic.pair_ratios, generic.worst_pair)
+    assert fast == generic
+
+
 # ---------------------------------------------------------------------------
 # per-perspective checks
 

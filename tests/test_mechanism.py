@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import prefix_sets, random_profile
+from conftest import deal_goods, prefix_sets, random_profile
 from rrfair.instances import (
     additive_tightness_instance,
     bluff_tightness_instance,
@@ -18,7 +18,7 @@ from rrfair.instances import (
     no_pne_instance,
     oxs_lower_bound_instance,
 )
-from rrfair.mechanism import Profile, Ranking, deal, round_robin
+from rrfair.mechanism import Profile, Ranking, bit_order, deal, round_robin
 from rrfair.profiles import truthful_profile, truthful_ranking
 from rrfair.valuations import Additive, Instance
 
@@ -38,7 +38,7 @@ def test_partial_last_round_deals_every_good_once(n, m, sizes, rounds):
     inst = Instance(n=n, m=m, valuations=(Additive([1] * m),) * n)
     order = Ranking(tuple(range(m)))
     alloc = round_robin(inst, Profile((order,) * n))
-    picks, _ = deal((order.order,) * n, m)
+    picks, _ = deal_goods((order.order,) * n, m)
     alloc.validate_partition(m)
     assert tuple(len(b) for b in alloc.bundles) == sizes
     assert picks == list(range(m))
@@ -46,7 +46,7 @@ def test_partial_last_round_deals_every_good_once(n, m, sizes, rounds):
 
 
 def test_prefix_sets_stop_at_the_last_turn_each_agent_gets():
-    picks, _ = deal(((0, 1, 2, 3),) * 3, 4)
+    picks, _ = deal_goods(((0, 1, 2, 3),) * 3, 4)
     # agent 1 picks in both rounds, agents 2 and 3 only in the first
     assert prefix_sets(picks, 3, 0) == (frozenset(), frozenset({0, 1, 2}))
     assert prefix_sets(picks, 3, 1) == (frozenset({0}),)
@@ -88,7 +88,7 @@ def test_identical_bids_alternate_down_the_order():
     alloc = round_robin(inst, Profile((order, order)))
     assert alloc.bundles[0] == {0, 2, 4}
     assert alloc.bundles[1] == {1, 3}
-    assert deal((order.order,) * 2, 5)[0] == [0, 1, 2, 3, 4]
+    assert deal((bit_order(order.order),) * 2, 5) == ([1, 2, 4, 8, 16], [0b10101, 0b01010])
 
 
 def test_additive_tightness_run():
@@ -118,7 +118,7 @@ def test_single_agent_takes_everything_in_ranking_order():
     ranking = truthful_ranking(inst.valuations[0])
     alloc = round_robin(inst, Profile((ranking,)))
     assert alloc.bundles[0] == frozenset(range(4))
-    assert tuple(deal((ranking.order,), 4)[0]) == ranking.order
+    assert tuple(deal_goods((ranking.order,), 4)[0]) == ranking.order
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +134,7 @@ def test_partition_positional_and_consistency_invariants(seed, n):
     inst = generate(GeneratorSpec(valuation_class="additive", n=n, m=m, seed=seed))
     profile = random_profile(rng, n, m)
     alloc = round_robin(inst, profile)
-    picks, masks = deal([r.order for r in profile.rankings], m)
+    picks, masks = deal_goods([r.order for r in profile.rankings], m)
 
     alloc.validate_partition(m)  # partition law
     assert len(picks) == m
@@ -155,7 +155,7 @@ def test_partition_positional_and_consistency_invariants(seed, n):
 
 
 def test_prefix_sets_views():
-    picks, _ = deal(((0, 1, 2, 3, 4, 5),) * 2, 6)
+    picks, _ = deal_goods(((0, 1, 2, 3, 4, 5),) * 2, 6)
     # agent 1 (index 0): before her pick in rounds 0,1,2
     assert prefix_sets(picks, 2, 0) == (frozenset(), frozenset({0, 1}), frozenset({0, 1, 2, 3}))
     # agent 2 (index 1): one extra step each round
@@ -175,8 +175,9 @@ def deviation_prefix_invariants_hold(inst, profile, agent, deviation) -> bool:
     the shared round-0 prefix.
     """
     alloc = round_robin(inst, profile)
-    base_picks, _ = deal([r.order for r in profile.rankings], inst.m)
-    dev_picks, _ = deal([r.order for r in profile.replace(agent, deviation).rankings], inst.m)
+    base_picks, _ = deal_goods([r.order for r in profile.rankings], inst.m)
+    dev_picks, _ = deal_goods(
+        [r.order for r in profile.replace(agent, deviation).rankings], inst.m)
     base = prefix_sets(base_picks, inst.n, agent)
     dev = prefix_sets(dev_picks, inst.n, agent)
     k = -(-inst.m // inst.n)  # rounds

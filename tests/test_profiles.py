@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import enumerate_reachable_bundles
+from conftest import deal_goods, enumerate_reachable_bundles
 from rrfair.instances import (
     GENERATOR_CLASSES,
     GeneratorSpec,
@@ -16,7 +16,7 @@ from rrfair.instances import (
     generate,
     no_pne_instance,
 )
-from rrfair.mechanism import Profile, Ranking, deal, round_robin
+from rrfair.mechanism import Profile, Ranking, round_robin
 from rrfair.profiles import (
     bluff_order,
     bluff_profile,
@@ -227,7 +227,7 @@ def test_greedy_response_additive_takes_best_available():
     rng = random.Random(0)
     others = {0: Ranking(tuple(rng.sample(range(6), 6)))}
     ranking = greedy_response(inst, 1, others)
-    picks, _ = deal((others[0].order, ranking.order), 6)
+    picks, _ = deal_goods((others[0].order, ranking.order), 6)
     weights = inst.valuations[1].weights
     taken: set[int] = set()
     for k, good in enumerate(picks):
@@ -258,6 +258,46 @@ def test_bluff_order_is_every_agents_greedy_response_to_the_others_bluff():
                         response = greedy_response(inst, i, others)
                         assert response.order[:len(order.order[i::n])] == order.order[i::n], (
                             cls, inst.description, i)
+
+
+def reference_greedy_picks(inst, others):
+    """Round-robin where each agent outside `others` takes the good of largest marginal value.
+
+    Marginal values are Fractions, v(pile + g) - v(pile), with ties to the
+    larger singleton value and then the smaller good, whatever the class.
+    """
+    taken: set[int] = set()
+    piles: list[set[int]] = [set() for _ in range(inst.n)]
+    picks = []
+    for k in range(inst.m):
+        i = k % inst.n
+        available = [g for g in range(inst.m) if g not in taken]
+        if i in others:
+            pick = next(g for g in others[i].order if g not in taken)
+        else:
+            v, pile = inst.valuations[i], piles[i]
+            pick = max(available, key=lambda g: (v.value(pile | {g}) - v.value(pile),
+                                                 v.value({g}), -g))
+        taken.add(pick)
+        piles[i].add(pick)
+        picks.append(pick)
+    return picks
+
+
+@pytest.mark.parametrize("kinds", [(cls,) for cls in GENERATOR_CLASSES] + [GENERATOR_CLASSES])
+def test_bluff_profiles_and_greedy_responses_match_the_marginal_greedy(kinds):
+    # One class, or every class mixed; weights 0..2 make marginal ties common.
+    rng = random.Random(2026)
+    for _ in range(30):
+        n, m = rng.randint(1, 4), rng.randint(1, 8)
+        inst = Instance(n, m, tuple(
+            generate(GeneratorSpec(rng.choice(kinds), 1, m, rng.randrange(10**6),
+                                   (0, 2))).valuations[0] for _ in range(n)))
+        picks = reference_greedy_picks(inst, {})
+        assert bluff_profile(inst) == Profile((Ranking(tuple(picks)),) * n), inst.description
+        others = {i: Ranking(tuple(rng.sample(range(m), m))) for i in range(1, n)}
+        picks = reference_greedy_picks(inst, others)
+        assert greedy_response(inst, 0, others).order[:len(picks[::n])] == tuple(picks[::n])
 
 
 def test_greedy_response_replay_returns_the_picked_set():
